@@ -20,11 +20,10 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
-import networkx as nx
-
 from repro.abstraction.tree import AbstractionTree
 from repro.db.database import AnnotationRegistry
 from repro.provenance.kexample import AbstractedKExample, KExample, KExampleRow
+from repro.query.join_graph import overlap_connected
 
 
 class ConcretizationEngine:
@@ -115,24 +114,13 @@ class ConcretizationEngine:
             if cached is not None:
                 self.cache_hits += 1
                 return cached
-        result = self._compute_row_connected(row)
+        result = overlap_connected(
+            [self._registry.resolve(ann).value_set() for ann in row.occurrences]
+        )
         if self._use_cache:
             self.cache_misses += 1
             self._connectivity_cache[key] = result
         return result
-
-    def _compute_row_connected(self, row: KExampleRow) -> bool:
-        tuples = [self._registry.resolve(ann) for ann in row.occurrences]
-        if len(tuples) <= 1:
-            return True
-        graph = nx.Graph()
-        graph.add_nodes_from(range(len(tuples)))
-        for i, a in enumerate(tuples):
-            values_a = a.value_set()
-            for j in range(i + 1, len(tuples)):
-                if values_a & tuples[j].value_set():
-                    graph.add_edge(i, j)
-        return nx.is_connected(graph)
 
     def example_connected(self, example: KExample) -> bool:
         """Whether every row of a concrete K-example is connected."""

@@ -16,11 +16,11 @@ outputs can be modelled as multiple rows with the same output values.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-import networkx as nx
 
 from repro.db.database import AnnotationRegistry
 from repro.db.tuples import Tuple
 from repro.errors import SchemaError
+from repro.query.join_graph import overlap_connected
 from repro.semirings.polynomial import Monomial
 
 
@@ -159,16 +159,9 @@ class KExample:
 
     def row_is_connected(self, row_index: int) -> bool:
         row = self._rows[row_index]
-        tuples = [self.tuple_of(ann) for ann in row.occurrences]
-        if len(tuples) <= 1:
-            return True
-        graph = nx.Graph()
-        graph.add_nodes_from(range(len(tuples)))
-        for i, a in enumerate(tuples):
-            for j in range(i + 1, len(tuples)):
-                if a.value_set() & tuples[j].value_set():
-                    graph.add_edge(i, j)
-        return nx.is_connected(graph)
+        return overlap_connected(
+            [self.tuple_of(ann).value_set() for ann in row.occurrences]
+        )
 
     def key(self) -> tuple:
         """A hashable identity for caching: rows only (registry-independent)."""

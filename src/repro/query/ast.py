@@ -12,6 +12,7 @@ Queries compare structurally.  For comparison *up to variable renaming*
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from typing import Any, Union
 
@@ -128,7 +129,7 @@ class CQ:
     :meth:`canonical`.
     """
 
-    __slots__ = ("_head", "_body", "_hash", "_canonical_cache")
+    __slots__ = ("_head", "_body", "_hash", "_constants", "_canonical_cache")
 
     def __init__(self, head: Atom, body: Iterable[Atom]):
         self._head = head
@@ -145,7 +146,11 @@ class CQ:
                 f"head variables not bound in body: "
                 f"{sorted(v.name for v in missing)}"
             )
-        self._hash = hash((self._head, tuple(sorted(self._body, key=_atom_key))))
+        # Hash, constants and canonical key are computed on first use, so
+        # the queries consistent-query generation drops as canonical
+        # duplicates are never hashed.
+        self._hash: "int | None" = None
+        self._constants: "frozenset[Constant] | None" = None
         self._canonical_cache: "tuple | None" = None
 
     @property
@@ -163,10 +168,12 @@ class CQ:
         return frozenset(out)
 
     def constants(self) -> frozenset[Constant]:
-        out: set[Constant] = set(self._head.constants())
-        for atom in self._body:
-            out.update(atom.constants())
-        return frozenset(out)
+        if self._constants is None:
+            out: set[Constant] = set(self._head.constants())
+            for atom in self._body:
+                out.update(atom.constants())
+            self._constants = frozenset(out)
+        return self._constants
 
     def relations(self) -> tuple[str, ...]:
         """Relation names in the body, with repetitions, sorted."""
@@ -187,11 +194,6 @@ class CQ:
             (atom.substitute(mapping) for atom in self._body),
         )
 
-    def rename_apart(self, suffix: str) -> "CQ":
-        """Fresh copy whose variables carry ``suffix`` (for containment tests)."""
-        mapping = {v: Variable(v.name + suffix) for v in self.variables()}
-        return self.substitute(mapping)
-
     def canonical(self) -> tuple:
         """An isomorphism-invariant key: two CQs get the same key iff they
         are equal up to variable renaming and body reordering.
@@ -207,7 +209,14 @@ class CQ:
             return self._canonical_cache
 
         atoms = list(self._body)
-        signatures = [_atom_signature(atom, self) for atom in atoms]
+        head_vars = self._head.variables()
+        occurrences = Counter(
+            term for atom in atoms for term in atom.terms
+            if isinstance(term, Variable)
+        )
+        signatures = [
+            _atom_signature(atom, occurrences, head_vars) for atom in atoms
+        ]
         order = sorted(range(len(atoms)), key=lambda i: signatures[i])
         groups: list[list[int]] = []
         for idx in order:
@@ -233,6 +242,10 @@ class CQ:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(
+                (self._head, tuple(sorted(self._body, key=_atom_key)))
+            )
         return self._hash
 
     def __repr__(self) -> str:
@@ -283,18 +296,21 @@ def _atom_key(atom: Atom) -> tuple:
     )
 
 
-def _atom_signature(atom: Atom, query: CQ) -> tuple:
-    """A renaming-invariant signature for sorting atoms before numbering."""
-    head_vars = query.head.variables()
-    occurrences: dict[Variable, int] = {}
-    for other in query.body:
-        for term in other.terms:
-            if isinstance(term, Variable):
-                occurrences[term] = occurrences.get(term, 0) + 1
+def _atom_signature(
+    atom: Atom,
+    occurrences: Mapping[Variable, int],
+    head_vars: frozenset[Variable],
+) -> tuple:
+    """A renaming-invariant signature for sorting atoms before numbering.
+
+    ``occurrences`` counts each variable's occurrences over the whole body
+    and ``head_vars`` are the head's variables; both are per query, so the
+    caller computes them once for all of its atoms.
+    """
     per_term = tuple(
         ("c", repr(t.value))
         if isinstance(t, Constant)
-        else ("v", occurrences.get(t, 0), t in head_vars)
+        else ("v", occurrences[t], t in head_vars)
         for t in atom.terms
     )
     return (atom.relation, per_term)

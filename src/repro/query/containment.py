@@ -22,15 +22,17 @@ def find_homomorphism(source: CQ, target: CQ) -> Optional[dict[Variable, Term]]:
 
     Maps each variable of ``source`` to a term of ``target`` such that every
     source body atom lands on some target body atom and the source head maps
-    exactly onto the target head.
+    exactly onto the target head.  The mapping is keyed by source variables
+    and only ever compared against target terms, so the two queries may
+    share variable names.
     """
     if source.head.relation != target.head.relation:
         return None
     if source.head.arity != target.head.arity:
         return None
-
-    # Avoid accidental variable capture between the two queries.
-    source = source.rename_apart("_src")
+    # A homomorphism maps every constant to itself.
+    if not source.constants() <= target.constants():
+        return None
 
     mapping: dict[Variable, Term] = {}
     if not _unify_atom(source.head, target.head, mapping):
@@ -46,9 +48,7 @@ def find_homomorphism(source: CQ, target: CQ) -> Optional[dict[Variable, Term]]:
     )
 
     if _assign(ordered, 0, by_relation, mapping):
-        return {
-            Variable(v.name[: -len("_src")]): t for v, t in mapping.items()
-        }
+        return mapping
     return None
 
 

@@ -8,6 +8,8 @@ connected iff its join graph is; a UCQ is connected iff every disjunct is
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Sequence, Set
+
 import networkx as nx
 
 from repro.query.ast import CQ, UCQ
@@ -25,6 +27,32 @@ def join_graph(query: CQ) -> nx.Graph:
     return graph
 
 
+def overlap_connected(sets: Sequence[Set[Hashable]]) -> bool:
+    """True iff the overlap graph of ``sets`` is connected.
+
+    The graph has one node per set and an edge wherever two sets
+    intersect.  Fewer than two sets are connected by convention.  Grows
+    the union of the first set's component until no remaining set meets
+    it, without building the graph.
+    """
+    if len(sets) <= 1:
+        return True
+    reached = set(sets[0])
+    pending = list(sets[1:])
+    grew = True
+    while pending and grew:
+        grew = False
+        rest = []
+        for members in pending:
+            if reached.isdisjoint(members):
+                rest.append(members)
+            else:
+                reached.update(members)
+                grew = True
+        pending = rest
+    return not pending
+
+
 def is_connected(query: "CQ | UCQ") -> bool:
     """True iff the query's join graph is connected.
 
@@ -33,6 +61,4 @@ def is_connected(query: "CQ | UCQ") -> bool:
     """
     if isinstance(query, UCQ):
         return all(is_connected(cq) for cq in query.disjuncts)
-    if len(query.body) <= 1:
-        return True
-    return nx.is_connected(join_graph(query))
+    return overlap_connected([atom.variables() for atom in query.body])

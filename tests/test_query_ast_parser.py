@@ -69,12 +69,6 @@ class TestCQ:
         cq = parse_cq("Q(x) :- S(x), R(x), R(x)")
         assert cq.relations() == ("R", "R", "S")
 
-    def test_rename_apart(self):
-        cq = parse_cq("Q(x) :- R(x, y)")
-        renamed = cq.rename_apart("_0")
-        assert Variable("x_0") in renamed.variables()
-        assert renamed.variables().isdisjoint(cq.variables())
-
 
 class TestCanonical:
     def test_isomorphic_queries_share_canonical(self):
