@@ -25,6 +25,7 @@ effort counters.
 """
 
 import os
+import time
 
 from _common import BENCH_SETTINGS, monotonic, perf_counter
 from repro.batch import BatchJob

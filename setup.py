@@ -1,4 +1,8 @@
-"""Legacy setup shim so editable installs work without the wheel package."""
+"""Legacy setup shim: the package metadata lives in ``pyproject.toml``.
+
+``python setup.py develop`` makes an editable install from it where the
+``wheel`` package, which pip's editable build needs, is missing.
+"""
 
 from setuptools import setup
 

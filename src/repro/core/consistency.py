@@ -29,11 +29,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 from repro.db.tuples import Tuple
 from repro.provenance.kexample import KExample
 from repro.query.ast import CQ, Atom, Constant, Term, Variable
 from repro.semirings.base import Semiring, SemiringName, get_semiring
+
+if TYPE_CHECKING:
+    from repro.core.privacy import PrivacyStats
 
 
 @dataclass(frozen=True)
@@ -63,23 +67,31 @@ class ConsistencyConfig:
 def consistent_queries(
     example: KExample,
     config: ConsistencyConfig | None = None,
+    stats: PrivacyStats | None = None,
 ) -> frozenset[CQ]:
     """The candidate consistent queries w.r.t. a concrete K-example.
 
     Returns the most-specific consistent query of every alignment together
     with its constant-flip variants, deduplicated up to isomorphism.  Every
-    CIM query of the example is contained in this set (see module docs).
+    CIM query of the example is contained in this set (see module docs)
+    unless a cap of ``config`` cut the enumeration short; ``stats``, when
+    given, counts each such cut (``flip_cap_fallbacks``,
+    ``alignment_combo_truncations``).
     """
     config = config or ConsistencyConfig()
     out: dict[tuple, CQ] = {}
-    for query in _generate(example, config):
+    for query in _generate(example, config, stats):
         if config.require_variable and not query.variables():
             continue
         out.setdefault(query.canonical(), query)
     return frozenset(out.values())
 
 
-def _generate(example: KExample, config: ConsistencyConfig) -> Iterator[CQ]:
+def _generate(
+    example: KExample,
+    config: ConsistencyConfig,
+    stats: PrivacyStats | None,
+) -> Iterator[CQ]:
     rows = example.rows
     drops_exponents = config.semiring_ops().drops_exponents()
 
@@ -103,9 +115,11 @@ def _generate(example: KExample, config: ConsistencyConfig) -> Iterator[CQ]:
         combos = itertools.product(*per_row_alignments)
         for combo_index, combo in enumerate(combos):
             if combo_index >= config.max_alignment_combos:
+                if stats is not None:
+                    stats.alignment_combo_truncations += 1
                 break
             matrix = [skeleton, *combo]
-            yield from _queries_from_matrix(example, matrix, config)
+            yield from _queries_from_matrix(example, matrix, config, stats)
 
 
 def _skeletons(
@@ -205,70 +219,65 @@ def _queries_from_matrix(
     example: KExample,
     matrix: list[tuple[Tuple, ...]],
     config: ConsistencyConfig,
+    stats: PrivacyStats | None,
 ) -> Iterator[CQ]:
-    """Most-specific query and flip variants for one alignment matrix."""
-    n_slots = len(matrix[0])
+    """Most-specific query and flip variants for one alignment matrix.
 
-    # Group positions (slot, column) by their cross-row value vectors.
-    classes: dict[tuple, list[tuple[int, int]]] = {}
-    for slot in range(n_slots):
-        arity = matrix[0][slot].arity
-        for col in range(arity):
-            vector = tuple(matrix[row][slot].values[col] for row in range(len(matrix)))
-            classes.setdefault(vector, []).append((slot, col))
-
-    vectors = list(classes)
-    constant_classes = [
-        idx for idx, vec in enumerate(vectors) if len(set(vec)) == 1
-    ]
+    The alignment's class layout is computed once: positions (slot, column)
+    with equal cross-row value vectors share a class, numbered by first
+    appearance, and class ``i`` is the term ``x{i}`` or, while a constant
+    class is not flipped, its constant.  Each flip variant only picks the
+    term of every class.
+    """
+    class_of: dict[tuple, int] = {}
+    layout: list[tuple[str, list[int]]] = []
+    for slot, tup in enumerate(matrix[0]):
+        layout.append((tup.relation, [
+            class_of.setdefault(vector, len(class_of))
+            for vector in zip(*(row[slot].values for row in matrix))
+        ]))
 
     # Resolve head terms: each output column needs a class with the exact
     # output vector, or a constant column.
-    head_specs: list[tuple[str, object]] = []
-    n_out = len(example.rows[0].output)
-    for col in range(n_out):
-        out_vector = tuple(example.rows[row].output[col] for row in range(len(matrix)))
-        if out_vector in classes:
-            head_specs.append(("class", vectors.index(out_vector)))
+    head_layout: list[int | Constant] = []
+    outputs = [row.output for row in example.rows]
+    for col in range(len(outputs[0])):
+        out_vector = tuple(output[col] for output in outputs)
+        if out_vector in class_of:
+            head_layout.append(class_of[out_vector])
         elif len(set(out_vector)) == 1:
-            head_specs.append(("const", out_vector[0]))
+            head_layout.append(Constant(out_vector[0]))
         else:
             return  # this alignment cannot produce the outputs
 
+    variables = [Variable(f"x{idx}") for idx in range(len(class_of))]
+    base_terms: list[Term] = list(variables)
+    constant_classes = []
+    for idx, vector in enumerate(class_of):
+        if len(set(vector)) == 1:
+            constant_classes.append(idx)
+            base_terms[idx] = Constant(vector[0])
+    if stats is not None and len(constant_classes) > config.max_flip_classes:
+        stats.flip_cap_fallbacks += 1
+
     for flips in _flip_subsets(constant_classes, config.max_flip_classes):
-        terms: list[Term] = []
-        for idx, vec in enumerate(vectors):
-            if idx in constant_classes and idx not in flips:
-                terms.append(Constant(vec[0]))
-            else:
-                terms.append(Variable(f"x{idx}"))
-
-        body = []
-        position_term: dict[tuple[int, int], Term] = {}
-        for idx, positions in enumerate(classes.values()):
-            for pos in positions:
-                position_term[pos] = terms[idx]
-        for slot in range(n_slots):
-            arity = matrix[0][slot].arity
-            body.append(
-                Atom(
-                    matrix[0][slot].relation,
-                    [position_term[(slot, col)] for col in range(arity)],
-                )
-            )
-
-        head_terms: list[Term] = []
-        for kind, value in head_specs:
-            if kind == "class":
-                head_terms.append(terms[value])  # type: ignore[index]
-            else:
-                head_terms.append(Constant(value))
+        terms = base_terms.copy()
+        for idx in flips:
+            terms[idx] = variables[idx]
+        body = [
+            Atom(relation, map(terms.__getitem__, columns))
+            for relation, columns in layout
+        ]
+        head_terms = [
+            terms[spec] if isinstance(spec, int) else spec
+            for spec in head_layout
+        ]
         yield CQ(Atom(config.head_name, head_terms), body)
 
 
 def _flip_subsets(
     constant_classes: list[int], max_flip_classes: int
-) -> Iterator[frozenset[int]]:
+) -> Iterator[tuple[int, ...]]:
     """Subsets of constant classes to generalize into shared variables.
 
     Exhaustive up to ``max_flip_classes`` constant classes; beyond that,
@@ -277,13 +286,12 @@ def _flip_subsets(
     """
     if len(constant_classes) <= max_flip_classes:
         for size in range(len(constant_classes) + 1):
-            for combo in itertools.combinations(constant_classes, size):
-                yield frozenset(combo)
+            yield from itertools.combinations(constant_classes, size)
         return
-    yield frozenset()
+    yield ()
     for idx in constant_classes:
-        yield frozenset((idx,))
-    yield frozenset(constant_classes)
+        yield (idx,)
+    yield tuple(constant_classes)
 
 
 def trivial_union_query(

@@ -99,6 +99,13 @@ class PrivacyStats:
     containment_cache_misses: int = 0
     minimal_set_cache_hits: int = 0
     minimal_set_cache_misses: int = 0
+    # Consistent-query generation cut short by a ConsistencyConfig cap,
+    # charged per consistency call (cache misses only): alignment matrices
+    # whose flips fell back to the heuristic subset list, and skeletons
+    # whose alignment combinations were truncated.  Either can drop a CIM
+    # query, so a nonzero count means the privacy may undercount.
+    flip_cap_fallbacks: int = 0
+    alignment_combo_truncations: int = 0
 
 
 class PrivacySession:
@@ -384,7 +391,9 @@ class PrivacyComputer:
                 return cached
         self.stats.consistency_calls += 1
         example = KExample(prefix, self._registry)
-        result = consistent_queries(example, self._config.consistency)
+        result = consistent_queries(
+            example, self._config.consistency, self.stats
+        )
         if self._config.cache_queries:
             self.stats.query_cache_misses += 1
             self._query_cache[key] = result

@@ -6,13 +6,14 @@ the body (Section 2.1 of the paper).  Terms are either :class:`Variable` or
 be deduplicated, cached, and used as dictionary keys.
 
 Queries compare structurally.  For comparison *up to variable renaming*
-(isomorphism) use :meth:`CQ.canonical`.
+(isomorphism) use :meth:`CQ.canonical`, whose key is an opaque flat tuple:
+compare keys for equality or use them as dict keys, but do not order,
+persist or hash them into results, since their layout may change.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from typing import Any, Union
 
@@ -45,11 +46,13 @@ class Variable:
 class Constant:
     """A query constant, e.g. ``'Dance'`` or ``1995``."""
 
-    __slots__ = ("_value", "_hash")
+    __slots__ = ("_value", "_hash", "_repr")
 
     def __init__(self, value: Any):
         self._value = value
         self._hash = hash(("const", value))
+        # Canonical keys and body sorting spell a constant by its repr.
+        self._repr = repr(value)
 
     @property
     def value(self) -> Any:
@@ -62,7 +65,7 @@ class Constant:
         return self._hash
 
     def __repr__(self) -> str:
-        return repr(self._value)
+        return self._repr
 
 
 Term = Union[Variable, Constant]
@@ -136,15 +139,17 @@ class CQ:
         self._body = tuple(body)
         if not self._body:
             raise ParseError("a CQ must have a non-empty body")
-        head_vars = head.variables()
-        body_vars: set[Variable] = set()
-        for atom in self._body:
-            body_vars.update(atom.variables())
-        missing = head_vars - body_vars
+        body_names = {
+            term._name for atom in self._body for term in atom._terms
+            if isinstance(term, Variable)
+        }
+        missing = {
+            term._name for term in head._terms
+            if isinstance(term, Variable) and term._name not in body_names
+        }
         if missing:
             raise ParseError(
-                f"head variables not bound in body: "
-                f"{sorted(v.name for v in missing)}"
+                f"head variables not bound in body: {sorted(missing)}"
             )
         # Hash, constants and canonical key are computed on first use, so
         # the queries consistent-query generation drops as canonical
@@ -198,26 +203,38 @@ class CQ:
         """An isomorphism-invariant key: two CQs get the same key iff they
         are equal up to variable renaming and body reordering.
 
-        Computed by trying variable numberings in every order of first
-        appearance induced by body permutations would be factorial; instead
-        we canonicalize greedily: sort atoms by an invariant signature, then
-        number variables by first appearance, then refine by trying all
-        orders among atoms with identical signatures (bounded in practice
-        by self-join multiplicity).
-        """
-        if self._canonical_cache is not None:
-            return self._canonical_cache
+        The key is an opaque flat tuple.  For the head and then each body
+        atom it holds the relation, the arity, and per term the variable's
+        number (an int) or the constant's repr (a str).  Use it only for
+        equality and as a dict key: its layout is not a stable format.
 
-        atoms = list(self._body)
-        head_vars = self._head.variables()
-        occurrences = Counter(
-            term for atom in atoms for term in atom.terms
+        Trying every body order would be factorial; instead atoms are
+        sorted by a renaming-invariant signature, variables are numbered
+        by first appearance over the head and then the atoms, and only
+        atoms with identical signatures are permuted (bounded in practice
+        by self-join multiplicity), keeping the least key.  Permuted atoms
+        share a signature, so every candidate key holds an int or a str at
+        the same places and candidates compare without type errors.
+        """
+        key = self._canonical_cache
+        if key is not None:
+            return key
+
+        atoms = self._body
+        occurrences: dict[str, int] = {}
+        for atom in atoms:
+            for term in atom._terms:
+                if isinstance(term, Variable):
+                    name = term._name
+                    occurrences[name] = occurrences.get(name, 0) + 1
+        head_names = {
+            term._name for term in self._head._terms
             if isinstance(term, Variable)
-        )
+        }
         signatures = [
-            _atom_signature(atom, occurrences, head_vars) for atom in atoms
+            _atom_signature(atom, occurrences, head_names) for atom in atoms
         ]
-        order = sorted(range(len(atoms)), key=lambda i: signatures[i])
+        order = sorted(range(len(atoms)), key=signatures.__getitem__)
         groups: list[list[int]] = []
         for idx in order:
             if groups and signatures[groups[-1][-1]] == signatures[idx]:
@@ -288,32 +305,36 @@ class UCQ:
 
 def _atom_key(atom: Atom) -> tuple:
     return (
-        atom.relation,
+        atom._relation,
         tuple(
-            ("c", repr(t.value)) if isinstance(t, Constant) else ("v", t.name)
-            for t in atom.terms
+            ("c", t._repr) if isinstance(t, Constant) else ("v", t._name)
+            for t in atom._terms
         ),
     )
 
 
 def _atom_signature(
     atom: Atom,
-    occurrences: Mapping[Variable, int],
-    head_vars: frozenset[Variable],
+    occurrences: Mapping[str, int],
+    head_names: set[str],
 ) -> tuple:
     """A renaming-invariant signature for sorting atoms before numbering.
 
     ``occurrences`` counts each variable's occurrences over the whole body
-    and ``head_vars`` are the head's variables; both are per query, so the
-    caller computes them once for all of its atoms.
+    and ``head_names`` names the head's variables, both by variable name
+    and per query, so the caller computes them once for all of its atoms.
+    Each term adds a kind tag, then the constant's repr or the variable's
+    occurrence count and head membership: signatures that agree up to a
+    tag hold values of one type after it, so any two compare.
     """
-    per_term = tuple(
-        ("c", repr(t.value))
-        if isinstance(t, Constant)
-        else ("v", occurrences[t], t in head_vars)
-        for t in atom.terms
-    )
-    return (atom.relation, per_term)
+    signature: list = [atom._relation]
+    for term in atom._terms:
+        if isinstance(term, Variable):
+            name = term._name
+            signature += (1, occurrences[name], name in head_names)
+        else:
+            signature += (0, term._repr)
+    return tuple(signature)
 
 
 def _group_permutations(groups: list[list[int]]):
@@ -327,19 +348,16 @@ def _group_permutations(groups: list[list[int]]):
 
 
 def _numbered_key(head: Atom, ordered_atoms: list[Atom]) -> tuple:
-    """Number variables by first appearance over head then atoms."""
-    numbering: dict[Variable, int] = {}
-
-    def term_key(term: Term) -> tuple:
-        if isinstance(term, Constant):
-            return ("c", repr(term.value))
-        if term not in numbering:
-            numbering[term] = len(numbering)
-        return ("v", numbering[term])
-
-    head_part = (head.relation, tuple(term_key(t) for t in head.terms))
-    body_part = tuple(
-        (atom.relation, tuple(term_key(t) for t in atom.terms))
-        for atom in ordered_atoms
-    )
-    return (head_part, body_part)
+    """The flat key of one arrangement: variables numbered by first
+    appearance over the head, then the atoms in the given order."""
+    numbering: dict[str, int] = {}
+    key: list = []
+    for atom in (head, *ordered_atoms):
+        terms = atom._terms
+        key += (atom._relation, len(terms))
+        for term in terms:
+            if isinstance(term, Variable):
+                key.append(numbering.setdefault(term._name, len(numbering)))
+            else:
+                key.append(term._repr)
+    return tuple(key)

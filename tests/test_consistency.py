@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.consistency import ConsistencyConfig, consistent_queries
+from repro.core.privacy import PrivacyStats
 from repro.db.database import KDatabase
 from repro.db.schema import Schema
 from repro.provenance.kexample import KExample, KExampleRow
@@ -235,3 +236,49 @@ class TestDeduplication:
         queries = consistent_queries(paper_example)
         canons = [q.canonical() for q in queries]
         assert len(canons) == len(set(canons))
+
+
+class TestCapCounters:
+    @pytest.fixture
+    def db(self):
+        db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["x", "y"]}))
+        db.insert("R", (1, 10), "r1")
+        db.insert("R", (1, 30), "r3")
+        db.insert("S", (10, 5), "s1")
+        return db
+
+    def test_flip_cap_fallback_counted(self, db):
+        """One row R(1, 10), S(10, 5): three constant classes."""
+        example = KExample([KExampleRow((1,), ["r1", "s1"])], db.registry)
+        capped, exact = PrivacyStats(), PrivacyStats()
+        fallback = consistent_queries(
+            example, ConsistencyConfig(max_flip_classes=2), capped
+        )
+        full = consistent_queries(
+            example, ConsistencyConfig(max_flip_classes=3), exact
+        )
+        assert isinstance(fallback, frozenset)
+        assert len(fallback) < len(full)
+        assert capped.flip_cap_fallbacks == 1
+        assert exact.flip_cap_fallbacks == 0
+        assert capped.alignment_combo_truncations == 0
+
+    def test_alignment_combo_truncation_counted(self, db):
+        """Two R tuples in the second row: two alignments."""
+        example = KExample(
+            [
+                KExampleRow((1,), ["r1", "r3"]),
+                KExampleRow((1,), ["r1", "r3"]),
+            ],
+            db.registry,
+        )
+        capped, exact = PrivacyStats(), PrivacyStats()
+        consistent_queries(
+            example, ConsistencyConfig(max_alignment_combos=1), capped
+        )
+        consistent_queries(
+            example, ConsistencyConfig(max_alignment_combos=2), exact
+        )
+        assert capped.alignment_combo_truncations == 1
+        assert exact.alignment_combo_truncations == 0
+        assert capped.flip_cap_fallbacks == 0

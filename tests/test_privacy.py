@@ -6,6 +6,7 @@ import pytest
 
 from repro.abstraction.builders import balanced_tree
 from repro.abstraction.function import AbstractionFunction
+from repro.core.consistency import ConsistencyConfig
 from repro.core.privacy import PrivacyComputer, PrivacyConfig, PrivacySession
 from repro.db.database import KDatabase
 from repro.db.schema import Schema
@@ -115,6 +116,32 @@ class TestMechanics:
         computer.privacy(abstracted)
         assert computer.stats.query_cache_hits > 0
         assert computer.stats.query_cache_misses == misses_after_first
+
+    def test_cap_counters_zero_at_defaults(
+        self, paper_tree, paper_db, paper_example
+    ):
+        computer = PrivacyComputer(paper_tree, paper_db.registry)
+        abstracted = _abstract(
+            paper_tree, paper_example, {"h1": "Facebook", "h2": "LinkedIn"}
+        )
+        assert computer.privacy(abstracted) == 2
+        assert computer.stats.consistency_calls > 0
+        assert computer.stats.flip_cap_fallbacks == 0
+        assert computer.stats.alignment_combo_truncations == 0
+
+    def test_flip_cap_charged_on_cache_misses(
+        self, paper_tree, paper_db, paper_example
+    ):
+        """Two constant classes ('Dance', 'Music') against a cap of one."""
+        config = PrivacyConfig(consistency=ConsistencyConfig(max_flip_classes=1))
+        computer = PrivacyComputer(paper_tree, paper_db.registry, config)
+        abstracted = _abstract(paper_tree, paper_example, {})
+        computer.privacy(abstracted)
+        fallbacks = computer.stats.flip_cap_fallbacks
+        assert fallbacks > 0
+        computer.privacy(abstracted)
+        assert computer.stats.query_cache_hits > 0
+        assert computer.stats.flip_cap_fallbacks == fallbacks
 
     def test_connectivity_filter_prunes(self, paper_tree, paper_db, paper_example):
         computer = PrivacyComputer(paper_tree, paper_db.registry)

@@ -1,14 +1,87 @@
 """Tests for the query AST, parser, and canonicalization."""
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParseError
 from repro.query.ast import CQ, UCQ, Atom, Constant, Variable
 from repro.query.parser import parse_cq, parse_ucq
+
+
+# Random small CQs for the isomorphism property: up to four atoms over a
+# binary and a unary relation, so self-joins, repeated variables, constants
+# and head variables all occur often.
+_NAMES = ("x", "y", "z", "w")
+_CONSTANTS = (1, 2, "a")
+_ARITY = {"R": 2, "S": 1}
+_TERMS = st.one_of(
+    st.sampled_from(_NAMES).map(Variable),
+    st.sampled_from(_CONSTANTS).map(Constant),
+)
+
+
+@st.composite
+def _cqs(draw, head_arity):
+    body = [
+        Atom(relation, [draw(_TERMS) for _ in range(_ARITY[relation])])
+        for relation in draw(
+            st.lists(st.sampled_from(sorted(_ARITY)), min_size=1, max_size=4))
+    ]
+    bound = sorted({t for atom in body for t in atom.terms
+                    if isinstance(t, Variable)}, key=repr)
+    head_terms = st.sampled_from(bound + [Constant(c) for c in _CONSTANTS])
+    return CQ(Atom("Q", [draw(head_terms) for _ in range(head_arity)]), body)
+
+
+@st.composite
+def _cq_pairs(draw):
+    """An independent pair, or a query and a renamed, reordered copy of it
+    with at most one body term replaced (a near miss or still isomorphic)."""
+    head_arity = draw(st.integers(min_value=0, max_value=2))
+    first = draw(_cqs(head_arity))
+    if draw(st.booleans()):
+        return first, draw(_cqs(head_arity))
+    old = sorted(first.variables(), key=repr)
+    new = draw(st.permutations(("a1", "a2", "a3", "a4")))
+    renaming = {v: Variable(name) for v, name in zip(old, new)}
+    body = [atom.substitute(renaming)
+            for atom in draw(st.permutations(first.body))]
+    if draw(st.booleans()):
+        index = draw(st.integers(min_value=0, max_value=len(body) - 1))
+        terms = list(body[index].terms)
+        position = draw(st.integers(min_value=0, max_value=len(terms) - 1))
+        terms[position] = draw(st.one_of(
+            st.sampled_from(new).map(Variable),
+            st.sampled_from(_CONSTANTS).map(Constant),
+        ))
+        body[index] = Atom(body[index].relation, terms)
+    try:
+        second = CQ(first.head.substitute(renaming), body)
+    except ParseError:
+        assume(False)  # the replaced term was a head variable's only use
+    return first, second
+
+
+def _isomorphic(first: CQ, second: CQ) -> bool:
+    """Brute force: some variable bijection maps the head onto the other
+    head and the body, in some order, onto the other body."""
+    source = sorted(first.variables(), key=repr)
+    target = sorted(second.variables(), key=repr)
+    if len(source) != len(target) or len(first.body) != len(second.body):
+        return False
+    for image in itertools.permutations(target):
+        renaming = dict(zip(source, image))
+        if first.head.substitute(renaming) != second.head:
+            continue
+        renamed = [atom.substitute(renaming) for atom in first.body]
+        if any(list(order) == renamed
+               for order in itertools.permutations(second.body)):
+            return True
+    return False
 
 
 class TestTerms:
@@ -110,6 +183,26 @@ class TestCanonical:
         }
         renamed = query.substitute(mapping)
         assert renamed.canonical() == query.canonical()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cq_pairs())
+    @example((
+        parse_cq("Q(x) :- R(x, y), R(y, x), S(x)"),
+        parse_cq("Q(y) :- R(x, y), R(y, x), S(x)"),
+    ))
+    @example((
+        parse_cq("Q(x) :- R(x, 1), R(y, '1'), S(x)"),
+        parse_cq("Q(x) :- R(x, '1'), R(y, 1), S(x)"),
+    ))
+    @example((  # equal signatures whose order changes the numbering
+        parse_cq("Q(1) :- R(x, y), R(z, y), S(x), S(z)"),
+        parse_cq("Q(1) :- R(z, y), R(x, y), S(x), S(z)"),
+    ))
+    def test_keys_equal_exactly_for_isomorphic_queries(self, pair):
+        first, second = pair
+        assert (first.canonical() == second.canonical()) == _isomorphic(
+            first, second
+        )
 
 
 class TestUCQ:

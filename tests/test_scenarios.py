@@ -206,10 +206,13 @@ class TestSnapshotDiff:
 
     def test_slowdowns_beyond_tolerance_are_flagged(self, two_runs):
         first, _ = two_runs
+        # Both timings are set above diff's 5 ms noise floor: the measured
+        # cell itself can finish in less than that.
+        before = json.loads(json.dumps(first))
+        before["cells"][0]["seconds"] = 0.01
         slower = json.loads(json.dumps(first))
-        slower["cells"][0]["seconds"] = \
-            max(first["cells"][0]["seconds"], 0.01) * 10
-        report = diff(first, slower, tolerance=1.5)
+        slower["cells"][0]["seconds"] = 0.1
+        report = diff(before, slower, tolerance=1.5)
         assert [r["cell"] for r in report.regressions] == \
             [first["cells"][0]["cell"]]
         assert not report.has_drift  # perf is trajectory, not identity
@@ -248,10 +251,12 @@ class TestScenariosCli:
                                               two_runs):
         first, _ = two_runs
         old, new = str(tmp_path / "old.json"), str(tmp_path / "new.json")
-        save(old, first)
+        # Timings above diff's 5 ms noise floor, as in the test above.
+        before = json.loads(json.dumps(first))
+        before["cells"][0]["seconds"] = 0.01
+        save(old, before)
         slower = json.loads(json.dumps(first))
-        slower["cells"][0]["seconds"] = \
-            max(first["cells"][0]["seconds"], 0.01) * 10
+        slower["cells"][0]["seconds"] = 0.1
         save(new, slower)
         # Report-only by default; fatal once the caller sets the gate.
         assert main(["scenarios", "diff", old, new]) == 0
