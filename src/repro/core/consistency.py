@@ -22,6 +22,11 @@ a flip can connect an otherwise disconnected join graph and thereby become
 a CIM query.  Any consistent query is subsumed by (contains) one of these
 candidates, so privacy counts computed from this set agree with the
 definition while avoiding the full generalization lattice.
+
+Definition 3.12 counts connected queries only, so Algorithm 1 asks for
+``connected_only`` generation, which reads each variant's join graph off
+the class layout and builds only the connected ones.  Flipping only adds
+variables, so an alignment whose all-flip variant is disconnected is skipped.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from typing import TYPE_CHECKING
 from repro.db.tuples import Tuple
 from repro.provenance.kexample import KExample
 from repro.query.ast import CQ, Atom, Constant, Term, Variable
+from repro.query.join_graph import overlap_connected
 from repro.semirings.base import Semiring, SemiringName, get_semiring
 
 if TYPE_CHECKING:
@@ -68,6 +74,8 @@ def consistent_queries(
     example: KExample,
     config: ConsistencyConfig | None = None,
     stats: PrivacyStats | None = None,
+    *,
+    connected_only: bool = False,
 ) -> frozenset[CQ]:
     """The candidate consistent queries w.r.t. a concrete K-example.
 
@@ -77,10 +85,13 @@ def consistent_queries(
     unless a cap of ``config`` cut the enumeration short; ``stats``, when
     given, counts each such cut (``flip_cap_fallbacks``,
     ``alignment_combo_truncations``).
+
+    ``connected_only`` returns exactly the connected members of that set,
+    with the same representatives, and never builds the others.
     """
     config = config or ConsistencyConfig()
     out: dict[tuple, CQ] = {}
-    for query in _generate(example, config, stats):
+    for query in _generate(example, config, stats, connected_only):
         if config.require_variable and not query.variables():
             continue
         out.setdefault(query.canonical(), query)
@@ -91,6 +102,7 @@ def _generate(
     example: KExample,
     config: ConsistencyConfig,
     stats: PrivacyStats | None,
+    connected_only: bool,
 ) -> Iterator[CQ]:
     rows = example.rows
     drops_exponents = config.semiring_ops().drops_exponents()
@@ -119,7 +131,9 @@ def _generate(
                     stats.alignment_combo_truncations += 1
                 break
             matrix = [skeleton, *combo]
-            yield from _queries_from_matrix(example, matrix, config, stats)
+            yield from _queries_from_matrix(
+                example, matrix, config, stats, connected_only
+            )
 
 
 def _skeletons(
@@ -220,6 +234,7 @@ def _queries_from_matrix(
     matrix: list[tuple[Tuple, ...]],
     config: ConsistencyConfig,
     stats: PrivacyStats | None,
+    connected_only: bool,
 ) -> Iterator[CQ]:
     """Most-specific query and flip variants for one alignment matrix.
 
@@ -227,7 +242,8 @@ def _queries_from_matrix(
     with equal cross-row value vectors share a class, numbered by first
     appearance, and class ``i`` is the term ``x{i}`` or, while a constant
     class is not flipped, its constant.  Each flip variant only picks the
-    term of every class.
+    term of every class.  With ``connected_only``, a variant whose atoms'
+    variable classes do not overlap into one component is not built.
     """
     class_of: dict[tuple, int] = {}
     layout: list[tuple[str, list[int]]] = []
@@ -259,8 +275,19 @@ def _queries_from_matrix(
             base_terms[idx] = Constant(vector[0])
     if stats is not None and len(constant_classes) > config.max_flip_classes:
         stats.flip_cap_fallbacks += 1
+    if connected_only:
+        # An atom's variables are its classes minus the unflipped constant
+        # ones, so no variant connects what the all-flip variant does not.
+        atom_classes = [set(columns) for _, columns in layout]
+        if not overlap_connected(atom_classes):
+            return
+        constant_set = frozenset(constant_classes)
 
     for flips in _flip_subsets(constant_classes, config.max_flip_classes):
+        if connected_only:
+            fixed = constant_set.difference(flips)
+            if not overlap_connected([c - fixed for c in atom_classes]):
+                continue
         terms = base_terms.copy()
         for idx in flips:
             terms[idx] = variables[idx]

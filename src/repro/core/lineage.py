@@ -23,6 +23,7 @@ from collections.abc import Iterable, Iterator
 from repro.db.database import KDatabase
 from repro.db.tuples import Tuple
 from repro.provenance.kexample import KExample, KExampleRow
+from repro.query.join_graph import overlap_connected
 from repro.semirings.polynomial import Monomial
 
 
@@ -51,21 +52,6 @@ def complete_lineage(
             values.update(tup.values)
         return all(v in values for v in output)
 
-    def connected(tuples: list[Tuple]) -> bool:
-        if len(tuples) <= 1:
-            return True
-        remaining = list(range(1, len(tuples)))
-        frontier_values = set(tuples[0].values)
-        changed = True
-        while changed and remaining:
-            changed = False
-            for index in list(remaining):
-                if frontier_values & set(tuples[index].values):
-                    frontier_values.update(tuples[index].values)
-                    remaining.remove(index)
-                    changed = True
-        return not remaining
-
     def candidates_for(tuples: list[Tuple]) -> Iterator[Tuple]:
         """Tuples sharing a value with the current set (join-reachable)."""
         values = set()
@@ -85,7 +71,8 @@ def complete_lineage(
         if key in seen:
             return
         seen.add(key)
-        if connected(tuples) and covers_output(tuples):
+        connected = overlap_connected([tup.value_set() for tup in tuples])
+        if connected and covers_output(tuples):
             monomial = Monomial(t.annotation for t in tuples)
             if not any(existing.divides(monomial) for existing in completions):
                 completions.append(monomial)

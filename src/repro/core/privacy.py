@@ -11,9 +11,9 @@ optimizations, each independently switchable for the Figure 19 ablation:
 * caching concretization connectivity.
 
 All of Algorithm 1's caches are *threshold-independent*: a row's
-concretization options, a prefix's consistent queries, and a row's
-connectivity verdict depend only on the (tree, registry) pair and the
-consistency knobs — never on the privacy threshold ``k`` or on which
+concretization options, a prefix's connected consistent queries, and a
+row's connectivity verdict depend only on the (tree, registry) pair and
+the consistency knobs — never on the privacy threshold ``k`` or on which
 candidate abstraction is being evaluated.  :class:`PrivacySession` holds
 them in one shareable object so every ``compute()`` call over the same
 context reuses them: across the candidates of one search (candidates
@@ -35,7 +35,6 @@ from repro.provenance.kexample import AbstractedKExample, KExample, KExampleRow
 from repro.query.ast import CQ
 from repro.query.containment import is_strictly_contained_in
 from repro.errors import OptimizationError
-from repro.query.join_graph import is_connected
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,8 @@ class PrivacyStats:
     row_option_cache_hits: int = 0
     row_option_cache_misses: int = 0
     # Pairwise strict-containment verdicts (the homomorphism searches
-    # behind GetMinimalQueries — the dominant privacy cost) served from
-    # the session vs computed fresh, and whole minimal-set memo hits.
+    # behind GetMinimalQueries) for pairs whose constants allow containment,
+    # served from the session vs computed fresh; whole minimal-set memo hits.
     containment_cache_hits: int = 0
     containment_cache_misses: int = 0
     minimal_set_cache_hits: int = 0
@@ -118,13 +117,13 @@ class PrivacySession:
 
     * ``row_option_cache`` — each row signature's concretization options
       (post connectivity filter), keyed by ``(output, occurrences)``,
-    * ``query_cache`` — consistent queries per concretization prefix,
+    * ``query_cache`` — connected consistent queries per prefix,
     * ``engine`` — the :class:`ConcretizationEngine` with its memoized
       per-row connectivity verdicts,
     * ``containment_cache`` — pairwise strict-containment verdicts (each
       one a homomorphism search, the dominant cost of GetMinimalQueries),
-      keyed by the two queries' canonical forms,
-    * ``connected_query_cache`` — per-query join-graph connectivity,
+      keyed by the two queries' canonical forms, for the pairs whose
+      constants do not already refute containment,
     * ``minimal_set_cache`` — the inclusion-minimal subset of a whole
       connected-query set, keyed by the set of canonical forms.
 
@@ -151,7 +150,6 @@ class PrivacySession:
         self.query_cache: dict[tuple, frozenset[CQ]] = {}
         self.row_option_cache: dict[tuple, list[KExampleRow]] = {}
         self.containment_cache: dict[tuple, bool] = {}
-        self.connected_query_cache: dict[tuple, bool] = {}
         self.minimal_set_cache: dict[frozenset, frozenset] = {}
         #: How many computers have attached; > 1 means the session was reused.
         self.computers_attached = 0
@@ -184,7 +182,6 @@ class PrivacySession:
             "prefix_queries": len(self.query_cache),
             "connectivity": self.engine.connectivity_cache_size,
             "containments": len(self.containment_cache),
-            "connected_queries": len(self.connected_query_cache),
             "minimal_sets": len(self.minimal_set_cache),
         }
 
@@ -220,7 +217,6 @@ class PrivacyComputer:
         self._query_cache = session.query_cache
         self._row_option_cache = session.row_option_cache
         self._containment_cache = session.containment_cache
-        self._connected_cache = session.connected_query_cache
         self._minimal_set_cache = session.minimal_set_cache
         self.stats = PrivacyStats()
 
@@ -269,8 +265,8 @@ class PrivacyComputer:
         ]
 
         if len(rows) == 1:
-            queries = self._queries_for_prefixes(good_prefixes)[0]
-            return self._finish(queries, threshold)
+            connected = self._queries_for_prefixes(good_prefixes)[0]
+            return self._gated_cim_count(connected, threshold)
 
         for index in range(1, len(rows)):
             next_options = self._row_options(rows[index])
@@ -285,15 +281,11 @@ class PrivacyComputer:
                             "concretization budget exhausted; tighten the "
                             "abstraction or raise max_concretizations"
                         )
-            queries, prefix_of_query = self._queries_for_prefixes(prefixes)
+            connected, prefix_of_query = self._queries_for_prefixes(prefixes)
 
             # The connected-query count only shrinks as rows are added
             # (each new row constrains the consistent set), so falling
             # below the threshold here decides the full example too.
-            connected = {
-                key: q for key, q in queries.items()
-                if self._query_connected(q)
-            }
             if len(connected) < threshold:
                 return -1
 
@@ -336,8 +328,7 @@ class PrivacyComputer:
                     "abstraction or raise max_concretizations"
                 )
             for query in self._queries_of_prefix(combo):
-                if self._query_connected(query):
-                    out.setdefault(query.canonical(), query)
+                out.setdefault(query.canonical(), query)
         return out
 
     # -- helpers --------------------------------------------------------------
@@ -370,7 +361,7 @@ class PrivacyComputer:
     def _queries_for_prefixes(
         self, prefixes: list[tuple[KExampleRow, ...]]
     ) -> tuple[dict[tuple, CQ], dict[tuple, list[tuple[KExampleRow, ...]]]]:
-        """Consistent queries of each prefix, plus the inverse map."""
+        """Connected consistent queries per prefix, plus the inverse map."""
         queries: dict[tuple, CQ] = {}
         prefix_of_query: dict[tuple, list[tuple[KExampleRow, ...]]] = {}
         for prefix in prefixes:
@@ -392,18 +383,12 @@ class PrivacyComputer:
         self.stats.consistency_calls += 1
         example = KExample(prefix, self._registry)
         result = consistent_queries(
-            example, self._config.consistency, self.stats
+            example, self._config.consistency, self.stats, connected_only=True
         )
         if self._config.cache_queries:
             self.stats.query_cache_misses += 1
             self._query_cache[key] = result
         return result
-
-    def _finish(self, queries: dict[tuple, CQ], threshold: int) -> int:
-        connected = {
-            key: q for key, q in queries.items() if self._query_connected(q)
-        }
-        return self._gated_cim_count(connected, threshold)
 
     def _gated_cim_count(self, connected: dict[tuple, CQ], threshold: int) -> int:
         """Both gates of Algorithm 1's tail, shared by every compute path:
@@ -415,18 +400,10 @@ class PrivacyComputer:
 
     # -- session-cached query-level facts -----------------------------------
     #
-    # Connectivity, pairwise containment, and inclusion-minimality are
-    # renaming-invariant properties of the queries alone (no config, no
-    # threshold), so their verdicts are cached in the session keyed by
-    # canonical forms and shared across candidates, thresholds, and jobs.
-
-    def _query_connected(self, query: CQ) -> bool:
-        key = query.canonical()
-        cached = self._connected_cache.get(key)
-        if cached is None:
-            cached = is_connected(query)
-            self._connected_cache[key] = cached
-        return cached
+    # Containment and inclusion-minimality are renaming-invariant facts of
+    # the queries alone (no config, no threshold), so their verdicts are
+    # cached in the session by canonical form and shared across
+    # candidates, thresholds, and jobs.
 
     def _strictly_contained(self, a: CQ, b: CQ) -> bool:
         key = (a.canonical(), b.canonical())
@@ -444,7 +421,8 @@ class PrivacyComputer:
 
         Count-equivalent to :func:`_minimal_queries` — the dict is keyed
         by canonical form, so its values are pairwise non-equal and the
-        minimality scan visits the same queries in the same order.
+        minimality scan visits the same queries in the same order.  It
+        skips pairs whose constants already refute the homomorphism.
         """
         set_key = frozenset(queries)
         cached = self._minimal_set_cache.get(set_key)
@@ -456,7 +434,8 @@ class PrivacyComputer:
         minimal = [
             query for query in ordered
             if not any(self._strictly_contained(other, query)
-                       for other in ordered if other is not query)
+                       for other in ordered if other is not query
+                       and query.constants() <= other.constants())
         ]
         result = frozenset(query.canonical() for query in minimal)
         self._minimal_set_cache[set_key] = result

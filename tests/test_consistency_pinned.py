@@ -6,7 +6,8 @@ skeletons and alignments are generated.  These tests compare the sorted
 ``repr`` of every returned query against
 ``fixtures/consistent_queries_pinned.json``; a generator that reorders
 alignments, renames its variables, truncates differently or changes what
-it generates fails them.
+it generates fails them.  Connected-only generation must return the
+connected part of the same output, representatives included.
 
 The fixture is a reference capture, not derived from the code under test.
 Rewrite it only for a change meant to alter the generated queries::
@@ -29,6 +30,7 @@ from repro.db.schema import Schema
 from repro.examples_data import Q_REAL, running_example_db
 from repro.provenance.builder import build_kexample
 from repro.provenance.kexample import KExample, KExampleRow
+from repro.query.join_graph import is_connected
 from repro.scenarios.matrix import SCALES
 from repro.semirings.base import SemiringName
 
@@ -123,6 +125,17 @@ def test_fixture_covers_every_case(pinned):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_generation_matches_pinned_output(name, pinned):
     assert generated_reprs(name) == pinned[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_connected_only_is_the_connected_part(name):
+    build, config = CASES[name]
+    example = build()
+    connected = consistent_queries(example, config, connected_only=True)
+    assert sorted(map(repr, connected)) == sorted(
+        repr(query) for query in consistent_queries(example, config)
+        if is_connected(query)
+    )
 
 
 if __name__ == "__main__":

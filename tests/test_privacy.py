@@ -6,13 +6,16 @@ import pytest
 
 from repro.abstraction.builders import balanced_tree
 from repro.abstraction.function import AbstractionFunction
+from repro.core import privacy as privacy_module
 from repro.core.consistency import ConsistencyConfig
 from repro.core.privacy import PrivacyComputer, PrivacyConfig, PrivacySession
 from repro.db.database import KDatabase
 from repro.db.schema import Schema
 from repro.errors import OptimizationError
+from repro.provenance.builder import build_kexample
 from repro.provenance.kexample import KExample, KExampleRow
 from repro.query.containment import is_equivalent
+from repro.query.parser import parse_cq
 from repro.examples_data import Q_FALSE_1, Q_FALSE_2, Q_REAL
 
 
@@ -345,7 +348,6 @@ class TestPrivacySession:
         assert sizes["row_options"] > 0
         assert sizes["prefix_queries"] > 0
         assert sizes["connectivity"] > 0
-        assert sizes["connected_queries"] > 0
         assert sizes["minimal_sets"] > 0
 
     @pytest.mark.parametrize("seed", range(8))
@@ -363,6 +365,39 @@ class TestPrivacySession:
             keys = computer._minimal_keys(connected)
             reference = _minimal_queries(frozenset(connected.values()))
             assert keys == frozenset(q.canonical() for q in reference)
+
+    @pytest.mark.parametrize("row_by_row", [True, False])
+    def test_constant_refuted_pairs_are_not_searched(
+        self, row_by_row, monkeypatch
+    ):
+        """``a`` is contained in ``b`` only via a homomorphism from ``b``
+        to ``a``, which maps each of ``b``'s constants to itself, so the
+        minimality scan never searches a pair whose constants refute it.
+
+        The random K-examples above admit no consistent query, so each
+        database gets rows that really derive an output instead."""
+        searched = []
+        original = privacy_module.is_strictly_contained_in
+
+        def recording(a, b):
+            searched.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(
+            privacy_module, "is_strictly_contained_in", recording
+        )
+        query = parse_cq("Q(a) :- R(a, b), S(b, c)")
+        for seed in (0, 2, 3, 5, 6, 7):  # databases with two join results
+            db, _, tree = _random_instance(seed)
+            example = build_kexample(query, db, n_rows=2)
+            rng = random.Random(seed + 9000)
+            computer = PrivacyComputer(
+                tree, db.registry, PrivacyConfig(row_by_row=row_by_row)
+            )
+            for _ in range(3):
+                computer.privacy(_random_abstraction(example, tree, rng))
+        assert searched
+        assert all(b.constants() <= a.constants() for a, b in searched)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_randomized_shared_vs_fresh(self, seed):

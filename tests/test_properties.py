@@ -8,6 +8,8 @@ properties below are the paper's structural invariants:
 * |C| obeys the product formula and its bounds (Proposition 3.5);
 * uniform LOI is ln |C| and is monotone under coarser abstraction;
 * privacy is invariant under the Algorithm 1 optimization switches;
+* connected-only consistent-query generation is the connected part of the
+  full generation;
 * containment is a preorder compatible with canonicalization.
 """
 
@@ -19,15 +21,18 @@ from hypothesis import strategies as st
 from repro.abstraction.builders import balanced_tree
 from repro.abstraction.concretization import ConcretizationEngine
 from repro.abstraction.function import AbstractionFunction
+from repro.core.consistency import ConsistencyConfig, consistent_queries
 from repro.core.loi import loss_of_information
-from repro.core.privacy import PrivacyComputer, PrivacyConfig
+from repro.core.privacy import PrivacyComputer, PrivacyConfig, PrivacyStats
 from repro.db.database import KDatabase
 from repro.db.schema import Schema
 from repro.provenance.builder import build_kexample
 from repro.provenance.kexample import KExample, KExampleRow
 from repro.query.ast import CQ, Atom, Variable
 from repro.query.containment import is_contained_in, is_equivalent
+from repro.query.join_graph import is_connected
 from repro.query.parser import parse_cq
+from repro.semirings.base import SemiringName
 
 
 # -- instance generators -------------------------------------------------------
@@ -76,6 +81,44 @@ def abstractions(draw):
             targets[var] = chain[level]
     function = AbstractionFunction.uniform(tree, example, targets)
     return db, example, tree, function
+
+
+@st.composite
+def consistency_instances(draw):
+    """A K-example whose rows share one relation multiset, with a config.
+
+    Values come from {0, 1, 2}, so tuples share values and positions often
+    hold one value down every row (constant classes); a repeated relation
+    is a self-join, and a second output column may be a constant.  The
+    config picks NX or WHY with tuple reuse, a flip cap of 1 (forcing the
+    fallback) or the default, and ``require_variable`` on or off.
+    """
+    db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["x", "y"]}))
+    value = st.integers(min_value=0, max_value=2)
+    pool: dict[str, list[str]] = {"R": [], "S": []}
+    for relation, annotations in pool.items():
+        for i in range(draw(st.integers(min_value=1, max_value=3))):
+            annotation = f"{relation.lower()}{i}"
+            db.insert(relation, (draw(value), draw(value)), annotation)
+            annotations.append(annotation)
+    shape = draw(st.lists(st.sampled_from("RS"), min_size=1, max_size=3))
+    head_constant = draw(st.one_of(st.none(), value))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        occurrences = [draw(st.sampled_from(pool[r])) for r in shape]
+        output = (db.resolve(occurrences[0]).values[0],)
+        if head_constant is not None:
+            output += (head_constant,)
+        rows.append(KExampleRow(output, occurrences))
+    semiring, reuse = draw(st.sampled_from(
+        [(SemiringName.NX, 1), (SemiringName.WHY, 2)]
+    ))
+    config = ConsistencyConfig(
+        semiring=semiring, max_tuple_reuse=reuse,
+        max_flip_classes=draw(st.sampled_from([1, 12])),
+        require_variable=draw(st.booleans()),
+    )
+    return KExample(rows, db.registry), config
 
 
 # -- properties ---------------------------------------------------------------
@@ -152,6 +195,24 @@ class TestPrivacyProperties:
         identity = AbstractionFunction.identity(tree, example).apply(example)
         privacy = computer.privacy(identity)
         assert privacy >= 0
+
+
+class TestConsistencyProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(consistency_instances())
+    def test_connected_only_is_the_connected_part(self, instance):
+        """Same queries and representatives as filtering the full set,
+        with the caps charged alike."""
+        example, config = instance
+        full_stats, connected_stats = PrivacyStats(), PrivacyStats()
+        full = consistent_queries(example, config, full_stats)
+        connected = consistent_queries(
+            example, config, connected_stats, connected_only=True
+        )
+        assert sorted(map(repr, connected)) == sorted(
+            repr(query) for query in full if is_connected(query)
+        )
+        assert connected_stats == full_stats
 
 
 class TestContainmentProperties:
