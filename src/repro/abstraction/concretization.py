@@ -7,8 +7,11 @@ leaves below it.  The engine provides:
 * lazy enumeration (full or per-row),
 * the connectivity filter of Section 4.1 (a concretization whose monomial
   tuples do not form a connected constant-sharing graph can never admit a
-  connected consistent query),
-* memoized connectivity checks (one of the Figure 19 ablation components).
+  connected consistent query), applied by generation: a connected-only
+  enumeration reads the connected rows off a per-label value index and
+  never builds a disconnected one,
+* memoized per-label value indexes (one of the Figure 19 ablation
+  components).
 
 The engine resolves leaf labels to tuples through the K-example's
 annotation registry, which must cover every leaf of the tree (the tree is
@@ -18,12 +21,15 @@ built over database annotations).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Hashable, Iterator
 
 from repro.abstraction.tree import AbstractionTree
 from repro.db.database import AnnotationRegistry
 from repro.provenance.kexample import AbstractedKExample, KExample, KExampleRow
-from repro.query.join_graph import overlap_connected
+
+#: Per label: each choice's tuple value set, and per value the bitmask of
+#: the choices holding it (bit ``j`` stands for choice ``j``).
+_ValueIndex = tuple[tuple[frozenset, ...], dict[Hashable, int]]
 
 
 class ConcretizationEngine:
@@ -38,7 +44,7 @@ class ConcretizationEngine:
         self._tree = tree
         self._registry = registry
         self._use_cache = use_connectivity_cache
-        self._connectivity_cache: dict[tuple[str, ...], bool] = {}
+        self._value_indexes: dict[str, _ValueIndex] = {}
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -48,8 +54,8 @@ class ConcretizationEngine:
 
     @property
     def connectivity_cache_size(self) -> int:
-        """Memoized per-row connectivity verdicts (0 when the cache is off)."""
-        return len(self._connectivity_cache)
+        """Memoized per-label value indexes (0 when the cache is off)."""
+        return len(self._value_indexes)
 
     # -- counting (Proposition 3.5) ----------------------------------------
 
@@ -68,19 +74,34 @@ class ConcretizationEngine:
         A concrete label has the single choice of itself; an abstract label
         offers every leaf of its subtree.
         """
-        choices = []
-        for label in row.occurrences:
-            if label in self._tree and not self._tree.is_leaf(label):
-                choices.append(tuple(self._tree.leaves_under(label)))
-            else:
-                choices.append((label,))
-        return choices
+        return [self._choices(label) for label in row.occurrences]
+
+    def _choices(self, label: str) -> tuple[str, ...]:
+        if label in self._tree and not self._tree.is_leaf(label):
+            return tuple(self._tree.leaves_under(label))
+        return (label,)
 
     # -- enumeration --------------------------------------------------------
 
-    def concretize_row(self, row: KExampleRow) -> Iterator[KExampleRow]:
-        """All concrete versions of one abstracted row."""
-        for combo in itertools.product(*self.occurrence_choices(row)):
+    def concretize_row(
+        self, row: KExampleRow, *, connected_only: bool = False
+    ) -> Iterator[KExampleRow]:
+        """All concrete versions of one abstracted row, in product order.
+
+        With ``connected_only`` only the connected ones (Section 4.1), in
+        the same order as filtering the full product; no disconnected
+        combination is built or checked.  A row of one occurrence is
+        connected by convention.
+        """
+        choices = self.occurrence_choices(row)
+        if connected_only and len(choices) > 1:
+            combos: Iterator[tuple[str, ...]] = (
+                tuple(options[pick] for options, pick in zip(choices, picks))
+                for picks in self._connected_picks(row.occurrences, choices)
+            )
+        else:
+            combos = itertools.product(*choices)
+        for combo in combos:
             yield KExampleRow(row.output, combo)
 
     def concretizations(
@@ -95,9 +116,9 @@ class ConcretizationEngine:
         """
         rows_choices = []
         for row in abstracted.rows:
-            concrete_rows = list(self.concretize_row(row))
-            if connected_only:
-                concrete_rows = [r for r in concrete_rows if self.row_connected(r)]
+            concrete_rows = list(
+                self.concretize_row(row, connected_only=connected_only)
+            )
             if not concrete_rows:
                 return
             rows_choices.append(concrete_rows)
@@ -107,21 +128,76 @@ class ConcretizationEngine:
     # -- connectivity (Section 4.1, "Concretizations connectivity") ---------
 
     def row_connected(self, row: KExampleRow) -> bool:
-        """Whether the row's tuples form a connected constant-sharing graph."""
-        key = row.occurrences
-        if self._use_cache:
-            cached = self._connectivity_cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached
-        result = overlap_connected(
-            [self._registry.resolve(ann).value_set() for ann in row.occurrences]
-        )
-        if self._use_cache:
-            self.cache_misses += 1
-            self._connectivity_cache[key] = result
-        return result
+        """Whether the row's tuples form a connected constant-sharing graph.
+
+        For an abstract row: whether any of its concretizations does.
+        """
+        connected = self.concretize_row(row, connected_only=True)
+        return next(connected, None) is not None
 
     def example_connected(self, example: KExample) -> bool:
         """Whether every row of a concrete K-example is connected."""
         return all(self.row_connected(row) for row in example.rows)
+
+    def _connected_picks(
+        self, labels: tuple[str, ...], choices: list[tuple[str, ...]]
+    ) -> list[tuple[int, ...]]:
+        """The choice-index tuples of the connected combinations, sorted.
+
+        The occurrence with the most choices goes innermost.  Each pick of
+        the others splits their tuples into overlap components; an inner
+        choice connects the row iff its values meet every component, so
+        the kept inner choices are the AND, over components, of the OR of
+        the inner index's masks over the component's values.
+        """
+        indexes = [self._value_index(label) for label in labels]
+        inner = max(range(len(choices)), key=lambda i: len(choices[i]))
+        inner_masks = indexes[inner][1]
+        outer = [indexes[i][0] for i in range(len(choices)) if i != inner]
+        kept: list[tuple[int, ...]] = []
+        for picks in itertools.product(*(range(len(sets)) for sets in outer)):
+            components: list[frozenset] = []
+            for value_sets, pick in zip(outer, picks):
+                merged = value_sets[pick]
+                disjoint = []
+                for component in components:
+                    if merged.isdisjoint(component):
+                        disjoint.append(component)
+                    else:
+                        merged = merged | component
+                disjoint.append(merged)
+                components = disjoint
+            connecting = -1
+            for component in components:
+                reached = 0
+                for value in component:
+                    reached |= inner_masks.get(value, 0)
+                connecting &= reached
+            head, tail = picks[:inner], picks[inner:]
+            while connecting:
+                low = connecting & -connecting
+                kept.append(head + (low.bit_length() - 1,) + tail)
+                connecting ^= low
+        kept.sort()
+        return kept
+
+    def _value_index(self, label: str) -> _ValueIndex:
+        """The label's value index, memoized when the cache is on."""
+        if self._use_cache:
+            cached = self._value_indexes.get(label)
+            if cached is not None:
+                self.cache_hits += 1
+                return cached
+        value_sets = tuple(
+            self._registry.resolve(choice).value_set()
+            for choice in self._choices(label)
+        )
+        masks: dict[Hashable, int] = {}
+        for position, values in enumerate(value_sets):
+            for value in values:
+                masks[value] = masks.get(value, 0) | (1 << position)
+        index = (value_sets, masks)
+        if self._use_cache:
+            self.cache_misses += 1
+            self._value_indexes[label] = index
+        return index

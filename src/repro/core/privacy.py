@@ -6,13 +6,14 @@ connected, inclusion-minimal — across all concretizations (Definition
 optimizations, each independently switchable for the Figure 19 ablation:
 
 * row-by-row computation with ``GoodConc`` propagation,
-* filtering disconnected concretizations,
+* the connectivity filter: each row enumerates only its connected
+  concretizations,
 * caching consistent queries per concretization prefix,
-* caching concretization connectivity.
+* caching the per-label value indexes that connected enumeration reads.
 
 All of Algorithm 1's caches are *threshold-independent*: a row's
 concretization options, a prefix's connected consistent queries, and a
-row's connectivity verdict depend only on the (tree, registry) pair and
+label's value index depend only on the (tree, registry) pair and
 the consistency knobs — never on the privacy threshold ``k`` or on which
 candidate abstraction is being evaluated.  :class:`PrivacySession` holds
 them in one shareable object so every ``compute()`` call over the same
@@ -25,6 +26,7 @@ threshold sweep or batch job group.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from repro.abstraction.concretization import ConcretizationEngine
@@ -42,13 +44,15 @@ class PrivacyConfig:
     """Optimization switches for Algorithm 1 (Section 4.1).
 
     ``max_concretizations`` is a *per-site* budget, not a global total:
-    it bounds (a) the number of concretization options of any single row
-    and (b) the number of live concrete prefixes after fanning out any
-    single row of the row-by-row scan (equivalently, the size of the full
-    product in the monolithic path).  Both sites use the same boundary —
-    enumeration aborts as soon as the count *exceeds* the budget, so
-    exactly ``max_concretizations`` items are allowed at each site.  The
-    paper's settings stay far below the default.
+    it bounds (a) the number of concretization options of any single row,
+    connected or not, and (b) the number of live concrete prefixes after
+    fanning out any single row of the row-by-row scan (equivalently, the
+    size of the full product in the monolithic path).  Both sites use the
+    same boundary — the computation aborts as soon as the count *exceeds*
+    the budget, so exactly ``max_concretizations`` items are allowed at
+    each site.  A row's count is the product of its occurrences' choice
+    counts, so it aborts before enumerating anything.  The paper's
+    settings stay far below the default.
     """
 
     row_by_row: bool = True
@@ -116,10 +120,12 @@ class PrivacySession:
     holds:
 
     * ``row_option_cache`` — each row signature's concretization options
-      (post connectivity filter), keyed by ``(output, occurrences)``,
+      (only the connected ones under the connectivity filter), keyed by
+      ``(output, occurrences)``,
     * ``query_cache`` — connected consistent queries per prefix,
     * ``engine`` — the :class:`ConcretizationEngine` with its memoized
-      per-row connectivity verdicts,
+      per-label value indexes (each choice's value set and, per value, a
+      bitmask of the choices holding it),
     * ``containment_cache`` — pairwise strict-containment verdicts (each
       one a homomorphism search, the dominant cost of GetMinimalQueries),
       keyed by the two queries' canonical forms, for the pairs whose
@@ -340,21 +346,17 @@ class PrivacyComputer:
             self.stats.row_option_cache_hits += 1
             return cached
         self.stats.row_option_cache_misses += 1
-        options: list[KExampleRow] = []
-        for option in self._engine.concretize_row(row):
-            options.append(option)
-            if len(options) > self._config.max_concretizations:
-                raise OptimizationError(
-                    "per-row concretization budget exhausted; tighten the "
-                    "abstraction or raise max_concretizations"
-                )
-        self.stats.concretizations_seen += len(options)
-        if self._config.connectivity_filter:
-            kept = [r for r in options if self._engine.row_connected(r)]
-            self.stats.concretizations_pruned_disconnected += (
-                len(options) - len(kept)
+        total = math.prod(map(len, self._engine.occurrence_choices(row)))
+        if total > self._config.max_concretizations:
+            raise OptimizationError(
+                "per-row concretization budget exhausted; tighten the "
+                "abstraction or raise max_concretizations"
             )
-            options = kept
+        options = list(self._engine.concretize_row(
+            row, connected_only=self._config.connectivity_filter
+        ))
+        self.stats.concretizations_seen += total
+        self.stats.concretizations_pruned_disconnected += total - len(options)
         self._row_option_cache[key] = options
         return options
 

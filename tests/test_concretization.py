@@ -3,12 +3,17 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.abstraction.builders import balanced_tree, tree_from_categories
 from repro.abstraction.concretization import ConcretizationEngine
 from repro.abstraction.function import AbstractionFunction
 from repro.core.loi import loss_of_information
+from repro.db.database import KDatabase
+from repro.db.schema import Schema
+from repro.provenance.kexample import KExampleRow
+from repro.query.join_graph import overlap_connected
 
 
 @pytest.fixture
@@ -97,12 +102,16 @@ class TestConnectivity:
             assert engine.row_connected(row)
 
     def test_cache_counts(self, paper_tree, paper_db, paper_example):
+        """The memo holds one value index per label: the row's three
+        distinct labels miss on the first call and hit on the second."""
         engine = ConcretizationEngine(paper_tree, paper_db.registry)
         row = paper_example.rows[0]
+        assert len(set(row.occurrences)) == 3
         engine.row_connected(row)
         engine.row_connected(row)
-        assert engine.cache_hits == 1
-        assert engine.cache_misses == 1
+        assert engine.cache_hits == 3
+        assert engine.cache_misses == 3
+        assert engine.connectivity_cache_size == 3
 
     def test_cache_disabled(self, paper_tree, paper_db, paper_example):
         engine = ConcretizationEngine(
@@ -112,6 +121,76 @@ class TestConnectivity:
         engine.row_connected(row)
         engine.row_connected(row)
         assert engine.cache_hits == 0
+
+
+def _database(values):
+    db = KDatabase(Schema.from_dict({"T": ["x", "y"]}))
+    for i, pair in enumerate(values):
+        db.insert("T", pair, f"t{i}")
+    return db
+
+
+@st.composite
+def _random_case(draw):
+    """A random registry, a random tree over it, and rows of 1-4
+    occurrences drawn from all of the tree's labels (so labels repeat and
+    concrete leaves mix with abstract categories)."""
+    values = draw(st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)),
+        min_size=2, max_size=8,
+    ))
+    db = _database(values)
+    tree = balanced_tree(
+        [f"t{i}" for i in range(len(values))],
+        height=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)),
+    )
+    labels = st.sampled_from(sorted(tree.labels()))
+    rows = draw(st.lists(
+        st.lists(labels, min_size=1, max_size=4), min_size=1, max_size=4
+    ))
+    return db.registry, tree, [KExampleRow((0,), row) for row in rows]
+
+
+def _pinned_case():
+    """``t4`` shares no value with any tuple.  In ``(A, t0, t2)`` the
+    innermost occurrence ``A`` (most choices) comes first, and the fixed
+    part ``t0``, ``t2`` is disconnected; only ``t3`` bridges it.  In
+    ``(A, B)`` the picks ``t2``, ``t5`` of ``B`` keep ``t3``, ``t0`` of
+    ``A``, the reverse of product order."""
+    db = _database([(0, 1), (1, 2), (5, 6), (1, 5), (8, 9), (0, 7)])
+    tree = tree_from_categories(
+        {"A": ["t0", "t1", "t3"], "B": ["t2", "t5", "t4"]}
+    )
+    rows = [("A",), ("B", "B"), ("A", "t0", "t2"), ("A", "B"), ("B", "t1"),
+            ("A", "B", "B", "t0"), ("t4",), ("t4", "t4")]
+    return db.registry, tree, [KExampleRow((0,), row) for row in rows]
+
+
+class TestConnectedOnlyEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_random_case(), use_cache=st.booleans())
+    @example(case=_pinned_case(), use_cache=True)
+    @example(case=_pinned_case(), use_cache=False)
+    def test_matches_filtering_the_full_product(self, case, use_cache):
+        """Connected-only enumeration yields exactly the rows of the full
+        product whose tuples' value sets overlap-connect, in order."""
+        registry, tree, rows = case
+        engine = ConcretizationEngine(
+            tree, registry, use_connectivity_cache=use_cache
+        )
+        for row in rows:
+            expected = [
+                option for option in engine.concretize_row(row)
+                if overlap_connected([
+                    registry.resolve(label).value_set()
+                    for label in option.occurrences
+                ])
+            ]
+            assert list(engine.concretize_row(row, connected_only=True)) == (
+                expected
+            )
+        if not use_cache:
+            assert engine.connectivity_cache_size == engine.cache_hits == 0
 
 
 class TestCountingProperty:

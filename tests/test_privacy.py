@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.abstraction.builders import balanced_tree
+from repro.abstraction.concretization import ConcretizationEngine
 from repro.abstraction.function import AbstractionFunction
 from repro.core import privacy as privacy_module
 from repro.core.consistency import ConsistencyConfig
@@ -13,7 +14,6 @@ from repro.db.database import KDatabase
 from repro.db.schema import Schema
 from repro.errors import OptimizationError
 from repro.provenance.builder import build_kexample
-from repro.provenance.kexample import KExample, KExampleRow
 from repro.query.containment import is_equivalent
 from repro.query.parser import parse_cq
 from repro.examples_data import Q_FALSE_1, Q_FALSE_2, Q_REAL
@@ -150,8 +150,10 @@ class TestMechanics:
         computer = PrivacyComputer(paper_tree, paper_db.registry)
         abstracted = _abstract(paper_tree, paper_example, {"i1": "WikiLeaks"})
         computer.privacy(abstracted)
-        # Figure 6: c1 and c4 are disconnected and must be pruned.
-        assert computer.stats.concretizations_pruned_disconnected >= 2
+        # Figure 6: the first row has four concretizations, of which c1 and
+        # c4 are disconnected and must be pruned; the second row has one.
+        assert computer.stats.concretizations_seen == 5
+        assert computer.stats.concretizations_pruned_disconnected == 2
 
     def test_budget_guard(self, paper_tree, paper_db, paper_example):
         config = PrivacyConfig(max_concretizations=2)
@@ -162,6 +164,36 @@ class TestMechanics:
         )
         with pytest.raises(OptimizationError):
             computer.privacy(abstracted)
+
+    @pytest.mark.parametrize("budget", [4, 5])
+    def test_row_budget_checked_before_enumeration(
+        self, budget, paper_tree, paper_db, paper_example, monkeypatch
+    ):
+        """A row's option count is the product of its occurrences' choice
+        counts, so a row over budget raises before any enumeration, and a
+        row exactly at the budget is allowed."""
+        calls = []
+        original = ConcretizationEngine.concretize_row
+
+        def recording(self, row, **kwargs):
+            calls.append(row)
+            return original(self, row, **kwargs)
+
+        monkeypatch.setattr(ConcretizationEngine, "concretize_row", recording)
+        computer = PrivacyComputer(
+            paper_tree, paper_db.registry,
+            PrivacyConfig(max_concretizations=budget),
+        )
+        # The first row offers the five Facebook leaves for h1.
+        abstracted = _abstract(paper_tree, paper_example, {"h1": "Facebook"})
+        if budget < 5:
+            with pytest.raises(OptimizationError, match="per-row"):
+                computer.privacy(abstracted)
+            assert calls == []
+        else:
+            computer.privacy(abstracted)
+            assert calls == list(abstracted.rows)
+            assert computer.stats.concretizations_seen == 6
 
     def test_single_row_privacy(self, paper_tree, paper_db, paper_example):
         computer = PrivacyComputer(paper_tree, paper_db.registry)
@@ -177,24 +209,25 @@ class TestMechanics:
         assert computer.compute(abstracted, threshold=0) >= 0
 
 
+_JOIN = parse_cq("Q(a) :- R(a, b), S(b, c)")
+
+
 def _random_instance(seed: int):
-    """A random database, K-example, and abstraction tree (kept small:
-    Algorithm 1 is exponential in the row count)."""
+    """A random database, a two-row K-example of ``_JOIN`` over it, and an
+    abstraction tree (kept small: Algorithm 1 is exponential in the row
+    count).  The first two ``S`` tuples join the first two ``R`` tuples,
+    so the query always derives two outputs and the rows admit
+    consistent queries."""
     rng = random.Random(seed)
     db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["b", "c"]}))
     n_r, n_s = rng.randint(3, 5), rng.randint(3, 5)
-    for i in range(n_r):
-        db.insert("R", (i, rng.randint(0, 3)), f"r{i}")
+    r_bs = [rng.randint(0, 3) for _ in range(n_r)]
+    for i, b in enumerate(r_bs):
+        db.insert("R", (i, b), f"r{i}")
     for j in range(n_s):
-        db.insert("S", (rng.randint(0, 3), j), f"s{j}")
+        db.insert("S", (r_bs[j] if j < 2 else rng.randint(0, 3), j), f"s{j}")
     annotations = [f"r{i}" for i in range(n_r)] + [f"s{j}" for j in range(n_s)]
-
-    rows = []
-    for _ in range(rng.randint(2, 3)):
-        k = rng.randint(2, 3)
-        rows.append(KExampleRow((rng.randint(0, 9),), rng.sample(annotations, k)))
-    example = KExample(rows, db.registry)
-
+    example = build_kexample(_JOIN, db, n_rows=2)
     tree = balanced_tree(annotations, height=rng.randint(2, 3), seed=seed)
     return db, example, tree
 
@@ -224,17 +257,26 @@ class TestRowByRowEquivalence:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_randomized_privacy_equivalence(self, seed):
+        """Row-by-row, monolithic, unfiltered and uncached-connectivity
+        computers agree, on draws that do derive queries."""
         db, example, tree = _random_instance(seed)
         rng = random.Random(seed + 5000)
-        row_by_row = PrivacyComputer(tree, db.registry, PrivacyConfig())
-        monolithic = PrivacyComputer(
-            tree, db.registry, PrivacyConfig(row_by_row=False)
-        )
+        computers = [
+            PrivacyComputer(tree, db.registry, config)
+            for config in (
+                PrivacyConfig(),
+                PrivacyConfig(row_by_row=False),
+                PrivacyConfig(connectivity_filter=False),
+                PrivacyConfig(cache_connectivity=False),
+            )
+        ]
+        privacies = []
         for _ in range(3):
             abstracted = _random_abstraction(example, tree, rng)
-            assert row_by_row.privacy(abstracted) == monolithic.privacy(
-                abstracted
-            )
+            values = [computer.privacy(abstracted) for computer in computers]
+            assert len(set(values)) == 1, values
+            privacies.append(values[0])
+        assert any(privacies)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_randomized_threshold_equivalence(self, seed):
@@ -372,10 +414,7 @@ class TestPrivacySession:
     ):
         """``a`` is contained in ``b`` only via a homomorphism from ``b``
         to ``a``, which maps each of ``b``'s constants to itself, so the
-        minimality scan never searches a pair whose constants refute it.
-
-        The random K-examples above admit no consistent query, so each
-        database gets rows that really derive an output instead."""
+        minimality scan never searches a pair whose constants refute it."""
         searched = []
         original = privacy_module.is_strictly_contained_in
 
@@ -386,10 +425,8 @@ class TestPrivacySession:
         monkeypatch.setattr(
             privacy_module, "is_strictly_contained_in", recording
         )
-        query = parse_cq("Q(a) :- R(a, b), S(b, c)")
-        for seed in (0, 2, 3, 5, 6, 7):  # databases with two join results
-            db, _, tree = _random_instance(seed)
-            example = build_kexample(query, db, n_rows=2)
+        for seed in range(12):
+            db, example, tree = _random_instance(seed)
             rng = random.Random(seed + 9000)
             computer = PrivacyComputer(
                 tree, db.registry, PrivacyConfig(row_by_row=row_by_row)
