@@ -2,10 +2,10 @@
 """Smoke-test the observability layer end to end, as CI runs it.
 
 Starts ``repro serve --trace --trace-file`` as a subprocess, scrapes
-``GET /metrics`` before and after a job stream, and asserts the
+``GET /v1/metrics`` before and after a job stream, and asserts the
 observability guarantees:
 
-* ``/metrics`` serves valid Prometheus text (content type, HELP/TYPE
+* ``/v1/metrics`` serves valid Prometheus text (content type, HELP/TYPE
   headers, parseable samples) on the chosen execution tier,
 * running jobs moves the counters — submitted/completed totals, the
   per-phase latency histogram, and (on repeats) the cache-hit counter,
@@ -54,9 +54,9 @@ def free_port() -> int:
 
 
 def scrape(port: int) -> dict:
-    """GET /metrics, validate the exposition format, return samples."""
+    """GET /v1/metrics, validate the exposition format, return samples."""
     with urllib.request.urlopen(
-        f"http://127.0.0.1:{port}/metrics", timeout=10
+        f"http://127.0.0.1:{port}/v1/metrics", timeout=10
     ) as response:
         assert response.status == 200
         content_type = response.headers.get("Content-Type")

@@ -135,10 +135,6 @@ class ConcretizationEngine:
         connected = self.concretize_row(row, connected_only=True)
         return next(connected, None) is not None
 
-    def example_connected(self, example: KExample) -> bool:
-        """Whether every row of a concrete K-example is connected."""
-        return all(self.row_connected(row) for row in example.rows)
-
     def _connected_picks(
         self, labels: tuple[str, ...], choices: list[tuple[str, ...]]
     ) -> list[tuple[int, ...]]:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -351,6 +352,10 @@ def _emit_batch_traces(args, results) -> None:
         print(format_summary(summarize(records)))
 
 
+def _raise_interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def cmd_serve(args) -> int:
     from repro.service.server import JobService, make_server
     from repro.store import JobStore
@@ -387,11 +392,16 @@ def cmd_serve(args) -> int:
             f"recovered, {stats['jobs_requeued']} requeued, "
             f"{stats['results_stored']} results cached"
         )
+    # SIGTERM (what `kill` and Popen.terminate() send) must shut down
+    # like Ctrl-C: otherwise a process tier's pool workers outlive the
+    # server, holding its stdout and stderr open.
+    previous_sigterm = signal.signal(signal.SIGTERM, _raise_interrupt)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down")
     finally:
+        signal.signal(signal.SIGTERM, previous_sigterm)
         server.server_close()
         service.shutdown()
     return 0

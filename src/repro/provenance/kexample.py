@@ -222,9 +222,6 @@ class AbstractedKExample:
             out.update(row.occurrences)
         return frozenset(out)
 
-    def abstracted_positions(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._mapping))
-
     def num_abstracted(self) -> int:
         return len(self._mapping)
 

@@ -8,7 +8,7 @@ from repro.query.containment import (
     is_strictly_contained_in,
 )
 from repro.query.evaluator import evaluate, evaluate_cq, evaluate_ucq
-from repro.query.join_graph import is_connected, join_graph
+from repro.query.join_graph import is_connected
 from repro.query.minimize import minimize_cq
 from repro.query.parser import parse_cq, parse_ucq
 
@@ -27,7 +27,6 @@ __all__ = [
     "is_contained_in",
     "is_equivalent",
     "is_strictly_contained_in",
-    "join_graph",
     "minimize_cq",
     "parse_cq",
     "parse_ucq",

@@ -10,21 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Sequence, Set
 
-import networkx as nx
-
 from repro.query.ast import CQ, UCQ
-
-
-def join_graph(query: CQ) -> nx.Graph:
-    """The join graph of a CQ as a networkx graph over atom indexes."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(query.body)))
-    for i, atom_a in enumerate(query.body):
-        vars_a = atom_a.variables()
-        for j in range(i + 1, len(query.body)):
-            if vars_a & query.body[j].variables():
-                graph.add_edge(i, j)
-    return graph
 
 
 def overlap_connected(sets: Sequence[Set[Hashable]]) -> bool:

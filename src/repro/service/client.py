@@ -20,7 +20,6 @@ import json
 import time
 import urllib.error
 import urllib.request
-import warnings
 from typing import Sequence
 
 from repro.errors import ServiceError
@@ -140,18 +139,10 @@ class ServiceClient:
     def submit(self, spec: dict) -> str:
         """Submit one job spec (named or inline); returns its job id.
 
-        Passing a sequence here is the deprecated pre-v1 calling
-        convention — it still works (returning a *list* of ids) but
-        warns; use :meth:`submit_many`.
+        Use :meth:`submit_many` for a batch: a list passed here is sent
+        as one spec, and the server rejects it with
+        :class:`~repro.errors.JobSpecError`.
         """
-        if not isinstance(spec, dict):
-            warnings.warn(
-                "ServiceClient.submit(sequence) is deprecated; use "
-                "submit_many(specs) for batches",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self.submit_many(spec)  # type: ignore[return-value]
         return self.submit_many([spec])[0]
 
     def submit_many(self, specs: Sequence[dict]) -> list[str]:

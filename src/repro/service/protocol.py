@@ -21,12 +21,8 @@ instead of re-encoding it:
   field -> type-union specs) used by the conformance suite to hold
   live responses to the catalog's documented shapes.
 
-Versioning: all routes live under :data:`API_PREFIX`.  Legacy
-unversioned paths (``/jobs`` etc.) answer identically for one release
-but carry a ``Deprecation`` header; new clients — including
-:class:`repro.service.client.ServiceClient` — speak only v1.  The
-worker-fleet endpoints (``/v1/workers/*``) exist only under v1: there
-is no legacy fleet traffic to keep compatible.
+Versioning: all routes live under :data:`API_PREFIX`; any other path
+answers 404 ``unknown_path``.
 """
 
 from __future__ import annotations
@@ -258,7 +254,7 @@ class Route:
     #: ``unknown_path``/``internal``).
     errors: Tuple[str, ...] = ()
     content_type: str = "application/json"
-    #: True for fleet endpoints (absent from the legacy surface).
+    #: True for fleet endpoints (served by remote-executor services only).
     worker: bool = field(default=False)
 
     def to_payload(self) -> dict:

@@ -23,8 +23,8 @@ durability, stats) is backend-independent.
 The HTTP surface is the versioned v1 wire protocol defined (as data) in
 :mod:`repro.service.protocol` — ``GET /v1/`` serves the machine-readable
 route catalog, every error is one ``{"error": {"code", "message",
-"detail"}}`` envelope, and legacy unversioned paths answer identically
-for one release with a ``Deprecation`` header:
+"detail"}}`` envelope, and any path outside ``/v1`` answers 404
+``unknown_path``:
 
 ====================================  =========================================
 ``GET  /v1/``                         the route catalog (the whole contract)
@@ -48,8 +48,7 @@ for one release with a ``Deprecation`` header:
 ====================================  =========================================
 
 The ``/v1/workers/*`` endpoints exist only on a ``--executor remote``
-service (``not_remote`` elsewhere) and only under ``/v1/`` — there is no
-legacy fleet traffic to stay compatible with.  See
+service (``not_remote`` elsewhere).  See
 :mod:`repro.service.fleet` for the lease state machine and
 ``docs/PROTOCOL.md`` for the full wire contract.
 
@@ -275,15 +274,6 @@ class JobService:
             "repro_service_fleet_workers_live",
             "Fleet workers seen within the liveness window.",
         )
-        # Aggregates over completed jobs (mirrors BatchStats' reuse/effort
-        # counters, accumulated as the stream drains).
-        self._job_seconds = 0.0
-        self._sessions_reused = 0
-        self._candidates_scanned = 0
-        self._privacy_computations = 0
-        self._row_option_cache_hits = 0
-        self._row_option_cache_misses = 0
-        self._cache_hits = 0
         self._store = store
         self._cache = ResultCache(store) if store is not None else None
         # Pool workers can only share a store that lives in a file; an
@@ -649,7 +639,22 @@ class JobService:
                 self._m_store_errors.inc()
         store_errors = int(self._m_store_errors.value())
         with self._lock:
-            states = [r.state for r in self._records.values()]
+            states = []
+            searched = []
+            cache_hits = 0
+            for record in self._records.values():
+                states.append(record.state)
+                # Only the jobs this process ran have an executor; a
+                # recovered record's result belongs to a previous life.
+                if record.executor is None or record.result is None:
+                    continue
+                if record.result.cache_hit:
+                    # Served from the store: count the dedup, not the
+                    # effort — the payload's counters describe the
+                    # original run.
+                    cache_hits += 1
+                elif record.result.ok:
+                    searched.append(record.result)
             payload = {
                 "uptime_seconds": clock.monotonic() - self._started_monotonic,
                 "executor": self._backend.name,
@@ -662,15 +667,23 @@ class JobService:
                 "jobs_done": states.count(JOB_DONE),
                 "jobs_failed": states.count(JOB_FAILED),
                 "jobs_cancelled": states.count(JOB_CANCELLED),
-                "job_seconds": self._job_seconds,
-                "sessions_reused": self._sessions_reused,
-                "candidates_scanned": self._candidates_scanned,
-                "privacy_computations": self._privacy_computations,
-                "row_option_cache_hits": self._row_option_cache_hits,
-                "row_option_cache_misses": self._row_option_cache_misses,
+                "job_seconds": sum((r.seconds for r in searched), 0.0),
+                "sessions_reused": sum(r.session_reused for r in searched),
+                "candidates_scanned": sum(
+                    r.stats.candidates_scanned for r in searched
+                ),
+                "privacy_computations": sum(
+                    r.stats.privacy_computations for r in searched
+                ),
+                "row_option_cache_hits": sum(
+                    r.stats.row_option_cache_hits for r in searched
+                ),
+                "row_option_cache_misses": sum(
+                    r.stats.row_option_cache_misses for r in searched
+                ),
                 # Persistent-store durability & dedup (zeros/None when
                 # the service runs without --store).
-                "cache_hits": self._cache_hits,
+                "cache_hits": cache_hits,
                 "store_path": (
                     self._store.path if self._store is not None else None
                 ),
@@ -819,19 +832,6 @@ class JobService:
             record.worker = worker
             record.finished_at = time.time()
             record.state = JOB_DONE if result.ok else JOB_FAILED
-            if result.cache_hit:
-                # Served from the store: count the dedup, not the effort —
-                # the payload's counters describe the original run.
-                self._cache_hits += 1
-            elif result.ok:
-                self._job_seconds += result.seconds
-                self._sessions_reused += int(result.session_reused)
-                self._candidates_scanned += result.stats.candidates_scanned
-                self._privacy_computations += result.stats.privacy_computations
-                self._row_option_cache_hits += result.stats.row_option_cache_hits
-                self._row_option_cache_misses += (
-                    result.stats.row_option_cache_misses
-                )
         self._persist_state(
             job_id,
             JOB_DONE if result.ok else JOB_FAILED,
@@ -878,23 +878,16 @@ class JobService:
 
 
 class JobServiceHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto a bound :class:`JobService`.
+    """Routes ``/v1/...`` HTTP requests onto a bound :class:`JobService`.
 
-    Both the versioned ``/v1/...`` paths and the legacy unversioned
-    ones dispatch to the same logic with the same bodies; legacy
-    responses additionally carry ``Deprecation: true`` plus a ``Link``
-    header naming the v1 successor, and will be removed one release
-    after the v1 surface shipped.  Errors — library exceptions and
-    unexpected ones alike — leave as the unified envelope via
-    :func:`repro.service.protocol.error_response`.
+    Any other path answers 404 ``unknown_path``.  Errors — library
+    exceptions and unexpected ones alike — leave as the unified envelope
+    via :func:`repro.service.protocol.error_response`.
     """
 
     service: JobService  # bound by make_server
     quiet = True
     server_version = "repro-service/1.0"
-    #: Whether the *current* request came in on a legacy path (set per
-    #: request in ``_dispatch``; class default covers early failures).
-    _deprecated = False
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if not self.quiet:
@@ -907,12 +900,6 @@ class JobServiceHandler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(length))
-        if self._deprecated:
-            successor = protocol.API_PREFIX + self.path
-            self.send_header("Deprecation", "true")
-            self.send_header(
-                "Link", f'<{successor}>; rel="successor-version"'
-            )
         self.end_headers()
 
     def _send(self, code: int, payload: dict) -> None:
@@ -936,7 +923,17 @@ class JobServiceHandler(BaseHTTPRequestHandler):
         ))
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # A negative length would read until the client hangs up.
+            raise RequestError(
+                f"Content-Length must be a non-negative integer, "
+                f"got {header!r}"
+            )
         raw = self.rfile.read(length) if length else b""
         return json.loads(raw) if raw else None
 
@@ -954,11 +951,9 @@ class JobServiceHandler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str) -> None:
         raw_parts = self._parts()
-        versioned = bool(raw_parts) and raw_parts[0] == "v1"
-        parts = raw_parts[1:] if versioned else raw_parts
-        self._deprecated = not versioned
+        parts = raw_parts[1:]
         try:
-            if not self._route(method, parts, versioned):
+            if raw_parts[:1] != ["v1"] or not self._route(method, parts):
                 self._fail_path(method)
         except KeyError:
             job_id = parts[1] if len(parts) > 1 else "?"
@@ -972,16 +967,12 @@ class JobServiceHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001 - envelope over HTML 500
             self._fail(exc)
 
-    def _route(self, method: str, parts: list[str], versioned: bool) -> bool:
-        """Serve one request; ``False`` means no route matched."""
+    def _route(self, method: str, parts: list[str]) -> bool:
+        """Serve one ``/v1`` request; ``False`` means no route matched."""
         if method == "GET":
             if not parts:
-                # The catalog is v1-born: the legacy surface never had
-                # a root route, so none goes deprecated.
-                if versioned:
-                    self._send(200, protocol.catalog_payload())
-                    return True
-                return False
+                self._send(200, protocol.catalog_payload())
+                return True
             if parts == ["healthz"]:
                 self._send(200, {"ok": True})
                 return True
@@ -1017,8 +1008,6 @@ class JobServiceHandler(BaseHTTPRequestHandler):
         if method == "POST":
             if parts == ["jobs"]:
                 data = self._read_json()
-                if isinstance(data, dict) and "jobs" in data:
-                    data = data["jobs"]
                 specs = [data] if isinstance(data, dict) else data
                 if not isinstance(specs, list) or not specs:
                     raise RequestError(
@@ -1033,10 +1022,6 @@ class JobServiceHandler(BaseHTTPRequestHandler):
                 self._send(200, {"id": parts[1], "cancelled": cancelled})
                 return True
             if len(parts) == 2 and parts[0] == "workers":
-                # Fleet endpoints are v1-only: they were born versioned,
-                # so no legacy spelling exists to deprecate.
-                if not versioned:
-                    return False
                 return self._route_worker(parts[1])
             return False
         return False

@@ -322,6 +322,45 @@ class TestLoaderErrors:
         assert "fleet_port" in capsys.readouterr().err
 
 
+class TestServeSignals:
+    def test_sigterm_stops_a_process_tier_server(self):
+        # SIGTERM must shut the pool down too: a forked pool worker that
+        # outlives the server keeps its stdout and stderr pipes open, so
+        # communicate() would never return.
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.service.client import ServiceClient
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", str(port),
+             "--executor", "process", "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            start_new_session=True,
+        )
+        try:
+            ServiceClient(f"http://127.0.0.1:{port}").wait_until_healthy(30)
+            proc.terminate()
+            out, _ = proc.communicate(timeout=15)
+            assert proc.returncode == 0
+            assert b"shutting down" in out
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()
+
+
 class TestOtherCommands:
     def test_privacy_identity(self, workspace, capsys):
         code = main([

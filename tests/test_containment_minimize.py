@@ -14,7 +14,7 @@ from repro.query.containment import (
     is_equivalent,
     is_strictly_contained_in,
 )
-from repro.query.join_graph import is_connected, join_graph, overlap_connected
+from repro.query.join_graph import is_connected, overlap_connected
 from repro.query.minimize import is_minimal, minimize_cq
 from repro.query.parser import parse_cq, parse_ucq
 
@@ -238,10 +238,6 @@ class TestJoinGraph:
 
     def test_single_atom_connected(self):
         assert is_connected(parse_cq("Q(x) :- R(x)"))
-
-    def test_join_graph_edges(self):
-        graph = join_graph(parse_cq("Q(x) :- R(x, y), S(y), T(x)"))
-        assert set(graph.edges()) == {(0, 1), (0, 2)}
 
     def test_ucq_connected_iff_all_disjuncts(self):
         good = parse_ucq("Q(x) :- R(x, y), S(y); Q(z) :- T(z)")

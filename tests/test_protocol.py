@@ -8,13 +8,15 @@ independent of how jobs execute; the remote tier's worker endpoints are
 exercised for their *error* contract here (``not_remote`` on local
 tiers) and end-to-end in tests/test_fleet.py.
 
-Also pins the deprecation story: legacy unversioned paths answer with
-identical bodies plus ``Deprecation``/``Link`` successor headers, and
-the fleet endpoints exist only under ``/v1/``.
+Also pins that only ``/v1`` is routed: the unversioned paths deprecated
+when v1 shipped, the root, and unversioned fleet paths all answer 404
+``unknown_path``.
 """
 
+import http.client
 import json
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -241,12 +243,36 @@ class TestErrorEnvelopes:
 
     def test_bad_spec_400_names_the_key(self, live):
         _, base = live
-        status, _, body = fetch(
-            base, "POST", "/v1/jobs", [{"treshold": 2}]
-        )
+        # A {"jobs": [...]} wrapper is not a submit shape: it is read as
+        # one spec whose only key, "jobs", is unknown.
+        for payload, key in (
+            ([{"treshold": 2}], "treshold"),
+            ({"jobs": [inline_spec()]}, "jobs"),
+        ):
+            status, _, body = fetch(base, "POST", "/v1/jobs", payload)
+            assert status == 400, key
+            assert_error(body, "invalid_job_spec", key)
+            assert repr(key) in body["error"]["message"]
+        assert fetch(base, "GET", "/v1/jobs")[2] == {"jobs": []}
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+    def test_malformed_content_length_400(self, live, length):
+        # No body follows: a server that trusted -1 would read until the
+        # client hangs up, and answer nothing before the timeout.
+        _, base = live
+        url = urllib.parse.urlsplit(base)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/jobs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            status, body = response.status, json.loads(response.read())
+        finally:
+            conn.close()
         assert status == 400
-        assert_error(body, "invalid_job_spec")
-        assert "treshold" in body["error"]["message"]
+        assert_error(body, "invalid_request")
 
     def test_unknown_path_404(self, live):
         _, base = live
@@ -296,37 +322,27 @@ class TestErrorEnvelopes:
 
 
 class TestDeprecatedLegacyPaths:
-    """Unversioned paths keep working for one release, with warnings."""
+    """The unversioned paths deprecated when v1 shipped are gone."""
 
     LEGACY = (
         ("GET", "/healthz", None),
         ("GET", "/stats", None),
         ("GET", "/jobs", None),
         ("GET", "/metrics", None),
+        ("GET", "/jobs/job-999999", None),
+        ("GET", "/jobs/job-999999/result", None),
+        ("POST", "/jobs", [inline_spec()]),
+        ("POST", "/jobs/job-999999/cancel", {}),
     )
 
-    def test_legacy_paths_answer_with_deprecation_headers(self, live):
+    def test_legacy_paths_answer_unknown_path(self, live):
         _, base = live
         for method, path, payload in self.LEGACY:
             status, headers, body = fetch(base, method, path, payload)
-            assert status == 200, path
-            assert headers.get("Deprecation") == "true", path
-            assert headers.get("Link") == (
-                f"<{protocol.API_PREFIX}{path}>; rel=\"successor-version\""
-            ), path
-            v1 = fetch(base, method, protocol.API_PREFIX + path, payload)
-            assert v1[1].get("Deprecation") is None
-            # /stats (uptime) and /metrics (request counters) legitimately
-            # move between two calls; the rest must be bit-identical.
-            if path not in ("/stats", "/metrics"):
-                assert body == v1[2], path
-
-    def test_legacy_errors_carry_the_envelope_too(self, live):
-        _, base = live
-        status, headers, body = fetch(base, "GET", "/jobs/job-999999")
-        assert status == 404
-        assert headers.get("Deprecation") == "true"
-        assert_error(body, "unknown_job")
+            assert status == 404, path
+            assert headers.get("Deprecation") is None, path
+            assert_error(body, "unknown_path", path)
+        assert fetch(base, "GET", "/v1/jobs")[2] == {"jobs": []}
 
     def test_worker_endpoints_are_v1_only(self, live):
         _, base = live

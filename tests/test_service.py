@@ -524,13 +524,12 @@ class TestExecutorTier:
         assert isinstance(job_id, str)
         assert client.wait(job_id, timeout=60)["state"] == JOB_DONE
 
-    def test_client_submit_sequence_shim_warns(self, http_service):
-        """The pre-v1 submit(sequence) convention still works, loudly."""
+    def test_client_submit_sends_a_list_as_one_spec(self, http_service):
+        """Batches go through submit_many; submit() sends one spec."""
         client, _ = http_service
-        with pytest.warns(DeprecationWarning, match="submit_many"):
-            ids = client.submit([inline_spec(tag="shim")])
-        assert len(ids) == 1
-        assert client.wait(ids[0], timeout=60)["state"] == JOB_DONE
+        with pytest.raises(JobSpecError, match="got list"):
+            client.submit([inline_spec(tag="list")])
+        assert client.list_jobs() == []
 
 
 class TestClientStartupRetry:

@@ -643,6 +643,30 @@ class TestServiceDurability:
         assert payload_modulo_cache_hit({**before, "id": "", "tag": ""}) == \
             payload_modulo_cache_hit({**resubmitted, "id": "", "tag": ""})
 
+    def test_stats_count_this_process_runs_only(self, tmp_path, make_service):
+        path = str(tmp_path / "store.db")
+        service = make_service(path)
+        service.submit_specs([inline_spec()])
+        drain(service)
+        assert service.stats_payload()["candidates_scanned"] > 0
+
+        # A recovered record's result was computed by a previous life.
+        revived = make_service(path)
+        stats = revived.stats_payload()
+        assert stats["jobs_recovered"] == 1
+        for key in ("sessions_reused", "candidates_scanned",
+                    "privacy_computations", "row_option_cache_hits",
+                    "row_option_cache_misses", "cache_hits"):
+            assert stats[key] == 0, key
+        assert stats["job_seconds"] == 0.0
+        assert isinstance(stats["job_seconds"], float)
+
+        revived.submit_specs([inline_spec(tag="repeat")])
+        drain(revived)
+        stats = revived.stats_payload()
+        assert stats["cache_hits"] == 1
+        assert stats["candidates_scanned"] == 0
+
     def test_queued_and_running_jobs_requeue_on_restart(self, tmp_path, make_service):
         path = str(tmp_path / "store.db")
         service = make_service(path)
