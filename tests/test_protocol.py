@@ -344,6 +344,21 @@ class TestDeprecatedLegacyPaths:
             assert_error(body, "unknown_path", path)
         assert fetch(base, "GET", "/v1/jobs")[2] == {"jobs": []}
 
+    def test_legacy_errors_carry_the_envelope_too(self, live):
+        # A legacy job path is not routed to the job lookup: it gets the
+        # unknown_path envelope naming the request, where its /v1 twin
+        # answers unknown_job.
+        _, base = live
+        status, headers, body = fetch(base, "GET", "/jobs/job-999999")
+        assert status == 404
+        assert headers.get("Deprecation") is None
+        assert headers.get("Content-Type") == "application/json"
+        assert_error(body, "unknown_path")
+        assert "GET '/jobs/job-999999'" in body["error"]["message"]
+        status, _, body = fetch(base, "GET", "/v1/jobs/job-999999")
+        assert status == 404
+        assert_error(body, "unknown_job")
+
     def test_worker_endpoints_are_v1_only(self, live):
         _, base = live
         status, _, body = fetch(
