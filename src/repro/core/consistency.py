@@ -23,10 +23,12 @@ a CIM query.  Any consistent query is subsumed by (contains) one of these
 candidates, so privacy counts computed from this set agree with the
 definition while avoiding the full generalization lattice.
 
-Definition 3.12 counts connected queries only, so Algorithm 1 asks for
-``connected_only`` generation, which reads each variant's join graph off
-the class layout and builds only the connected ones.  Flipping only adds
-variables, so an alignment whose all-flip variant is disconnected is skipped.
+Definition 3.12 counts connected inclusion-minimal queries, so Algorithm 1
+asks for ``minimal_only`` generation.  For flip sets F ⊊ F' of one
+alignment, Q_F is strictly contained in Q_F' (send the variables flipped
+only in F' back to their constants; Q_F keeps a constant Q_F' lacks), so
+only the minimal connecting flip sets can yield a CIM query, and a dropped
+variant is never the only witness against another query.
 """
 
 from __future__ import annotations
@@ -51,10 +53,8 @@ class ConsistencyConfig:
     """Knobs for consistent-query generation.
 
     ``max_alignment_combos`` bounds the product of per-row alignments;
-    ``max_flip_classes`` bounds the constant-to-variable flip enumeration
-    (beyond it only the base query, single flips, and the all-flip variant
-    are generated); ``require_variable`` drops fully-ground queries, the
-    paper's trivial-query elimination for the UCQ setting;
+    ``require_variable`` drops fully-ground queries, the paper's
+    trivial-query elimination for the UCQ setting;
     ``max_tuple_reuse`` allows a skeleton slot multiset to repeat a tuple
     when the semiring hides exponents (Table 4, red cells).
     """
@@ -62,7 +62,6 @@ class ConsistencyConfig:
     head_name: str = "Q"
     semiring: SemiringName = SemiringName.NX
     max_alignment_combos: int = 20_000
-    max_flip_classes: int = 12
     require_variable: bool = False
     max_tuple_reuse: int = 1
 
@@ -75,25 +74,23 @@ def consistent_queries(
     config: ConsistencyConfig | None = None,
     stats: PrivacyStats | None = None,
     *,
-    connected_only: bool = False,
+    minimal_only: bool = False,
 ) -> frozenset[CQ]:
     """The candidate consistent queries w.r.t. a concrete K-example.
 
     Returns the most-specific consistent query of every alignment together
     with its constant-flip variants, deduplicated up to isomorphism.  Every
     CIM query of the example is contained in this set (see module docs)
-    unless a cap of ``config`` cut the enumeration short; ``stats``, when
-    given, counts each such cut (``flip_cap_fallbacks``,
-    ``alignment_combo_truncations``).
+    unless ``max_alignment_combos`` cut the enumeration short; ``stats``,
+    when given, counts each such cut (``alignment_combo_truncations``).
 
-    ``connected_only`` returns exactly the connected members of that set,
-    with the same representatives, and never builds the others.
+    ``minimal_only`` builds only each alignment's minimal connecting flip
+    variants: a subset of the connected part with the same CIM queries,
+    representatives included.
     """
     config = config or ConsistencyConfig()
     out: dict[tuple, CQ] = {}
-    for query in _generate(example, config, stats, connected_only):
-        if config.require_variable and not query.variables():
-            continue
+    for query in _generate(example, config, stats, minimal_only):
         out.setdefault(query.canonical(), query)
     return frozenset(out.values())
 
@@ -102,7 +99,7 @@ def _generate(
     example: KExample,
     config: ConsistencyConfig,
     stats: PrivacyStats | None,
-    connected_only: bool,
+    minimal_only: bool,
 ) -> Iterator[CQ]:
     rows = example.rows
     drops_exponents = config.semiring_ops().drops_exponents()
@@ -132,7 +129,7 @@ def _generate(
                 break
             matrix = [skeleton, *combo]
             yield from _queries_from_matrix(
-                example, matrix, config, stats, connected_only
+                example, matrix, config, minimal_only
             )
 
 
@@ -233,8 +230,7 @@ def _queries_from_matrix(
     example: KExample,
     matrix: list[tuple[Tuple, ...]],
     config: ConsistencyConfig,
-    stats: PrivacyStats | None,
-    connected_only: bool,
+    minimal_only: bool,
 ) -> Iterator[CQ]:
     """Most-specific query and flip variants for one alignment matrix.
 
@@ -242,8 +238,9 @@ def _queries_from_matrix(
     with equal cross-row value vectors share a class, numbered by first
     appearance, and class ``i`` is the term ``x{i}`` or, while a constant
     class is not flipped, its constant.  Each flip variant only picks the
-    term of every class.  With ``connected_only``, a variant whose atoms'
-    variable classes do not overlap into one component is not built.
+    term of every class; under ``require_variable`` a ground base is no
+    flip set.  With ``minimal_only``, only the minimal connecting flip sets
+    are built (see :func:`_minimal_flip_sets`).
     """
     class_of: dict[tuple, int] = {}
     layout: list[tuple[str, list[int]]] = []
@@ -273,21 +270,20 @@ def _queries_from_matrix(
         if len(set(vector)) == 1:
             constant_classes.append(idx)
             base_terms[idx] = Constant(vector[0])
-    if stats is not None and len(constant_classes) > config.max_flip_classes:
-        stats.flip_cap_fallbacks += 1
-    if connected_only:
-        # An atom's variables are its classes minus the unflipped constant
-        # ones, so no variant connects what the all-flip variant does not.
-        atom_classes = [set(columns) for _, columns in layout]
-        if not overlap_connected(atom_classes):
-            return
-        constant_set = frozenset(constant_classes)
+    smallest = int(
+        config.require_variable and len(constant_classes) == len(class_of)
+    )
+    if minimal_only:
+        flip_sets = _minimal_flip_sets(
+            [set(columns) for _, columns in layout], constant_classes, smallest
+        )
+    else:
+        flip_sets = itertools.chain.from_iterable(
+            itertools.combinations(constant_classes, size)
+            for size in range(smallest, len(constant_classes) + 1)
+        )
 
-    for flips in _flip_subsets(constant_classes, config.max_flip_classes):
-        if connected_only:
-            fixed = constant_set.difference(flips)
-            if not overlap_connected([c - fixed for c in atom_classes]):
-                continue
+    for flips in flip_sets:
         terms = base_terms.copy()
         for idx in flips:
             terms[idx] = variables[idx]
@@ -302,23 +298,32 @@ def _queries_from_matrix(
         yield CQ(Atom(config.head_name, head_terms), body)
 
 
-def _flip_subsets(
-    constant_classes: list[int], max_flip_classes: int
+def _minimal_flip_sets(
+    atom_classes: list[set[int]], constant_classes: list[int], smallest: int
 ) -> Iterator[tuple[int, ...]]:
-    """Subsets of constant classes to generalize into shared variables.
+    """Inclusion-minimal flip sets of at least ``smallest`` classes whose
+    atoms' variable classes overlap into one component.
 
-    Exhaustive up to ``max_flip_classes`` constant classes; beyond that,
-    falls back to the empty set, singletons, and the full set (a heuristic
-    that still reaches both extremes of the flip lattice).
+    Unflipped constants are no variables, so nothing connects if flipping
+    every class does not.  Each class of a minimal set joins two
+    components, so it is shared by two atoms (unless there is one atom),
+    and a set holds at most (atoms - 1) classes.  Sets go by size,
+    skipping supersets of those found.
     """
-    if len(constant_classes) <= max_flip_classes:
-        for size in range(len(constant_classes) + 1):
-            yield from itertools.combinations(constant_classes, size)
+    if not overlap_connected(atom_classes):
         return
-    yield ()
-    for idx in constant_classes:
-        yield (idx,)
-    yield tuple(constant_classes)
+    constant_set = frozenset(constant_classes)
+    shared = [idx for idx in constant_classes if len(atom_classes) == 1
+              or sum(idx in classes for classes in atom_classes) > 1]
+    found: list[frozenset[int]] = []
+    for size in range(smallest, max(len(atom_classes) - 1, 1) + 1):
+        for flips in itertools.combinations(shared, size):
+            if any(known.issubset(flips) for known in found):
+                continue
+            fixed = constant_set.difference(flips)
+            if overlap_connected([c - fixed for c in atom_classes]):
+                found.append(frozenset(flips))
+                yield flips
 
 
 def trivial_union_query(

@@ -335,13 +335,6 @@ def find_optimal_abstraction(
 
     stats = OptimizerStats()
     start_time = clock.perf_counter()
-    # Aggregated spans for the per-candidate loop: hoisted once so the
-    # disabled-mode cost is two no-op method calls per use, and a traced
-    # run records one accumulated record per phase instead of one span
-    # per candidate.
-    scoring_timer = spans.aggregate("candidate_scoring")
-    privacy_timer = spans.aggregate("privacy_check")
-    materialize_timer = spans.aggregate("materialize")
 
     best: Optional[AbstractionFunction] = None
     best_abstracted: Optional[AbstractedKExample] = None
@@ -355,9 +348,26 @@ def find_optimal_abstraction(
     else:
         plain = _unsorted_candidates(variables, chains)
 
+    # The per-candidate calls, wrapped once per search: untraced they are
+    # the bare callables, so the loop pays nothing for tracing; traced,
+    # each phase accumulates into one aggregate record instead of one span
+    # per candidate.
+    compute = spans.timed("privacy_check", computer.compute)
     evaluator: Optional[IncrementalEvaluator] = None
     if config.incremental and getattr(dist, "supports_incremental", False):
         evaluator = IncrementalEvaluator(example, tree, variables, chains, dist)
+        score_delta = spans.timed("candidate_scoring", evaluator.loi)
+        materialize = spans.timed("materialize", evaluator.materialize)
+    else:
+        def score_from_scratch(levels):
+            function = _function_for_levels(
+                tree, example, variables, chains, levels
+            )
+            abstracted = function.apply(example)
+            loi = loss_of_information(abstracted, tree, dist)
+            return loi, function, abstracted
+
+        score_full = spans.timed("candidate_scoring", score_from_scratch)
 
     while True:
         if frontier is not None:
@@ -388,20 +398,15 @@ def find_optimal_abstraction(
 
         function: Optional[AbstractionFunction]
         abstracted: Optional[AbstractedKExample]
-        with scoring_timer:
-            if evaluator is not None:
-                # Incremental path: score from cached contributions; the
-                # function/abstracted pair is materialized only if needed.
-                loi = evaluator.loi(levels)
-                function = abstracted = None
-                stats.delta_evaluations += 1
-            else:
-                function = _function_for_levels(
-                    tree, example, variables, chains, levels
-                )
-                abstracted = function.apply(example)
-                loi = loss_of_information(abstracted, tree, dist)
-                stats.full_evaluations += 1
+        if evaluator is not None:
+            # Incremental path: score from cached contributions; the
+            # function/abstracted pair is materialized only if needed.
+            loi = score_delta(levels)
+            function = abstracted = None
+            stats.delta_evaluations += 1
+        else:
+            loi, function, abstracted = score_full(levels)
+            stats.full_evaluations += 1
 
         dominated = loi >= best_loi
         if config.loi_first and dominated:
@@ -412,13 +417,10 @@ def find_optimal_abstraction(
         if config.loi_first or not dominated:
             stats.privacy_computations += 1
             if function is None:
-                assert evaluator is not None
-                with materialize_timer:
-                    function, abstracted = evaluator.materialize(levels)
+                function, abstracted = materialize(levels)
                 stats.functions_materialized += 1
             try:
-                with privacy_timer:
-                    privacy = computer.compute(abstracted, threshold)
+                privacy = compute(abstracted, threshold)
             except OptimizationError:
                 # Concretization budget exhausted: the abstraction is too
                 # coarse to evaluate; skip it (its refinements are coarser
@@ -432,13 +434,10 @@ def find_optimal_abstraction(
             # loi_first disabled: pay for privacy even on dominated states.
             stats.privacy_computations += 1
             if abstracted is None:
-                assert evaluator is not None
-                with materialize_timer:
-                    _, abstracted = evaluator.materialize(levels)
+                _, abstracted = materialize(levels)
                 stats.functions_materialized += 1
             try:
-                with privacy_timer:
-                    computer.compute(abstracted, threshold)
+                compute(abstracted, threshold)
             except OptimizationError:
                 stats.privacy_budget_exhausted += 1
 

@@ -102,12 +102,10 @@ class PrivacyStats:
     containment_cache_misses: int = 0
     minimal_set_cache_hits: int = 0
     minimal_set_cache_misses: int = 0
-    # Consistent-query generation cut short by a ConsistencyConfig cap,
-    # charged per consistency call (cache misses only): alignment matrices
-    # whose flips fell back to the heuristic subset list, and skeletons
-    # whose alignment combinations were truncated.  Either can drop a CIM
-    # query, so a nonzero count means the privacy may undercount.
-    flip_cap_fallbacks: int = 0
+    # Consistent-query generation cut short by ``max_alignment_combos``,
+    # charged per consistency call (cache misses only): skeletons whose
+    # alignment combinations were truncated.  A cut can drop a CIM query,
+    # so a nonzero count means the privacy may undercount.
     alignment_combo_truncations: int = 0
 
 
@@ -288,18 +286,10 @@ class PrivacyComputer:
                             "abstraction or raise max_concretizations"
                         )
             connected, prefix_of_query = self._queries_for_prefixes(prefixes)
-
-            # The connected-query count only shrinks as rows are added
-            # (each new row constrains the consistent set), so falling
-            # below the threshold here decides the full example too.
-            if len(connected) < threshold:
-                return -1
-
             if index == len(rows) - 1:
-                # Inclusion-minimal counts are NOT monotone in the rows
-                # (a later row can kill a small query, promoting the
-                # larger ones it dominated), so the CIM gate may only
-                # fire on the complete example.
+                # Neither count is monotone in the rows (a later row can
+                # split a class, or kill a query that dominated others),
+                # so both gates fire only on the complete example.
                 return self._gated_cim_count(connected, threshold)
 
             good_set: set[tuple[KExampleRow, ...]] = set()
@@ -320,7 +310,7 @@ class PrivacyComputer:
     def _connected_queries_full(
         self, abstracted: AbstractedKExample
     ) -> dict[tuple, CQ]:
-        """The connected consistent queries, keyed by canonical form."""
+        """The minimal-only consistent queries, keyed by canonical form."""
         per_row_options = [self._row_options(row) for row in abstracted.rows]
         if any(not options for options in per_row_options):
             return {}
@@ -385,7 +375,7 @@ class PrivacyComputer:
         self.stats.consistency_calls += 1
         example = KExample(prefix, self._registry)
         result = consistent_queries(
-            example, self._config.consistency, self.stats, connected_only=True
+            example, self._config.consistency, self.stats, minimal_only=True
         )
         if self._config.cache_queries:
             self.stats.query_cache_misses += 1

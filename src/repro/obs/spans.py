@@ -21,19 +21,22 @@ ambient tracer (a :mod:`contextvars` variable set by :func:`activate`).
 When no tracer is active they return the shared :data:`NO_SPAN`
 singleton — two trivial method calls and no allocation, the "near-zero
 cost when disabled" fast path guarded by
-``benchmarks/bench_obs_overhead.py``.  Hot loops should hoist the
-handle once (``timer = spans.aggregate("x")``) and re-enter it, which
-amortizes even the contextvar lookup.
+``benchmarks/bench_obs_overhead.py``.  Hot loops should not pay even
+that: they wrap each per-iteration call once with :func:`timed`
+(``score = spans.timed("x", score)``), which returns the callable
+itself when tracing is disabled.
 """
 
 from __future__ import annotations
 
 import contextvars
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.obs import clock
 
 _ROOT = -1
+
+_T = TypeVar("_T")
 
 
 class _NullSpan:
@@ -233,11 +236,27 @@ def span(name: str, **attrs: Any) -> Any:
 
 def aggregate(name: str, **attrs: Any) -> Any:
     """An accumulating span handle on the ambient tracer; no-op when
-    disabled.  Hoist the handle outside hot loops and re-enter it."""
+    disabled.  Hot loops use :func:`timed` instead."""
     tracer = _CURRENT.get()
     if tracer is None:
         return NO_SPAN
     return tracer.aggregate(name, **attrs)
+
+
+def timed(name: str, fn: Callable[..., _T]) -> Callable[..., _T]:
+    """``fn`` with every call accumulated into the ``name`` aggregate of
+    the ambient tracer, or ``fn`` itself when tracing is disabled, so a
+    loop that wraps its calls once pays nothing per call untraced."""
+    tracer = _CURRENT.get()
+    if tracer is None:
+        return fn
+    timer = tracer.aggregate(name)
+
+    def run(*args: Any) -> _T:
+        with timer:
+            return fn(*args)
+
+    return run
 
 
 __all__ = [
@@ -247,4 +266,5 @@ __all__ = [
     "aggregate",
     "current",
     "span",
+    "timed",
 ]

@@ -247,22 +247,6 @@ class TestCapCounters:
         db.insert("S", (10, 5), "s1")
         return db
 
-    def test_flip_cap_fallback_counted(self, db):
-        """One row R(1, 10), S(10, 5): three constant classes."""
-        example = KExample([KExampleRow((1,), ["r1", "s1"])], db.registry)
-        capped, exact = PrivacyStats(), PrivacyStats()
-        fallback = consistent_queries(
-            example, ConsistencyConfig(max_flip_classes=2), capped
-        )
-        full = consistent_queries(
-            example, ConsistencyConfig(max_flip_classes=3), exact
-        )
-        assert isinstance(fallback, frozenset)
-        assert len(fallback) < len(full)
-        assert capped.flip_cap_fallbacks == 1
-        assert exact.flip_cap_fallbacks == 0
-        assert capped.alignment_combo_truncations == 0
-
     def test_alignment_combo_truncation_counted(self, db):
         """Two R tuples in the second row: two alignments."""
         example = KExample(
@@ -281,4 +265,3 @@ class TestCapCounters:
         )
         assert capped.alignment_combo_truncations == 1
         assert exact.alignment_combo_truncations == 0
-        assert capped.flip_cap_fallbacks == 0

@@ -6,8 +6,9 @@ skeletons and alignments are generated.  These tests compare the sorted
 ``repr`` of every returned query against
 ``fixtures/consistent_queries_pinned.json``; a generator that reorders
 alignments, renames its variables, truncates differently or changes what
-it generates fails them.  Connected-only generation must return the
-connected part of the same output, representatives included.
+it generates fails them.  Minimal-only generation must return a subset of
+the connected part of the same output with the same CIM queries,
+representatives included.
 
 The fixture is a reference capture, not derived from the code under test.
 Rewrite it only for a change meant to alter the generated queries::
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.consistency import ConsistencyConfig, consistent_queries
+from repro.core.privacy import _minimal_queries
 from repro.datasets.queries import get_query
 from repro.datasets.tpch import generate_tpch
 from repro.db.database import KDatabase
@@ -93,10 +95,6 @@ CASES = {
         _paper_example,
         ConsistencyConfig(semiring=SemiringName.WHY, max_tuple_reuse=2),
     ),
-    # Five constant classes against a cap of two: the flip fallback.
-    "tpch_q3_2rows_flip_cap": (
-        lambda: _tpch_q3_prefix(2), ConsistencyConfig(max_flip_classes=2),
-    ),
     # Four alignment combinations against a cap of two.
     "self_join_combo_cap": (
         _self_join_example, ConsistencyConfig(max_alignment_combos=2),
@@ -128,14 +126,18 @@ def test_generation_matches_pinned_output(name, pinned):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_connected_only_is_the_connected_part(name):
+def test_minimal_only_keeps_the_cim_queries(name):
     build, config = CASES[name]
     example = build()
-    connected = consistent_queries(example, config, connected_only=True)
-    assert sorted(map(repr, connected)) == sorted(
-        repr(query) for query in consistent_queries(example, config)
+    minimal = consistent_queries(example, config, minimal_only=True)
+    connected = frozenset(
+        query for query in consistent_queries(example, config)
         if is_connected(query)
     )
+    assert {q.canonical() for q in minimal} <= {
+        q.canonical() for q in connected
+    }
+    assert _minimal_queries(minimal) == _minimal_queries(connected)
 
 
 if __name__ == "__main__":

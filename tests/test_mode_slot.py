@@ -101,27 +101,28 @@ class TestHashTimeGuard:
 
 
 class TestPinnedHashes:
-    """Bit-for-bit hash stability across the mode-slot change.
+    """Bit-for-bit hash stability of job and context content hashes.
 
-    These digests were captured from the seed revision (before
-    ``KNOWN_MODES`` existed).  If one moves, every persistent job store
-    in the wild silently loses its cached results — bump
-    :data:`repro.store.hashing.HASH_VERSION` instead of editing these.
+    A job digest that moves by accident makes every persistent job store
+    in the wild silently lose its cached results.  A deliberate change of
+    the hash inputs bumps :data:`repro.store.hashing.HASH_VERSION` and
+    re-pins these digests; the job digests were last re-pinned at
+    ``repro-job-v2``, when ``ConsistencyConfig`` lost ``max_flip_classes``.
     """
 
     def test_named_job_hash_is_stable(self):
         job = job_from_spec(NAMED_SPEC, default_rows=PINNED.kexample_rows,
                             base_config=_base_config())
         assert job_content_hash(job, PINNED) == (
-            "c369d9232d6a8a319bbcd25af58919ac"
-            "2f484a1c95ae3777156b0b1df32d4557"
+            "e0c94fdf010f8f943bb2296c85ea0218"
+            "debdbb3860d1ed50478b4b4dc56279aa"
         )
 
     def test_inline_job_hash_is_stable(self):
         job = job_from_spec(INLINE_SPEC, base_config=_base_config())
         assert job_content_hash(job, PINNED) == (
-            "552a1522a0646c9e3d6a5b62804b1f76"
-            "54a00a243bc46c7a1a49081329f15433"
+            "0ed0b28261cc81bc689e2749f8f3abab"
+            "743f4f97a35d49de861e6f64fdd541ee"
         )
 
     def test_inline_context_hash_is_stable(self):

@@ -92,6 +92,7 @@ class TestTracer:
         assert spans.current() is None
         assert spans.span("anything") is spans.NO_SPAN
         assert spans.aggregate("anything") is spans.NO_SPAN
+        assert spans.timed("anything", len) is len
 
     def test_activate_installs_and_restores_the_ambient_tracer(self):
         tracer = spans.Tracer()
@@ -99,11 +100,14 @@ class TestTracer:
             assert spans.current() is tracer
             with spans.span("seen"):
                 pass
+            timed_len = spans.timed("timed", len)
+            assert [timed_len("ab"), timed_len("abc")] == [2, 3]
             with spans.activate(None):
                 assert spans.current() is None
                 assert spans.span("shielded") is spans.NO_SPAN
         assert spans.current() is None
-        assert [r["name"] for r in tracer.records] == ["seen"]
+        assert [r["name"] for r in tracer.records] == ["seen", "timed"]
+        assert tracer.records[1]["count"] == 2
 
 
 # -- metrics ---------------------------------------------------------------

@@ -8,12 +8,12 @@ from repro.abstraction.builders import balanced_tree
 from repro.abstraction.concretization import ConcretizationEngine
 from repro.abstraction.function import AbstractionFunction
 from repro.core import privacy as privacy_module
-from repro.core.consistency import ConsistencyConfig
 from repro.core.privacy import PrivacyComputer, PrivacyConfig, PrivacySession
 from repro.db.database import KDatabase
 from repro.db.schema import Schema
 from repro.errors import OptimizationError
 from repro.provenance.builder import build_kexample
+from repro.provenance.kexample import KExample, KExampleRow
 from repro.query.containment import is_equivalent
 from repro.query.parser import parse_cq
 from repro.examples_data import Q_FALSE_1, Q_FALSE_2, Q_REAL
@@ -129,22 +129,7 @@ class TestMechanics:
         )
         assert computer.privacy(abstracted) == 2
         assert computer.stats.consistency_calls > 0
-        assert computer.stats.flip_cap_fallbacks == 0
         assert computer.stats.alignment_combo_truncations == 0
-
-    def test_flip_cap_charged_on_cache_misses(
-        self, paper_tree, paper_db, paper_example
-    ):
-        """Two constant classes ('Dance', 'Music') against a cap of one."""
-        config = PrivacyConfig(consistency=ConsistencyConfig(max_flip_classes=1))
-        computer = PrivacyComputer(paper_tree, paper_db.registry, config)
-        abstracted = _abstract(paper_tree, paper_example, {})
-        computer.privacy(abstracted)
-        fallbacks = computer.stats.flip_cap_fallbacks
-        assert fallbacks > 0
-        computer.privacy(abstracted)
-        assert computer.stats.query_cache_hits > 0
-        assert computer.stats.flip_cap_fallbacks == fallbacks
 
     def test_connectivity_filter_prunes(self, paper_tree, paper_db, paper_example):
         computer = PrivacyComputer(paper_tree, paper_db.registry)
@@ -208,16 +193,33 @@ class TestMechanics:
         abstracted = _abstract(paper_tree, paper_example, {})
         assert computer.compute(abstracted, threshold=0) >= 0
 
+    def test_cim_queries_exact_past_twelve_constant_classes(self):
+        """One row with thirteen constant classes: the only minimal
+        connecting flips are the two values the atoms share."""
+        db = KDatabase(Schema.from_dict(
+            {name: ["a", "b", "c", "d", "e"] for name in "RST"}
+        ))
+        for name, first in (("R", 1), ("S", 5), ("T", 9)):
+            db.insert(name, tuple(range(first, first + 5)), name.lower())
+        example = KExample([KExampleRow((1,), ["r", "s", "t"])], db.registry)
+        tree = balanced_tree(["r", "s", "t"], height=1, seed=0)
+        computer = PrivacyComputer(tree, db.registry)
+        cims = computer.cim_queries(_abstract(tree, example, {}))
+        assert {q.canonical() for q in cims} == {parse_cq(
+            "Q(1) :- R(1, 2, 3, 4, x), S(x, 6, 7, 8, y), "
+            "T(y, 10, 11, 12, 13)"
+        ).canonical()}
+
 
 _JOIN = parse_cq("Q(a) :- R(a, b), S(b, c)")
 
 
-def _random_instance(seed: int):
-    """A random database, a two-row K-example of ``_JOIN`` over it, and an
-    abstraction tree (kept small: Algorithm 1 is exponential in the row
-    count).  The first two ``S`` tuples join the first two ``R`` tuples,
-    so the query always derives two outputs and the rows admit
-    consistent queries."""
+def _random_instance(seed: int, n_rows: int = 2):
+    """A random database, an ``n_rows``-row K-example of ``_JOIN`` over
+    it, and an abstraction tree (kept small: Algorithm 1 is exponential in
+    the row count).  The first ``n_rows`` ``S`` tuples join the first
+    ``n_rows`` ``R`` tuples, so the query always derives that many outputs
+    and the rows admit consistent queries."""
     rng = random.Random(seed)
     db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["b", "c"]}))
     n_r, n_s = rng.randint(3, 5), rng.randint(3, 5)
@@ -225,9 +227,10 @@ def _random_instance(seed: int):
     for i, b in enumerate(r_bs):
         db.insert("R", (i, b), f"r{i}")
     for j in range(n_s):
-        db.insert("S", (r_bs[j] if j < 2 else rng.randint(0, 3), j), f"s{j}")
+        b = r_bs[j] if j < n_rows else rng.randint(0, 3)
+        db.insert("S", (b, j), f"s{j}")
     annotations = [f"r{i}" for i in range(n_r)] + [f"s{j}" for j in range(n_s)]
-    example = build_kexample(_JOIN, db, n_rows=2)
+    example = build_kexample(_JOIN, db, n_rows=n_rows)
     tree = balanced_tree(annotations, height=rng.randint(2, 3), seed=seed)
     return db, example, tree
 
@@ -251,8 +254,7 @@ class TestRowByRowEquivalence:
     counts are *not* monotone as rows are added (a later row can kill a
     small query, promoting the larger queries it dominated), so pruning
     on an intermediate prefix's CIM count could wrongly return -1 for
-    examples whose full CIM count meets the threshold.  Only the
-    connected-query count shrinks monotonically and may gate early.
+    examples whose full CIM count meets the threshold.
     """
 
     @pytest.mark.parametrize("seed", range(12))
@@ -281,18 +283,48 @@ class TestRowByRowEquivalence:
     @pytest.mark.parametrize("seed", range(12))
     def test_randomized_threshold_equivalence(self, seed):
         """compute() must agree at every threshold, not just threshold 0 —
-        this is where the dropped intermediate CIM gate used to diverge."""
-        db, example, tree = _random_instance(seed)
-        rng = random.Random(seed + 6000)
-        row_by_row = PrivacyComputer(tree, db.registry, PrivacyConfig())
+        this is where the dropped intermediate gates used to diverge.
+        Three rows give row-by-row a prefix that is not the whole example."""
+        for n_rows in (2, 3):
+            db, example, tree = _random_instance(seed, n_rows)
+            rng = random.Random(seed + 6000)
+            row_by_row = PrivacyComputer(tree, db.registry, PrivacyConfig())
+            monolithic = PrivacyComputer(
+                tree, db.registry, PrivacyConfig(row_by_row=False)
+            )
+            abstracted = _random_abstraction(example, tree, rng)
+            for threshold in range(0, 5):
+                assert row_by_row.compute(abstracted, threshold) == (
+                    monolithic.compute(abstracted, threshold)
+                ), f"{n_rows} rows, threshold {threshold}"
+
+    def test_three_rows_match_monolithic(self):
+        """The two-row prefix admits one connected query, yet the whole
+        example has two CIM queries: no prefix count gates the example."""
+        db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["b", "c"]}))
+        for relation, values, annotation in (
+            ("R", (0, 0), "r0"), ("R", (2, 2), "r1"), ("R", (1, 0), "r2"),
+            ("S", (0, 0), "s0"), ("S", (0, 3), "s1"), ("S", (1, 0), "s2"),
+        ):
+            db.insert(relation, values, annotation)
+        example = build_kexample(
+            parse_cq("Q(a, c) :- R(a, b), S(b, c)"), db, n_rows=3
+        )
+        tree = balanced_tree(
+            ["r0", "r1", "r2", "s0", "s1", "s2"], height=1, seed=0
+        )
+        abstracted = _abstract(tree, example, {"s0": "*", "s1": "*"})
         monolithic = PrivacyComputer(
             tree, db.registry, PrivacyConfig(row_by_row=False)
         )
-        abstracted = _random_abstraction(example, tree, rng)
-        for threshold in range(0, 5):
-            assert row_by_row.compute(abstracted, threshold) == (
-                monolithic.compute(abstracted, threshold)
-            ), f"threshold {threshold}"
+        assert {q.canonical() for q in monolithic.cim_queries(abstracted)} == {
+            parse_cq(text).canonical() for text in (
+                "Q(x0, x2) :- R(x0, x1), S(x1, x2)",
+                "Q(x0, x2) :- R(x0, 0), S(x0, x2)",
+            )
+        }
+        assert monolithic.compute(abstracted, 2) == 2
+        assert PrivacyComputer(tree, db.registry).compute(abstracted, 2) == 2
 
     def test_paper_example_thresholds(self, paper_tree, paper_db, paper_example):
         row_by_row = PrivacyComputer(paper_tree, paper_db.registry)

@@ -8,8 +8,8 @@ properties below are the paper's structural invariants:
 * |C| obeys the product formula and its bounds (Proposition 3.5);
 * uniform LOI is ln |C| and is monotone under coarser abstraction;
 * privacy is invariant under the Algorithm 1 optimization switches;
-* connected-only consistent-query generation is the connected part of the
-  full generation;
+* minimal-only consistent-query generation keeps the CIM queries of the
+  connected part of the full generation;
 * containment is a preorder compatible with canonicalization.
 """
 
@@ -23,7 +23,9 @@ from repro.abstraction.concretization import ConcretizationEngine
 from repro.abstraction.function import AbstractionFunction
 from repro.core.consistency import ConsistencyConfig, consistent_queries
 from repro.core.loi import loss_of_information
-from repro.core.privacy import PrivacyComputer, PrivacyConfig, PrivacyStats
+from repro.core.privacy import (
+    PrivacyComputer, PrivacyConfig, PrivacyStats, _minimal_queries,
+)
 from repro.db.database import KDatabase
 from repro.db.schema import Schema
 from repro.provenance.builder import build_kexample
@@ -90,8 +92,8 @@ def consistency_instances(draw):
     Values come from {0, 1, 2}, so tuples share values and positions often
     hold one value down every row (constant classes); a repeated relation
     is a self-join, and a second output column may be a constant.  The
-    config picks NX or WHY with tuple reuse, a flip cap of 1 (forcing the
-    fallback) or the default, and ``require_variable`` on or off.
+    config picks NX or WHY with tuple reuse, and ``require_variable`` on or
+    off.
     """
     db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["x", "y"]}))
     value = st.integers(min_value=0, max_value=2)
@@ -115,7 +117,6 @@ def consistency_instances(draw):
     ))
     config = ConsistencyConfig(
         semiring=semiring, max_tuple_reuse=reuse,
-        max_flip_classes=draw(st.sampled_from([1, 12])),
         require_variable=draw(st.booleans()),
     )
     return KExample(rows, db.registry), config
@@ -200,19 +201,23 @@ class TestPrivacyProperties:
 class TestConsistencyProperties:
     @settings(max_examples=80, deadline=None)
     @given(consistency_instances())
-    def test_connected_only_is_the_connected_part(self, instance):
-        """Same queries and representatives as filtering the full set,
-        with the caps charged alike."""
+    def test_minimal_only_keeps_the_cim_queries(self, instance):
+        """A subset of the connected part of the full set with the same
+        CIM queries and representatives, with the cap charged alike."""
         example, config = instance
-        full_stats, connected_stats = PrivacyStats(), PrivacyStats()
-        full = consistent_queries(example, config, full_stats)
-        connected = consistent_queries(
-            example, config, connected_stats, connected_only=True
+        full_stats, minimal_stats = PrivacyStats(), PrivacyStats()
+        connected = frozenset(
+            query for query in consistent_queries(example, config, full_stats)
+            if is_connected(query)
         )
-        assert sorted(map(repr, connected)) == sorted(
-            repr(query) for query in full if is_connected(query)
+        minimal = consistent_queries(
+            example, config, minimal_stats, minimal_only=True
         )
-        assert connected_stats == full_stats
+        assert {q.canonical() for q in minimal} <= {
+            q.canonical() for q in connected
+        }
+        assert _minimal_queries(minimal) == _minimal_queries(connected)
+        assert minimal_stats == full_stats
 
 
 class TestContainmentProperties:
