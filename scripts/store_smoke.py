@@ -7,7 +7,9 @@ and restarts it on the same store.  The restarted service must:
 
 * recover every submitted job — completed ones served from the store,
   interrupted/queued ones re-enqueued and finished — with results equal
-  to the direct ``find_optimal_abstraction`` answer, and
+  to the direct ``find_optimal_abstraction`` answer, or, for the inline
+  ``kexample`` spec with a ``max_candidates`` budget, to an in-process
+  ``run_job`` of the same spec, and
 * answer a content-identical resubmission from the result cache
   (``cache_hit`` set, payload bit-identical apart from that marker)
   without running the optimizer again.
@@ -25,12 +27,21 @@ import tempfile
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.core.optimizer import find_optimal_abstraction  # noqa: E402
+from repro.batch import job_from_spec, run_job  # noqa: E402
+from repro.core.optimizer import (  # noqa: E402
+    OptimizerConfig,
+    find_optimal_abstraction,
+)
 from repro.examples_data import (  # noqa: E402
     running_example_db,
     running_example_tree,
 )
-from repro.io.json_io import database_to_json, tree_to_json  # noqa: E402
+from repro.experiments.settings import DEFAULT_SETTINGS  # noqa: E402
+from repro.io.json_io import (  # noqa: E402
+    database_to_json,
+    kexample_to_json,
+    tree_to_json,
+)
 from repro.provenance.builder import build_kexample  # noqa: E402
 from repro.query.parser import parse_cq  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
@@ -67,6 +78,26 @@ def payload_core(payload: dict) -> dict:
             if k not in ("id", "tag", "cache_hit")}
 
 
+def payload_outcome(payload: dict) -> dict:
+    """A payload without identity, audit and timing fields: what a run
+    of the same spec anywhere else must reproduce."""
+    out = {k: v for k, v in payload.items()
+           if k not in ("id", "state", "tag", "cache_hit", "seconds",
+                        "session_reused", "trace")}
+    out["stats"] = {k: v for k, v in payload["stats"].items()
+                    if k != "elapsed_seconds"}
+    return out
+
+
+def in_process_payload(spec: dict) -> dict:
+    """``run_job`` of ``spec`` here, as ``repro serve`` would run it."""
+    base = OptimizerConfig(max_candidates=DEFAULT_SETTINGS.max_candidates,
+                           max_seconds=DEFAULT_SETTINGS.max_seconds)
+    job = job_from_spec(spec, default_rows=DEFAULT_SETTINGS.kexample_rows,
+                        base_config=base)
+    return run_job(job, DEFAULT_SETTINGS).to_payload()
+
+
 def main() -> int:
     workdir = tempfile.mkdtemp(prefix="repro-store-smoke-")
     store_path = os.path.join(workdir, "jobs.db")
@@ -74,6 +105,16 @@ def main() -> int:
         "database": database_to_json(running_example_db()),
         "tree": tree_to_json(running_example_tree()),
         "query": QUERY,
+    }
+    example = build_kexample(
+        parse_cq(QUERY), running_example_db(), n_rows=2
+    )
+    # Every field the stored spec text carries: a K-example instead of a
+    # query, and a per-job budget.
+    kexample_spec = {
+        "database": spec["database"], "tree": spec["tree"],
+        "kexample": kexample_to_json(example), "threshold": THRESHOLDS[0],
+        "max_candidates": 40, "tag": "kexample",
     }
     server = None
     try:
@@ -86,8 +127,8 @@ def main() -> int:
                                connect_retries=8, retry_backoff=0.25)
         ids = client.submit_many([
             {**spec, "threshold": k, "tag": f"k{k}"} for k in THRESHOLDS
-        ])
-        assert len(ids) == len(THRESHOLDS), ids
+        ] + [kexample_spec])
+        assert len(ids) == len(THRESHOLDS) + 1, ids
         server.kill()  # SIGKILL: whatever was running dies mid-search
         server.wait(timeout=10)
 
@@ -101,15 +142,15 @@ def main() -> int:
             assert payload["state"] == "done", payload
             assert payload["found"], payload
 
-        example = build_kexample(
-            parse_cq(QUERY), running_example_db(), n_rows=2
-        )
         for threshold, payload in zip(THRESHOLDS, payloads):
             direct = find_optimal_abstraction(
                 example, running_example_tree(), threshold
             )
             assert payload["privacy"] == direct.privacy, payload
             assert payload["loi"] == direct.loi, payload
+        assert payload_outcome(payloads[-1]) == payload_outcome(
+            in_process_payload(kexample_spec)
+        ), payloads[-1]
 
         # Dedup across restarts: a content-identical resubmission is a
         # cache hit with the same payload, optimizer untouched.

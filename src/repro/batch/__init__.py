@@ -15,6 +15,7 @@ from repro.batch.jobs import (
     InlineContext,
     InlineJob,
     job_from_spec,
+    job_spec_text,
     job_to_spec,
 )
 from repro.batch.optimizer import (
@@ -38,6 +39,7 @@ __all__ = [
     "InlineJob",
     "clear_worker_caches",
     "job_from_spec",
+    "job_spec_text",
     "job_to_spec",
     "run_batch",
     "run_job",

@@ -16,6 +16,8 @@ workers under a content hash exactly like the named contexts.
 :func:`job_from_spec` turns one JSON job spec (named or inline) into the
 matching job object, validating every key; it is the single parser behind
 ``repro batch-optimize --jobs``, ``repro submit``, and the job service.
+:func:`job_spec_text` writes a job back as the canonical spec text the
+job store keeps, and :func:`job_to_spec` as the parsed dict.
 
 A :class:`BatchJobResult` carries the outcome back the same way: scalars
 and the per-variable abstraction targets rather than live
@@ -30,10 +32,12 @@ import math
 import os
 import traceback
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Union
 
 from repro.core.optimizer import OptimizerConfig, OptimizerStats
 from repro.errors import JobSpecError
+from repro.obs import metrics
 from repro.store.hashing import KNOWN_MODES, canonical_json, hash_parts
 
 
@@ -71,6 +75,28 @@ INLINE_CONTEXT_TAG = "__inline__"
 # Canonical JSON text, so equal payloads hash equally (the shared
 # definition in repro.store.hashing, which the result cache keys on too).
 _canonical = canonical_json
+
+#: Inline databases this process built from JSON text: a first-seen job
+#: over a database an earlier job already brought leaves it unchanged.
+_DATABASE_BUILDS = metrics.REGISTRY.counter(
+    "repro_inline_database_builds_total",
+    "Inline-context databases built from JSON text in this process.",
+)
+
+
+@lru_cache(maxsize=8)
+def _database_from_text(text: str):
+    """The ``KDatabase`` of one canonical database text, built once.
+
+    Every inline context over the same text shares the object, as named
+    contexts share ``experiments.runner._tpch``/``_imdb`` (whose bound
+    this repeats), so nothing may mutate a built context's database.
+    """
+    from repro.io.json_io import database_from_json
+
+    database = database_from_json(json.loads(text))
+    _DATABASE_BUILDS.inc()
+    return database
 
 
 @dataclass(frozen=True)
@@ -137,18 +163,20 @@ class InlineContext:
     def build(self, settings, engine: Optional[str] = None):
         """Rebuild the live context exactly as ``repro optimize`` does.
 
-        ``engine`` overrides the spec's engine for this build (the job
-        runner passes the effective config's engine through); either way
-        the resulting context is bit-identical.
+        The database comes from a per-process cache keyed by
+        ``database_json``: contexts that differ only in tree, query,
+        rows or engine share one ``KDatabase`` object, built once.  The
+        tree and example are built fresh.  ``engine`` overrides the
+        spec's engine for this build (the job runner passes the
+        effective config's engine through); either way the resulting
+        context is bit-identical.
         """
         from repro.experiments.runner import ExperimentContext
-        from repro.io.json_io import (
-            database_from_json, kexample_from_json, tree_from_json,
-        )
+        from repro.io.json_io import kexample_from_json, tree_from_json
         from repro.provenance.builder import build_kexample
         from repro.query.parser import parse_cq
 
-        database = database_from_json(json.loads(self.database_json))
+        database = _database_from_text(self.database_json)
         tree = tree_from_json(json.loads(self.tree_json))
         query = parse_cq(self.query) if self.query else None
         if self.kexample_json is not None:
@@ -294,10 +322,15 @@ def job_from_spec(
             raise JobSpecError(
                 "inline job spec needs exactly one of 'query' or 'kexample'"
             )
+        query = spec.get("query")
+        if "query" in spec and not (isinstance(query, str) and query):
+            raise JobSpecError(
+                f"'query' must be a non-empty string, got {query!r}"
+            )
         context = InlineContext(
             database_json=_canonical(spec["database"]),
             tree_json=_canonical(spec["tree"]),
-            query=spec.get("query"),
+            query=query,
             kexample_json=(
                 _canonical(spec["kexample"]) if "kexample" in spec else None
             ),
@@ -320,41 +353,63 @@ def job_from_spec(
     )
 
 
-def job_to_spec(job: "Union[BatchJob, InlineJob]") -> dict:
-    """Serialize a job back into a JSON spec (inverse of :func:`job_from_spec`).
+def _dumps(value) -> str:
+    """JSON text in the job store's layout: sorted keys, no spaces."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
-    This is what the persistent job store writes, so a queued job
-    survives a restart as re-parseable input: for any spec-built job,
-    ``job_from_spec(job_to_spec(job), base_config=same_base)`` rebuilds
-    an equal job.  A hand-built ``config`` is represented by its budget
-    keys (``max_candidates``/``max_seconds``) — the only config fields a
-    spec can express; ``None`` budgets are omitted, matching the spec
+
+def job_spec_text(job: "Union[BatchJob, InlineJob]") -> str:
+    """The job's spec as canonical JSON text: what the job store writes.
+
+    The one definition of the spec layout.  An inline context's
+    database, tree and K-example are already canonical text, so they
+    are spliced in as held and only the small fields are serialized:
+    the result equals ``_dumps`` of the spec dict, byte for byte,
+    without parsing or re-serializing a multi-megabyte database.  A
+    hand-built ``config`` is represented by its budget keys
+    (``max_candidates``/``max_seconds``) — the only config fields a spec
+    can express; ``None`` budgets are omitted, matching the spec
     grammar, which has no null values.
     """
-    spec: dict = {"threshold": job.threshold}
+    fields: dict = {"threshold": job.threshold}
+    texts: dict[str, str] = {}
     context = getattr(job, "context", None)
     if context is not None:
-        spec["database"] = json.loads(context.database_json)
-        spec["tree"] = json.loads(context.tree_json)
+        texts["database"] = context.database_json
+        texts["tree"] = context.tree_json
         if context.query is not None:
-            spec["query"] = context.query
+            fields["query"] = context.query
         else:
-            spec["kexample"] = json.loads(context.kexample_json)
-        spec["n_rows"] = context.n_rows
+            texts["kexample"] = context.kexample_json
+        fields["n_rows"] = context.n_rows
     else:
-        spec["query_name"] = job.query_name
+        fields["query_name"] = job.query_name
         for key in ("n_rows", "n_leaves", "height"):
             value = getattr(job, key)
             if value is not None:
-                spec[key] = value
+                fields[key] = value
     if job.tag:
-        spec["tag"] = job.tag
+        fields["tag"] = job.tag
     if job.config is not None:
         if job.config.max_candidates is not None:
-            spec["max_candidates"] = job.config.max_candidates
+            fields["max_candidates"] = job.config.max_candidates
         if job.config.max_seconds is not None:
-            spec["max_seconds"] = job.config.max_seconds
-    return spec
+            fields["max_seconds"] = job.config.max_seconds
+    texts.update((key, _dumps(value)) for key, value in fields.items())
+    return "{" + ",".join(
+        f"{_dumps(key)}:{texts[key]}" for key in sorted(texts)
+    ) + "}"
+
+
+def job_to_spec(job: "Union[BatchJob, InlineJob]") -> dict:
+    """Serialize a job back into a JSON spec (inverse of :func:`job_from_spec`).
+
+    The parsed form of :func:`job_spec_text`, which the job store
+    writes, so a queued job survives a restart as re-parseable input:
+    for any spec-built job, ``job_from_spec(job_to_spec(job),
+    base_config=same_base)`` rebuilds an equal job.
+    """
+    return json.loads(job_spec_text(job))
 
 
 def config_to_payload(config: OptimizerConfig) -> dict:

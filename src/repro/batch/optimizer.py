@@ -39,6 +39,7 @@ from repro.batch.jobs import (
     BatchJobResult,
     InlineContext,
     InlineJob,
+    _database_from_text,
 )
 from repro.core.optimizer import OptimizerConfig, find_optimal_abstraction
 from repro.core.privacy import PrivacyConfig, PrivacySession
@@ -186,17 +187,19 @@ def _session_for(
 
 
 def clear_worker_caches() -> None:
-    """Release this process's cached contexts and privacy sessions.
+    """Release this process's cached contexts, sessions and databases.
 
-    Sessions hold unbounded query-level caches for up to 32 contexts; a
-    long-lived process interleaving many large serial sweeps can call
-    this between batches to cap memory (worker processes die with their
-    pool, so they never need it).
+    Sessions hold unbounded query-level caches for up to 32 contexts,
+    and the inline-database cache up to 8 databases; a long-lived
+    process interleaving many large serial sweeps can call this between
+    batches to cap memory (worker processes die with their pool, so
+    they never need it).
     """
     with _cache_lock:
         _cached_session.cache_clear()
         _cached_context.cache_clear()
         _inline_contexts.clear()
+        _database_from_text.cache_clear()
         _result_cache_for.cache_clear()
 
 

@@ -80,7 +80,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from queue import Empty, Queue
 from typing import Optional, Sequence
 
-from repro.batch.jobs import BatchJobResult, job_from_spec, job_to_spec
+from repro.batch.jobs import BatchJobResult, job_from_spec, job_spec_text
 from repro.core.optimizer import OptimizerConfig
 from repro.engine import DEFAULT_ENGINE
 from repro.errors import (
@@ -364,7 +364,7 @@ class JobService:
             return
         try:
             self._store.record_job(
-                job_id, seq, self._content_hash(job), job_to_spec(job),
+                job_id, seq, self._content_hash(job), job_spec_text(job),
                 JOB_QUEUED,
             )
             with self._lock:
@@ -935,7 +935,12 @@ class JobServiceHandler(BaseHTTPRequestHandler):
                 f"got {header!r}"
             )
         raw = self.rfile.read(length) if length else b""
-        return json.loads(raw) if raw else None
+        try:
+            return json.loads(raw) if raw else None
+        except UnicodeDecodeError as exc:
+            # json.loads decodes the bytes itself, and a body that is
+            # not UTF-8 raises this, which is no JSONDecodeError.
+            raise RequestError(f"malformed JSON body: {exc}") from None
 
     def _read_object(self) -> dict:
         data = self._read_json()

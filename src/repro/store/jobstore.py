@@ -4,9 +4,9 @@ One file (or ``:memory:``) holds two tables:
 
 ``jobs``
     Every job the service has accepted: its id, canonical JSON spec
-    (:func:`repro.batch.jobs.job_to_spec` — enough to rebuild and re-run
-    the job after a restart), content hash, lifecycle state with
-    timestamps, and any service-level error.
+    text (:func:`repro.batch.jobs.job_spec_text`, stored as given —
+    enough to rebuild and re-run the job after a restart), content
+    hash, lifecycle state with timestamps, and any service-level error.
 
 ``results``
     Full :meth:`repro.batch.jobs.BatchJobResult.to_payload` payloads,
@@ -181,20 +181,24 @@ class JobStore:
         job_id: str,
         seq: int,
         content_hash: str,
-        spec: dict,
+        spec_text: str,
         state: str,
         submitted_at: Optional[float] = None,
     ) -> None:
-        """Insert (or overwrite) one job record."""
+        """Insert (or overwrite) one job record.
+
+        ``spec_text`` is the job's spec as JSON text, stored as given:
+        the service passes :func:`repro.batch.jobs.job_spec_text`, which
+        already holds an inline job's database as canonical text, so a
+        submit neither parses nor re-serializes it.
+        """
         with _timed("record_job"), self._lock:
             self._conn.execute(
                 "INSERT OR REPLACE INTO jobs "
                 "(job_id, seq, content_hash, spec, state, submitted_at) "
                 "VALUES (?, ?, ?, ?, ?, ?)",
                 (
-                    job_id, seq, content_hash,
-                    json.dumps(spec, sort_keys=True, separators=(",", ":")),
-                    state,
+                    job_id, seq, content_hash, spec_text, state,
                     # Operational submission timestamp — displayed and
                     # gc-compared, never part of a content hash.
                     time.time() if submitted_at is None else submitted_at,  # repro: allow[REP001]

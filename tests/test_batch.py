@@ -210,6 +210,39 @@ class TestInlineJobs:
         assert [r.session_reused for r in batch.results] == [False, True]
         assert batch.stats.sessions_reused == 1
 
+    def test_contexts_over_one_database_share_one_build(self):
+        from repro.abstraction.builders import balanced_tree
+        from repro.batch import clear_worker_caches
+        from repro.examples_data import running_example_db, running_example_tree
+        from repro.obs import metrics
+
+        builds = metrics.REGISTRY.get("repro_inline_database_builds_total")
+        database = running_example_db()
+        other = running_example_db()
+        other.insert("Person", (3, "Ann K", 40), "p3")
+        first = InlineContext.from_objects(
+            database, running_example_tree(), query=self.QUERY,
+        )
+        second = InlineContext.from_objects(
+            database, balanced_tree(sorted(database.annotations()), 2),
+            query=self.QUERY,
+        )
+        third = InlineContext.from_objects(
+            other, running_example_tree(), query=self.QUERY,
+        )
+        assert first.tree_json != second.tree_json
+
+        clear_worker_caches()
+        before = builds.value()
+        built = first.build(TINY)
+        assert second.build(TINY).database is built.database
+        assert builds.value() == before + 1
+        assert third.build(TINY).database is not built.database
+        assert builds.value() == before + 2
+        clear_worker_caches()
+        assert first.build(TINY).database is not built.database
+        assert builds.value() == before + 3
+
 
 class TestStats:
     def test_aggregation_sums_job_stats(self):

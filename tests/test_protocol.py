@@ -224,10 +224,14 @@ class TestErrorEnvelopes:
         )
         client.wait_all(ids, timeout=60)
 
-    def test_malformed_json_body_400(self, live):
+    @pytest.mark.parametrize("data", [
+        b"{not json",
+        b'{"threshold": 2, "tag": "\xff"}',
+    ], ids=["not-json", "not-utf8"])
+    def test_malformed_json_body_400(self, live, data):
         _, base = live
         request = urllib.request.Request(
-            base + "/v1/jobs", data=b"{not json",
+            base + "/v1/jobs", data=data,
             headers={"Content-Type": "application/json"}, method="POST",
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -248,6 +252,7 @@ class TestErrorEnvelopes:
         for payload, key in (
             ([{"treshold": 2}], "treshold"),
             ({"jobs": [inline_spec()]}, "jobs"),
+            (inline_spec(query=["not", "a", "string"]), "query"),
         ):
             status, _, body = fetch(base, "POST", "/v1/jobs", payload)
             assert status == 400, key

@@ -21,6 +21,7 @@ from repro.batch import (
     BatchJobResult,
     BatchOptimizer,
     job_from_spec,
+    job_spec_text,
     job_to_spec,
     run_job,
 )
@@ -212,18 +213,74 @@ class TestJobToSpec:
             assert rebuilt == job
 
     def test_kexample_spec_round_trips(self):
-        from repro.io.json_io import kexample_to_json
-        from repro.provenance.builder import build_kexample
-        from repro.query.parser import parse_cq
-
-        example = build_kexample(
-            parse_cq(QUERY), running_example_db(), n_rows=2
-        )
-        spec = inline_spec()
-        del spec["query"]
-        spec["kexample"] = kexample_to_json(example)
+        spec = kexample_spec()
         job = job_from_spec(spec)
         assert job_from_spec(job_to_spec(job)) == job
+
+
+def kexample_spec(**extra):
+    """An inline spec carrying the running example's K-example, not a query."""
+    from repro.io.json_io import kexample_to_json
+    from repro.provenance.builder import build_kexample
+    from repro.query.parser import parse_cq
+
+    example = build_kexample(parse_cq(QUERY), running_example_db(), n_rows=2)
+    spec = inline_spec(**extra)
+    del spec["query"], spec["n_rows"]
+    spec["kexample"] = kexample_to_json(example)
+    return spec
+
+
+def stored_text_specs():
+    """A named and two inline specs, each with a tag and both budgets."""
+    budgets = {"max_candidates": 9, "max_seconds": 3.5}
+    return [
+        {"query_name": "TPCH-Q3", "threshold": 2, "n_leaves": 40,
+         "tag": "named", **budgets},
+        inline_spec(tag="query", **budgets),
+        kexample_spec(tag="kexample", **budgets),
+    ]
+
+
+class TestJobSpecText:
+    """The stored spec is the submitted spec's canonical text.
+
+    The oracle dumps the submitted dict (``n_rows`` filled in, as
+    ``job_from_spec`` resolves it) and never goes through
+    ``job_to_spec``, so it checks the composed text independently.
+    """
+
+    ROWS = 3
+
+    def expected(self, spec) -> str:
+        normalized = {"n_rows": self.ROWS, **spec}
+        return json.dumps(normalized, sort_keys=True, separators=(",", ":"))
+
+    def test_text_equals_the_dumped_spec(self):
+        for spec in stored_text_specs():
+            job = job_from_spec(spec, default_rows=self.ROWS)
+            assert job_spec_text(job) == self.expected(spec), spec["tag"]
+
+    def test_file_store_keeps_that_text(self, tmp_path):
+        import dataclasses
+        import sqlite3
+
+        path = str(tmp_path / "store.db")
+        settings = dataclasses.replace(FAST_SETTINGS, kexample_rows=self.ROWS)
+        service = JobService(
+            settings=settings, store=JobStore(path), worker_threads=0
+        )
+        specs = stored_text_specs()
+        service.submit_specs(specs)
+        service.shutdown()
+        conn = sqlite3.connect(path)
+        try:
+            stored = [row[0] for row in conn.execute(
+                "SELECT spec FROM jobs ORDER BY seq"
+            )]
+        finally:
+            conn.close()
+        assert stored == [self.expected(spec) for spec in specs]
 
 
 class TestBatchJobResultRoundTrip:
@@ -291,8 +348,8 @@ class TestJobStore:
         path = str(tmp_path / "store.db")
         store = JobStore(path)
         spec = {"query_name": "TPCH-Q3", "threshold": 2}
-        store.record_job("job-000001", 1, "hash-a", spec, JOB_QUEUED,
-                         submitted_at=100.0)
+        store.record_job("job-000001", 1, "hash-a", json.dumps(spec),
+                         JOB_QUEUED, submitted_at=100.0)
         store.update_job("job-000001", JOB_RUNNING, started_at=101.0)
         store.close()
 
@@ -308,7 +365,7 @@ class TestJobStore:
     def test_list_jobs_orders_and_filters(self):
         store = JobStore(":memory:")
         for seq in (2, 1, 3):
-            store.record_job(f"job-{seq:06d}", seq, "h", {}, JOB_QUEUED)
+            store.record_job(f"job-{seq:06d}", seq, "h", "{}", JOB_QUEUED)
         store.update_job("job-000002", JOB_DONE)
         assert [j.seq for j in store.list_jobs()] == [1, 2, 3]
         assert [j.seq for j in store.list_jobs(state=JOB_QUEUED)] == [1, 3]
@@ -316,7 +373,7 @@ class TestJobStore:
     def test_lease_columns_round_trip_and_survive_reopen(self, tmp_path):
         path = str(tmp_path / "store.db")
         store = JobStore(path)
-        store.record_job("job-000001", 1, "h", {}, JOB_QUEUED)
+        store.record_job("job-000001", 1, "h", "{}", JOB_QUEUED)
         store.set_lease("job-000001", "worker-a", 1234.5, 2)
         stored = store.get_job("job-000001")
         assert stored.lease_worker == "worker-a"
@@ -423,9 +480,9 @@ class TestJobStore:
         store._conn.execute(
             "UPDATE results SET last_used_at = 0 WHERE content_hash='old'"
         )
-        store.record_job("job-000001", 1, "old", {}, JOB_DONE)
+        store.record_job("job-000001", 1, "old", "{}", JOB_DONE)
         store.update_job("job-000001", JOB_DONE, finished_at=0.0)
-        store.record_job("job-000002", 2, "h2", {}, JOB_QUEUED,
+        store.record_job("job-000002", 2, "h2", "{}", JOB_QUEUED,
                          submitted_at=0.0)
         counts = store.gc(max_age_days=1.0)
         assert counts == {"results_deleted": 1, "jobs_deleted": 1}
@@ -435,9 +492,9 @@ class TestJobStore:
 
     def test_gc_drop_terminal_jobs_spares_pending(self):
         store = JobStore(":memory:")
-        store.record_job("job-000001", 1, "h", {}, JOB_DONE)
-        store.record_job("job-000002", 2, "h", {}, JOB_QUEUED)
-        store.record_job("job-000003", 3, "h", {}, JOB_FAILED)
+        store.record_job("job-000001", 1, "h", "{}", JOB_DONE)
+        store.record_job("job-000002", 2, "h", "{}", JOB_QUEUED)
+        store.record_job("job-000003", 3, "h", "{}", JOB_FAILED)
         counts = store.gc(drop_terminal_jobs=True)
         assert counts["jobs_deleted"] == 2
         assert [j.job_id for j in store.list_jobs()] == ["job-000002"]
@@ -725,6 +782,18 @@ class TestServiceDurability:
         assert revived.submit_specs([inline_spec(threshold=3)]) == \
             ["job-000002"]
 
+    def test_rejected_spec_leaves_nothing_queued(self, tmp_path, make_service):
+        # A non-string query used to pass validation, fail while being
+        # hashed for the store, and leave its record queued forever.
+        from repro.errors import JobSpecError
+
+        service = make_service(str(tmp_path / "store.db"))
+        with pytest.raises(JobSpecError, match="'query'"):
+            service.submit_specs([inline_spec(query=["not", "a", "string"])])
+        assert service.stats_payload()["queue_depth"] == 0
+        assert service.list_payload() == []
+        assert service._store.list_jobs() == []
+
     def test_cancellation_is_durable(self, tmp_path, make_service):
         path = str(tmp_path / "store.db")
         service = make_service(path)
@@ -738,7 +807,7 @@ class TestServiceDurability:
         path = str(tmp_path / "store.db")
         store = JobStore(path)
         store.record_job(
-            "job-000001", 1, "h", {"nonsense": True}, JOB_QUEUED
+            "job-000001", 1, "h", '{"nonsense":true}', JOB_QUEUED
         )
         store.close()
         revived = make_service(path)
