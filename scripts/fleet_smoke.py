@@ -19,7 +19,9 @@ and deliver the cells — and asserts the fleet guarantees:
 
 The kill is made deterministic by staging the fleet: the victim worker
 starts alone, the smoke waits until ``/v1/stats`` shows it holding an
-active lease, kills it dead, and only then starts the survivor.
+active lease, kills it dead, waits until the service's own lease tick
+has requeued the cell (the sample the requeue checks read), and only
+then starts the survivor.
 
 Run from the repo root: ``python scripts/fleet_smoke.py``.
 """
@@ -114,7 +116,7 @@ def main() -> int:
     driver.start()
 
     victim = survivor = None
-    last_fleet = None
+    requeued = last_fleet = None
     try:
         deadline = clock.monotonic() + 60
         while fleet_sample(base) is None:
@@ -136,9 +138,19 @@ def main() -> int:
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=30)
         print(f"killed victim (pid {victim.pid}) while it held a lease")
+        # No other worker is needed for the requeue: the service
+        # requeues the lease once it expires.
+        deadline = clock.monotonic() + 30
+        while True:
+            sample = fleet_sample(base)
+            if sample and sample["lease_requeues"] >= 1:
+                requeued = sample
+                break
+            assert clock.monotonic() < deadline, "lease was never requeued"
+            time.sleep(0.05)
 
         # Stage 2: the survivor drains the matrix, including the
-        # requeued cell once the dead worker's lease expires.
+        # requeued cell.
         survivor = start_worker(base, "survivor", env)
         while driver.is_alive():
             sample = fleet_sample(base)
@@ -157,11 +169,11 @@ def main() -> int:
 
     ok(last_fleet is not None, "fleet stats were observable during the run")
     ok(
-        last_fleet["lease_requeues"] >= 1,
+        requeued["lease_requeues"] >= 1,
         f"dead worker's lease was requeued "
-        f"(lease_requeues={last_fleet['lease_requeues']})",
+        f"(lease_requeues={requeued['lease_requeues']})",
     )
-    victim_stats = last_fleet["workers"].get("victim", {})
+    victim_stats = requeued["workers"].get("victim", {})
     ok(
         victim_stats.get("leases_lost", 0) >= 1,
         f"victim is charged the lost lease "

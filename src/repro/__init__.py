@@ -27,7 +27,6 @@ from repro.abstraction import (
 from repro.batch import (
     BatchJob,
     BatchJobResult,
-    BatchOptimizer,
     BatchResult,
     BatchStats,
     run_batch,
@@ -109,7 +108,6 @@ __all__ = [
     "Atom",
     "BatchJob",
     "BatchJobResult",
-    "BatchOptimizer",
     "BatchResult",
     "BatchStats",
     "CQ",

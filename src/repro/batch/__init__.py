@@ -1,10 +1,11 @@
 """Batch-parallel optimal-abstraction search.
 
 Runs :func:`repro.core.optimizer.find_optimal_abstraction` over many
-(K-example, threshold) jobs at once — serially or on a process pool —
-with per-worker context caches and aggregate effort statistics.  See
-``docs/PERFORMANCE.md`` for the knobs and ``repro batch-optimize`` for
-the CLI front-end.
+(K-example, threshold) jobs at once — :func:`run_batch` hands them to an
+in-process :class:`~repro.service.server.JobService`, on its thread tier
+or its process tier — with per-process context caches and aggregate
+effort statistics.  See ``docs/PERFORMANCE.md`` for the knobs and
+``repro batch-optimize`` for the CLI front-end.
 """
 
 from repro.batch.jobs import (
@@ -19,7 +20,6 @@ from repro.batch.jobs import (
     job_to_spec,
 )
 from repro.batch.optimizer import (
-    BatchOptimizer,
     BatchResult,
     BatchStats,
     clear_worker_caches,
@@ -32,7 +32,6 @@ __all__ = [
     "NAMED_SPEC_KEYS",
     "BatchJob",
     "BatchJobResult",
-    "BatchOptimizer",
     "BatchResult",
     "BatchStats",
     "InlineContext",

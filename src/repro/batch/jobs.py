@@ -241,6 +241,25 @@ def _as_int(value, key: str) -> int:
         ) from None
 
 
+def _as_positive_int(value, key: str) -> Optional[int]:
+    """A shape key's value (rows, leaves, height), ``None`` when unset.
+
+    Zero is rejected too: it would run the default shape under another
+    content hash, so the result cache would store a duplicate.
+    """
+    if value is None:
+        return None
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        number = 0
+    if number < 1:
+        raise JobSpecError(
+            f"{key!r} must be a positive integer, got {value!r}"
+        )
+    return number
+
+
 def _config_from_spec(
     spec: dict, base_config: Optional[OptimizerConfig]
 ) -> Optional[OptimizerConfig]:
@@ -308,9 +327,7 @@ def job_from_spec(
     threshold = _as_int(spec["threshold"], "threshold")
     config = _config_from_spec(spec, base_config)
     tag = str(spec.get("tag", ""))
-    n_rows = spec.get("n_rows", default_rows)
-    if n_rows is not None:
-        n_rows = _as_int(n_rows, "n_rows")
+    n_rows = _as_positive_int(spec.get("n_rows", default_rows), "n_rows")
 
     if inline:
         missing = [k for k in ("database", "tree") if k not in spec]
@@ -346,8 +363,8 @@ def job_from_spec(
         query_name=str(spec["query_name"]),
         threshold=threshold,
         n_rows=n_rows,
-        n_leaves=spec.get("n_leaves"),
-        height=spec.get("height"),
+        n_leaves=_as_positive_int(spec.get("n_leaves"), "n_leaves"),
+        height=_as_positive_int(spec.get("height"), "height"),
         config=config,
         tag=tag,
     )

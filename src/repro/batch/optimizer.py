@@ -1,16 +1,17 @@
-"""Running many optimal-abstraction searches in parallel.
+"""Running many optimal-abstraction searches as one batch.
 
-:class:`BatchOptimizer` executes a list of :class:`BatchJob` specs with a
-``concurrent.futures`` process pool (or serially, in-process, for
-``max_workers=1``), aggregates the per-job effort counters into
-:class:`BatchStats`, and returns results in job order.
+:func:`run_job` executes one :class:`BatchJob` (or inline job) in this
+process.  :func:`run_batch` runs a list of them on an in-process
+:class:`~repro.service.server.JobService` (the thread tier for one
+worker, the process tier otherwise), folds the per-job effort counters
+into :class:`BatchStats` and returns results in job order.
 
-Each worker process keeps a context cache keyed by the job's
+Each process keeps a context cache keyed by the job's
 ``(query_name, n_rows, n_leaves, height)``: the generated database, the
 K-example, and the frozen abstraction tree — whose memoized ancestor
 chains and leaf counts are exactly the tree-level caches the incremental
-evaluator hits — are built once per worker and shared by every job the
-worker executes.  Jobs for the same workload therefore pay the data
+evaluator hits — are built once per process and shared by every job it
+executes.  Jobs for the same workload therefore pay the data
 generation cost once, as the sequential sweep harness always did.
 
 Stacked on the context cache is a :class:`~repro.core.privacy.PrivacySession`
@@ -28,10 +29,9 @@ import dataclasses
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.batch.jobs import (
     INLINE_CONTEXT_TAG,
@@ -74,6 +74,37 @@ class BatchStats:
     # without running the optimizer at all; their effort counters stay
     # out of the aggregates above — no search happened this run.
     cache_hits: int = 0
+
+    @classmethod
+    def fold(cls, results: Iterable[BatchJobResult], **fields) -> "BatchStats":
+        """Sum per-job outcomes; ``fields`` sets workers and wall time.
+
+        A failed job counts only as failed.  A cache hit counts as found
+        and as a hit, not as effort: no search ran, and the payload's
+        counters describe the original run.
+        """
+        stats = cls(**fields)
+        for result in results:
+            stats.jobs_total += 1
+            if not result.ok:
+                stats.jobs_failed += 1
+                continue
+            if result.found:
+                stats.jobs_found += 1
+            if result.cache_hit:
+                stats.cache_hits += 1
+                continue
+            stats.job_seconds += result.seconds
+            stats.candidates_scanned += result.stats.candidates_scanned
+            stats.privacy_computations += result.stats.privacy_computations
+            stats.privacy_budget_exhausted += result.stats.privacy_budget_exhausted
+            stats.delta_evaluations += result.stats.delta_evaluations
+            stats.full_evaluations += result.stats.full_evaluations
+            stats.functions_materialized += result.stats.functions_materialized
+            stats.sessions_reused += int(result.session_reused)
+            stats.row_option_cache_hits += result.stats.row_option_cache_hits
+            stats.row_option_cache_misses += result.stats.row_option_cache_misses
+        return stats
 
     @property
     def parallel_speedup(self) -> float:
@@ -235,8 +266,8 @@ def run_job(
     a hit skips the search entirely (``result.cache_hit``), a miss runs
     it and persists the payload for every later identical job.  An
     unopenable store degrades to running uncached — callers that want a
-    loud failure on a bad path validate it up front, as
-    :class:`BatchOptimizer` does.
+    loud failure on a bad path open it up front, as :func:`run_batch`
+    does.
     """
     cache = None
     if store_path:
@@ -332,92 +363,52 @@ def run_job_payload(
         return BatchJobResult.from_error(job, exc).to_payload()
 
 
-class BatchOptimizer:
-    """Runs ``find_optimal_abstraction`` over many jobs at once.
-
-    ``max_workers=1`` (the default via settings) runs serially in-process —
-    deterministic and cache-friendly for tests and small sweeps;
-    ``max_workers=None`` uses every core.  Workers are plain processes,
-    so per-job budgets (``max_candidates``/``max_seconds``) are the
-    isolation mechanism against runaway searches.
-
-    ``store_path`` names a persistent result-cache file (see
-    :mod:`repro.store`): every worker consults it before searching and
-    persists fresh results into it, so repeated sweeps — across
-    invocations, not just within one — do each distinct job once.
-    """
-
-    def __init__(
-        self,
-        settings: ExperimentSettings = DEFAULT_SETTINGS,
-        max_workers: Optional[int] = None,
-        store_path: Optional[str] = None,
-    ):
-        self._settings = settings
-        self._store_path = store_path
-        if store_path is not None:
-            # Fail loudly on an unopenable path *now*: run_job degrades
-            # to uncached execution, which would silently discard every
-            # result the user asked to persist.
-            _cached_result_cache(store_path)
-        if max_workers is None:
-            max_workers = os.cpu_count() or 1
-        self._max_workers = max(1, max_workers)
-
-    @property
-    def max_workers(self) -> int:
-        return self._max_workers
-
-    def run(self, jobs: Sequence[BatchJob]) -> BatchResult:
-        """Execute ``jobs`` and aggregate their stats; results in job order."""
-        jobs = list(jobs)
-        workers = min(self._max_workers, max(1, len(jobs)))
-        start = clock.perf_counter()
-        if workers == 1:
-            results = [
-                run_job(job, self._settings, self._store_path) for job in jobs
-            ]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(run_job, job, self._settings, self._store_path)
-                    for job in jobs
-                ]
-                results = [future.result() for future in futures]
-        wall = clock.perf_counter() - start
-
-        stats = BatchStats(jobs_total=len(jobs), workers=workers, wall_seconds=wall)
-        for result in results:
-            if not result.ok:
-                stats.jobs_failed += 1
-                continue
-            if result.found:
-                stats.jobs_found += 1
-            if result.cache_hit:
-                # No search ran: the payload's counters describe the
-                # original (cached) run, not effort spent here.
-                stats.cache_hits += 1
-                continue
-            stats.job_seconds += result.seconds
-            stats.candidates_scanned += result.stats.candidates_scanned
-            stats.privacy_computations += result.stats.privacy_computations
-            stats.privacy_budget_exhausted += result.stats.privacy_budget_exhausted
-            stats.delta_evaluations += result.stats.delta_evaluations
-            stats.full_evaluations += result.stats.full_evaluations
-            stats.functions_materialized += result.stats.functions_materialized
-            stats.sessions_reused += int(result.session_reused)
-            stats.row_option_cache_hits += result.stats.row_option_cache_hits
-            stats.row_option_cache_misses += result.stats.row_option_cache_misses
-        return BatchResult(results=results, stats=stats)
-
-
 def run_batch(
     jobs: Sequence[BatchJob],
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     max_workers: Optional[int] = None,
     store_path: Optional[str] = None,
 ) -> BatchResult:
-    """Convenience wrapper: one-shot :class:`BatchOptimizer` run."""
-    return BatchOptimizer(
-        settings, max_workers=max_workers, store_path=store_path
-    ).run(jobs)
+    """Run ``jobs`` on an in-process job service; results in job order.
+
+    ``max_workers=1`` runs them in submission order on the service's
+    thread tier: deterministic and cache-friendly.  More workers
+    (``None`` = one per core, capped by the job count) use its process
+    tier, one service thread per pool process; a job whose worker dies
+    is retried once on a fresh pool.  ``store_path`` names a job store
+    (see :mod:`repro.store`), opened now so that a bad path fails
+    loudly: the service records every job in it and answers repeats
+    from its result cache (without a trace), and rows a killed earlier
+    run left queued or running are recovered and run first.
+    """
+    from repro.service.server import JobService  # it imports this module
+    from repro.store import JobStore
+
+    jobs = list(jobs)
+    if max_workers is None:
+        max_workers = os.cpu_count() or 1
+    workers = max(1, min(max_workers, len(jobs)))
+    store = JobStore(store_path) if store_path is not None else None
+    service = JobService(
+        settings,
+        worker_threads=workers,
+        max_queue=0,  # unbounded: the batch is submitted all at once
+        store=store,
+        executor="thread" if workers == 1 else "process",
+    )
+    start = clock.perf_counter()
+    try:
+        service.start()
+        ids = [service.submit(job) for job in jobs]
+        records = [service.wait(job_id) for job_id in ids]
+    finally:
+        service.shutdown()
+        if store is not None:
+            store.close()
+    wall = clock.perf_counter() - start
+    results = [
+        record.result or BatchJobResult(job=record.job, error=record.error)
+        for record in records
+    ]
+    stats = BatchStats.fold(results, workers=workers, wall_seconds=wall)
+    return BatchResult(results=results, stats=stats)

@@ -269,7 +269,7 @@ def _print_result_line(payload_or_result) -> None:
 
 
 def cmd_batch_optimize(args) -> int:
-    from repro.batch import BatchJob, BatchOptimizer, job_from_spec
+    from repro.batch import BatchJob, job_from_spec, run_batch
 
     settings = _settings_for(args)
     # Matches run_job's config fallback exactly (budgets from settings),
@@ -306,9 +306,9 @@ def cmd_batch_optimize(args) -> int:
         ]
 
     workers = args.workers if args.workers > 0 else None
-    batch = BatchOptimizer(
-        settings, max_workers=workers, store_path=args.store
-    ).run(jobs)
+    batch = run_batch(
+        jobs, settings, max_workers=workers, store_path=args.store
+    )
 
     for result in batch.results:
         _print_result_line(result)
@@ -851,9 +851,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--max-seconds", type=float, default=None)
     p_batch.add_argument("--output", help="write per-job results JSON here")
     p_batch.add_argument("--store", default=None,
-                         help="persistent result-cache file: identical jobs "
-                              "are served from it instead of re-searching, "
-                              "across runs (see repro.store)")
+                         help="persistent job store recording every job; "
+                              "identical jobs are served from its result "
+                              "cache, across runs (see repro.store)")
     _add_engine_flag(p_batch)
     _add_trace_flags(p_batch)
     p_batch.set_defaults(func=cmd_batch_optimize)

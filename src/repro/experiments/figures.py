@@ -21,13 +21,40 @@ from repro.core.loi import LeafWeightDistribution
 from repro.core.optimizer import OptimizerConfig, find_optimal_abstraction
 from repro.core.privacy import PrivacyComputer, PrivacyConfig
 from repro.datasets.queries import join_variants, query_stats
-from repro.experiments.runner import prepare_context, run_sweep, timed_optimal
+from repro.errors import OptimizationError
+from repro.experiments.runner import prepare_context, timed_optimal
 from repro.experiments.settings import DEFAULT_SETTINGS, ExperimentSettings
 from repro.obs import clock
 
 Series = dict[str, list[tuple[float, float]]]
 
 _SWEEP_CACHE: dict[tuple, dict] = {}
+
+
+def run_sweep(jobs, settings: ExperimentSettings = DEFAULT_SETTINGS):
+    """Run sweep jobs through the batch optimizer; results in job order.
+
+    ``settings.batch_workers`` sets the pool size: 1 runs serially
+    in-process (deterministic, the test/CI default), 0 or negative uses
+    every core.  Each worker shares one context cache across its jobs, so
+    a sweep over many points of one workload generates the dataset once
+    per worker, as the sequential harness did.
+
+    A failed job raises (as the sequential harness did): a sweep point
+    that errored must not be plotted as a 0-second data point.
+    """
+    # Imported here: repro.batch imports this package while it loads.
+    from repro.batch import run_batch
+
+    workers = settings.batch_workers if settings.batch_workers > 0 else None
+    batch = run_batch(jobs, settings, max_workers=workers)
+    for result in batch.results:
+        if result.error is not None:
+            raise OptimizationError(
+                f"sweep job {result.job.query_name} "
+                f"(k={result.job.threshold}) failed: {result.error}"
+            )
+    return batch
 
 
 def _queries(settings: ExperimentSettings, queries: Optional[Sequence[str]]):

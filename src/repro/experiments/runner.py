@@ -153,28 +153,3 @@ def timed_optimal(
     )
     return result, clock.perf_counter() - start
 
-
-def run_sweep(jobs, settings: ExperimentSettings = DEFAULT_SETTINGS):
-    """Run sweep jobs through the batch optimizer; results in job order.
-
-    ``settings.batch_workers`` sets the pool size: 1 runs serially
-    in-process (deterministic, the test/CI default), 0 or negative uses
-    every core.  Each worker shares one context cache across its jobs, so
-    a sweep over many points of one workload generates the dataset once
-    per worker, as the sequential harness did.
-
-    A failed job raises (as the sequential harness did): a sweep point
-    that errored must not be plotted as a 0-second data point.
-    """
-    from repro.batch import run_batch  # local import: batch builds on runner
-    from repro.errors import OptimizationError
-
-    workers = settings.batch_workers if settings.batch_workers > 0 else None
-    batch = run_batch(jobs, settings, max_workers=workers)
-    for result in batch.results:
-        if result.error is not None:
-            raise OptimizationError(
-                f"sweep job {result.job.query_name} "
-                f"(k={result.job.threshold}) failed: {result.error}"
-            )
-    return batch

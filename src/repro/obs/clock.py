@@ -8,9 +8,8 @@ hash-feeding closure stays wall-clock-free, and interval timing is
 visibly separate from the wall-clock timestamps the job store records.
 
 ``wall()`` is *not* exported on purpose: wall-clock reads stay at the
-few audited ``time.time()`` sites (job-store timestamps, snapshot
-``generated_at``) that carry explicit ``repro: allow[REP001]`` markers
-or live outside the hash-feeding closure.
+few audited ``time.time()`` sites (job-store and service timestamps,
+snapshot ``generated_at``), all outside the hash-feeding closure.
 """
 
 import time

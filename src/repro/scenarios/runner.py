@@ -23,6 +23,7 @@ whose payload (timing included) is the original run's.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from typing import Optional
@@ -32,11 +33,7 @@ from repro.obs import clock
 from repro.scenarios.matrix import ScenarioMatrix, materialize
 from repro.scenarios.snapshot import SNAPSHOT_SCHEMA, result_hash
 from repro.service.server import JobService
-from repro.service.state import TERMINAL_STATES
 from repro.store import JobStore, job_content_hash
-
-#: How often the driver polls the service for terminal records.
-_POLL_SECONDS = 0.01
 
 
 def run_matrix(
@@ -85,6 +82,10 @@ def run_matrix(
         )
     settings = settings or DEFAULT_SETTINGS
     jobs = materialize(matrix, seed, engine=engine)
+    if trace or trace_path is not None:
+        # The cells carry configs, which the service runs as given.
+        jobs = [(cell, dataclasses.replace(job, config=dataclasses.replace(
+            job.config, trace=True))) for cell, job in jobs]
     store = JobStore(store_path) if store_path else None
     service = JobService(
         settings=settings,
@@ -116,7 +117,7 @@ def run_matrix(
     try:
         ids = [(cell, job, service.submit(job)) for cell, job in jobs]
         cells = [
-            _cell_entry(cell, job, _await(service, job_id), settings)
+            _cell_entry(cell, job, service.wait(job_id), settings)
             for cell, job, job_id in ids
         ]
     finally:
@@ -154,15 +155,6 @@ def run_matrix(
         },
         "cells": cells,
     }
-
-
-def _await(service: JobService, job_id: str):
-    """Block until ``job_id`` is terminal; return its record."""
-    while True:
-        record = service.record(job_id)
-        if record.state in TERMINAL_STATES:
-            return record
-        time.sleep(_POLL_SECONDS)
 
 
 def _cell_entry(cell, job, record, settings) -> dict:

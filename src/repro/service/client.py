@@ -16,6 +16,7 @@ still map to exit code 2 like any other library error.
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -116,6 +117,13 @@ class ServiceClient:
                     continue
                 raise ServiceError(
                     f"cannot reach job service at {self._base}: {exc.reason}"
+                ) from None
+            except (http.client.HTTPException, ConnectionError) as exc:
+                # The server accepted the request, then dropped the
+                # connection (urllib does not wrap these in URLError).
+                raise ServiceError(
+                    f"job service at {self._base} dropped the connection "
+                    f"during {method} {path}: {type(exc).__name__}: {exc}"
                 ) from None
         try:
             return json.loads(body) if body else {}

@@ -14,12 +14,14 @@ and are backend-independent; an :class:`ExecutorBackend` only decides
 
 :class:`ProcessPoolBackend`
     On a ``concurrent.futures`` process pool sized to the worker-thread
-    count.  Each worker *process* owns its warm context/privacy-session
-    caches (content-hash keyed, exactly as the batch layer's pool
-    workers do) and — when the service has a file-backed store —
-    consults the shared SQLite result cache before searching and
-    persists fresh results into it.  Search parallelism scales to the
-    cores; the store keeps dedup global across the processes.
+    count — the one process pool in the package: ``repro serve
+    --executor process`` and multi-worker batches
+    (:func:`repro.batch.run_batch`) both run on it.  Each worker
+    *process* owns its warm context/privacy-session caches (content-hash
+    keyed) and — when the service has a file-backed store — consults the
+    shared SQLite result cache before searching and persists fresh
+    results into it.  Search parallelism scales to the cores; the store
+    keeps dedup global across the processes.
 
 Results cross the pool as :meth:`BatchJobResult.to_payload` dictionaries
 (the PR-4 lossless JSON round trip), never as pickled result objects:

@@ -1,7 +1,7 @@
 """A long-lived job service over :mod:`repro.batch`.
 
 The CLI's ``batch-optimize`` is one-shot: every invocation pays context
-generation and privacy-session warmup again.  :class:`JobService` keeps
+generation and privacy-session warmup again.  ``repro serve`` keeps
 those caches alive instead — jobs arrive as a stream (HTTP+JSON) and run
 on persistent workers whose context cache and
 :class:`~repro.core.privacy.PrivacySession` cache in
@@ -81,6 +81,7 @@ from queue import Empty, Queue
 from typing import Optional, Sequence
 
 from repro.batch.jobs import BatchJobResult, job_from_spec, job_spec_text
+from repro.batch.optimizer import BatchStats
 from repro.core.optimizer import OptimizerConfig
 from repro.engine import DEFAULT_ENGINE
 from repro.errors import (
@@ -104,6 +105,7 @@ from repro.service.state import (
     JOB_FAILED,
     JOB_QUEUED,
     JOB_RUNNING,
+    TERMINAL_STATES,
     JobRecord,
 )
 from repro.store import (
@@ -427,6 +429,7 @@ class JobService:
                     stored.job_id, JOB_FAILED,
                     error=record.error, finished_at=record.finished_at,
                 )
+                record.done.set()
                 continue
             record = JobRecord(
                 job_id=stored.job_id, job=job, state=stored.state,
@@ -495,6 +498,8 @@ class JobService:
                     )
             self._records[stored.job_id] = record
             self._recovered_jobs += 1
+            if record.state in TERMINAL_STATES:
+                record.done.set()
 
     # -- submission --------------------------------------------------------
 
@@ -567,6 +572,13 @@ class JobService:
         with self._lock:
             return self._records[job_id]  # KeyError -> 404 upstream
 
+    def wait(self, job_id: str) -> JobRecord:
+        """Block until ``job_id``'s terminal state is persisted (by the
+        workers or :meth:`run_next` calls); return its record."""
+        record = self.record(job_id)
+        record.done.wait()
+        return record
+
     def status_payload(self, job_id: str) -> dict:
         with self._lock:
             return self._records[job_id].status_payload()
@@ -596,6 +608,7 @@ class JobService:
         # not freeze the other endpoints (same rule as stats/submit).
         self._m_completed.inc(state="cancelled")
         self._persist_state(job_id, JOB_CANCELLED, finished_at=finished_at)
+        record.done.set()
         return True
 
     # -- fleet (remote executor only) --------------------------------------
@@ -639,22 +652,13 @@ class JobService:
                 self._m_store_errors.inc()
         store_errors = int(self._m_store_errors.value())
         with self._lock:
-            states = []
-            searched = []
-            cache_hits = 0
-            for record in self._records.values():
-                states.append(record.state)
-                # Only the jobs this process ran have an executor; a
-                # recovered record's result belongs to a previous life.
-                if record.executor is None or record.result is None:
-                    continue
-                if record.result.cache_hit:
-                    # Served from the store: count the dedup, not the
-                    # effort — the payload's counters describe the
-                    # original run.
-                    cache_hits += 1
-                elif record.result.ok:
-                    searched.append(record.result)
+            states = [r.state for r in self._records.values()]
+            # Only the jobs this process ran have an executor; a
+            # recovered record's result belongs to a previous life.
+            effort = BatchStats.fold(
+                r.result for r in self._records.values()
+                if r.executor is not None and r.result is not None
+            )
             payload = {
                 "uptime_seconds": clock.monotonic() - self._started_monotonic,
                 "executor": self._backend.name,
@@ -667,23 +671,15 @@ class JobService:
                 "jobs_done": states.count(JOB_DONE),
                 "jobs_failed": states.count(JOB_FAILED),
                 "jobs_cancelled": states.count(JOB_CANCELLED),
-                "job_seconds": sum((r.seconds for r in searched), 0.0),
-                "sessions_reused": sum(r.session_reused for r in searched),
-                "candidates_scanned": sum(
-                    r.stats.candidates_scanned for r in searched
-                ),
-                "privacy_computations": sum(
-                    r.stats.privacy_computations for r in searched
-                ),
-                "row_option_cache_hits": sum(
-                    r.stats.row_option_cache_hits for r in searched
-                ),
-                "row_option_cache_misses": sum(
-                    r.stats.row_option_cache_misses for r in searched
-                ),
+                "job_seconds": effort.job_seconds,
+                "sessions_reused": effort.sessions_reused,
+                "candidates_scanned": effort.candidates_scanned,
+                "privacy_computations": effort.privacy_computations,
+                "row_option_cache_hits": effort.row_option_cache_hits,
+                "row_option_cache_misses": effort.row_option_cache_misses,
                 # Persistent-store durability & dedup (zeros/None when
                 # the service runs without --store).
-                "cache_hits": cache_hits,
+                "cache_hits": effort.cache_hits,
                 "store_path": (
                     self._store.path if self._store is not None else None
                 ),
@@ -759,36 +755,30 @@ class JobService:
                         job_id, JOB_FAILED,
                         error=failed[0], finished_at=failed[1],
                     )
+                    record.done.set()
 
     def _effective_job(self, job):
         """The job as it will actually run: ``max_seconds`` clamped to the
-        service timeout, and the service's engine and trace flag stamped
-        on the config.
+        service timeout, and a config-less job given the base config —
+        the one way the service's engine and trace flag reach a job (a
+        job's own config keeps its engine and trace flag).
 
-        None of the adjustments move the content hash: the materialized
-        base budgets equal :func:`repro.store.hashing.effective_config`'s
-        fallback exactly, and the engine and trace fields are stripped
-        from hashing.  A job that needs nothing is returned untouched — a
-        config-less job on a default-engine, untraced service already
-        runs exactly this config through
-        :func:`repro.batch.optimizer.run_job`'s own fallback.
+        Neither moves the content hash: the base budgets equal
+        :func:`repro.store.hashing.effective_config`'s fallback, and the
+        engine and trace fields are stripped from hashing.  A job that
+        needs neither is returned untouched.
         """
-        base = job.config or self._base_config()
-        config = base
+        config = job.config
+        if config is None and (self._job_timeout is not None or self._trace
+                               or self._engine != DEFAULT_ENGINE):
+            config = self._base_config()
         if self._job_timeout is not None:
             max_seconds = (
                 self._job_timeout if config.max_seconds is None
                 else min(config.max_seconds, self._job_timeout)
             )
             config = dataclasses.replace(config, max_seconds=max_seconds)
-        if config.engine != self._engine:
-            config = dataclasses.replace(config, engine=self._engine)
-        if config.trace != self._trace:
-            config = dataclasses.replace(config, trace=self._trace)
         if config is job.config:
-            return job
-        if (config is base and job.config is None
-                and self._engine == DEFAULT_ENGINE and not self._trace):
             return job
         return dataclasses.replace(job, config=config)
 
@@ -832,13 +822,16 @@ class JobService:
             record.worker = worker
             record.finished_at = time.time()
             record.state = JOB_DONE if result.ok else JOB_FAILED
-        self._persist_state(
-            job_id,
-            JOB_DONE if result.ok else JOB_FAILED,
-            finished_at=record.finished_at,
-            error=result.error,
-        )
-        self._observe_completion(result)
+        try:
+            self._persist_state(
+                job_id,
+                JOB_DONE if result.ok else JOB_FAILED,
+                finished_at=record.finished_at,
+                error=result.error,
+            )
+            self._observe_completion(result)
+        finally:
+            record.done.set()
 
     def _observe_completion(self, result: BatchJobResult) -> None:
         """Fold one finished job into the service metrics (and the trace

@@ -7,6 +7,7 @@ it).
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -40,6 +41,8 @@ class JobRecord:
     ``result`` is the :class:`repro.batch.BatchJobResult` once the job ran
     (its ``error`` field holds per-job search failures); ``error`` here is
     reserved for service-level failures around the run itself.
+    ``done`` is set once the record's terminal state is persisted
+    (:meth:`repro.service.server.JobService.wait` blocks on it).
     """
 
     job_id: str
@@ -58,6 +61,9 @@ class JobRecord:
     #: On the remote tier: the fleet worker id that completed the job
     #: (``None`` elsewhere, and until a worker delivers).
     worker: Optional[str] = None
+    done: threading.Event = field(
+        default_factory=threading.Event, repr=False, compare=False
+    )
 
     def status_payload(self) -> dict:
         """The JSON-ready status summary (no heavy result fields)."""

@@ -201,7 +201,7 @@ class JobStore:
                     job_id, seq, content_hash, spec_text, state,
                     # Operational submission timestamp — displayed and
                     # gc-compared, never part of a content hash.
-                    time.time() if submitted_at is None else submitted_at,  # repro: allow[REP001]
+                    time.time() if submitted_at is None else submitted_at,
                 ),
             )
             self._conn.commit()
@@ -310,7 +310,7 @@ class JobStore:
         row preserves bit-identical reads.
         """
         # created_at/last_used_at are gc bookkeeping, not hash inputs.
-        now = time.time()  # repro: allow[REP001]
+        now = time.time()
         with _timed("save_result"), self._lock:
             cursor = self._conn.execute(
                 "INSERT OR IGNORE INTO results "
@@ -344,7 +344,7 @@ class JobStore:
                 "UPDATE results SET hits = hits + 1, last_used_at = ? "
                 "WHERE content_hash = ?",
                 # LRU clock for gc retention, never hashed.
-                (time.time(), content_hash),  # repro: allow[REP001]
+                (time.time(), content_hash),
             )
             self._conn.commit()
         return json.loads(row[0])
@@ -384,7 +384,7 @@ class JobStore:
         recovery set.
         """
         # Retention-window clock (injectable for tests), never hashed.
-        now = time.time() if now is None else now  # repro: allow[REP001]
+        now = time.time() if now is None else now
         results_deleted = jobs_deleted = 0
         terminal = ("done", "failed", "cancelled")
         marks = ",".join("?" * len(terminal))

@@ -1,11 +1,14 @@
 """Tests for the batch optimizer (repro.batch)."""
 
+import dataclasses
+
 import pytest
 
-from repro.batch import BatchJob, BatchOptimizer, InlineContext, InlineJob, run_batch
+from repro.batch import BatchJob, InlineContext, InlineJob, run_batch
 from repro.core.optimizer import OptimizerConfig, find_optimal_abstraction
 from repro.errors import OptimizationError
-from repro.experiments.runner import prepare_context, run_sweep
+from repro.experiments.figures import run_sweep
+from repro.experiments.runner import prepare_context
 from repro.experiments.settings import ExperimentSettings
 
 TINY = ExperimentSettings(
@@ -16,6 +19,16 @@ TINY = ExperimentSettings(
     max_candidates=300,
     max_seconds=10.0,
 )
+
+
+@dataclasses.dataclass(frozen=True)
+class _PoolKillerJob(BatchJob):
+    """A job whose unpickling hard-exits the pool worker that receives it."""
+
+    def __reduce__(self):
+        import os
+
+        return (os._exit, (13,))
 
 
 class TestSerial:
@@ -104,9 +117,33 @@ class TestParallel:
             assert s.variable_targets == p.variable_targets
 
     def test_pool_capped_by_job_count(self):
-        optimizer = BatchOptimizer(TINY, max_workers=8)
-        batch = optimizer.run([BatchJob("TPCH-Q3", 2)])
+        batch = run_batch([BatchJob("TPCH-Q3", 2)], TINY, max_workers=8)
         assert batch.stats.workers == 1  # no pool spawned for one job
+
+    def test_dead_pool_workers_fail_their_jobs_not_the_batch(self):
+        # The process tier replaces a broken pool and retries each job
+        # once; a job that kills its worker twice comes back failed.
+        jobs = [_PoolKillerJob("TPCH-Q3", 2, tag="a"),
+                _PoolKillerJob("TPCH-Q3", 3, tag="b")]
+        batch = run_batch(jobs, TINY, max_workers=2)
+        assert [r.job.tag for r in batch.results] == ["a", "b"]
+        assert batch.stats.jobs_failed == 2
+        for result in batch.results:
+            assert "worker process died" in result.error
+
+
+class TestJobConfig:
+    def test_jobs_keep_their_engine_and_trace(self):
+        config = OptimizerConfig(max_candidates=50, engine="sqlite",
+                                 trace=True)
+        for workers in (1, 2):
+            jobs = [BatchJob("TPCH-Q3", k, config=config) for k in (2, 3)]
+            batch = run_batch(jobs, TINY, max_workers=workers)
+            for result in batch.results:
+                assert result.ok
+                builds = [s for s in result.trace
+                          if s["name"] == "context_build"]
+                assert [s["attrs"]["engine"] for s in builds] == ["sqlite"]
 
 
 class TestSessionSharing:

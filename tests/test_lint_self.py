@@ -11,6 +11,7 @@ from pathlib import Path
 
 import repro
 from repro.analysis import analyze_paths
+from repro.analysis.engine import build_project, collect_files
 from repro.analysis.suppress import scan_suppressions
 
 PACKAGE = Path(repro.__file__).parent
@@ -31,10 +32,24 @@ def test_self_lint_covers_the_whole_package():
     ]
 
 
+def test_wall_clock_modules_stay_out_of_rep001_scope():
+    # The job service, the batch runner and the store's SQLite layer
+    # stamp wall-clock times on purpose (record timestamps, leases, gc).
+    # None of them may feed a content hash: an import that pulls one
+    # into REP001's closure fails here instead of inviting suppressions.
+    project = build_project(collect_files([PACKAGE]))
+    pulled_in = sorted(
+        name for name in project.hash_feeding
+        if name.startswith("repro.service")
+        or name in ("repro.batch.optimizer", "repro.store.cache",
+                    "repro.store.jobstore")
+    )
+    assert pulled_in == []
+
+
 def test_no_payload_or_lock_suppressions_in_the_tree():
-    # REP001 allows exist (the job store's operational timestamps are
-    # documented exceptions), but payload parity and lock discipline
-    # must hold without escape hatches anywhere in the package.
+    # Payload parity and lock discipline must hold without escape
+    # hatches anywhere in the package.
     offenders = []
     for path in sorted(PACKAGE.rglob("*.py")):
         index = scan_suppressions(path.read_text())

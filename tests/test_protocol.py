@@ -253,6 +253,17 @@ class TestErrorEnvelopes:
             ([{"treshold": 2}], "treshold"),
             ({"jobs": [inline_spec()]}, "jobs"),
             (inline_spec(query=["not", "a", "string"]), "query"),
+            (inline_spec(n_rows=-1), "n_rows"),
+            ({"query_name": "TPCH-Q3", "threshold": 2, "n_leaves": "many"},
+             "n_leaves"),
+            ({"query_name": "TPCH-Q3", "threshold": 2, "height": [1]},
+             "height"),
+            ({"query_name": "TPCH-Q3", "threshold": 2, "n_leaves": -3},
+             "n_leaves"),
+            ({"query_name": "TPCH-Q3", "threshold": 2, "height": -2},
+             "height"),
+            ({"query_name": "TPCH-Q3", "threshold": 2, "n_rows": 0},
+             "n_rows"),
         ):
             status, _, body = fetch(base, "POST", "/v1/jobs", payload)
             assert status == 400, key

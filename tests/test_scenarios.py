@@ -169,6 +169,19 @@ class TestRunMatrix:
         with pytest.raises(ScenarioError, match="unknown workload query"):
             run_matrix(ScenarioMatrix(queries=("NOPE-Q9",)), seed=7)
 
+    def test_traced_run_writes_one_trace_line_per_cell(self, tmp_path):
+        from repro.obs.trace import read_trace
+
+        trace_path = tmp_path / "trace.jsonl"
+        snapshot = run_matrix(
+            SHAPE, seed=7, workers=1, trace=True, trace_path=str(trace_path)
+        )
+        records = read_trace(trace_path)
+        assert len(snapshot["cells"]) == 4
+        assert sorted(r["tag"] for r in records) == sorted(
+            c["cell"] for c in snapshot["cells"]
+        )
+
 
 class TestSnapshotDiff:
     def test_identical_snapshots_have_no_findings(self, two_runs):

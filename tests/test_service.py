@@ -21,6 +21,7 @@ from repro.service import (
     LOCAL_EXECUTOR_NAMES,
     JOB_CANCELLED,
     JOB_DONE,
+    JOB_FAILED,
     JOB_QUEUED,
     JobService,
     ProcessPoolBackend,
@@ -230,12 +231,111 @@ class TestSpecValidation:
         with pytest.raises(JobSpecError, match="integer"):
             job_from_spec({"query_name": "TPCH-Q3", "threshold": "high"})
 
+    @pytest.mark.parametrize("key,value", [
+        ("n_leaves", "many"), ("height", [1]), ("n_leaves", -3),
+        ("n_rows", -1), ("height", -2), ("n_leaves", 0), ("height", 0),
+        ("n_rows", 0),
+    ])
+    def test_shape_keys_must_be_positive_integers(self, key, value):
+        named = {"query_name": "TPCH-Q3", "threshold": 2, key: value}
+        with pytest.raises(JobSpecError, match=f"{key!r} must be a positive"):
+            job_from_spec(named)
+        if key == "n_rows":
+            with pytest.raises(JobSpecError, match="'n_rows'"):
+                job_from_spec(inline_spec(n_rows=value))
+
     def test_inline_content_hash_is_canonical(self):
         job_a = job_from_spec(inline_spec())
         job_b = job_from_spec(inline_spec())
         assert job_a.context.content_hash() == job_b.context.content_hash()
         other = job_from_spec(inline_spec(n_rows=3))
         assert other.context.content_hash() != job_a.context.content_hash()
+
+
+def wait_or_fail(service, job_id, timeout=60.0):
+    """``service.wait(job_id)``, failing the test instead of hanging."""
+    box = {}
+    waiter = threading.Thread(
+        target=lambda: box.update(record=service.wait(job_id)), daemon=True
+    )
+    waiter.start()
+    waiter.join(timeout)
+    assert not waiter.is_alive(), f"wait({job_id}) never returned"
+    return box["record"]
+
+
+class TestWait:
+    """``JobService.wait`` returns once the terminal state is persisted."""
+
+    def test_done_and_failed(self, tmp_path):
+        store = JobStore(str(tmp_path / "store.db"))
+        service = JobService(worker_threads=1, store=store).start()
+        try:
+            done, failed = service.submit_specs([
+                inline_spec(), {"query_name": "NO-SUCH-QUERY", "threshold": 2},
+            ])
+            assert wait_or_fail(service, done).state == JOB_DONE
+            assert wait_or_fail(service, failed).state == JOB_FAILED
+            states = {job.job_id: job.state for job in store.list_jobs()}
+            assert states == {done: JOB_DONE, failed: JOB_FAILED}
+        finally:
+            service.shutdown()
+            store.close()
+
+    def test_cancelled(self):
+        service = JobService(worker_threads=0)
+        job_id = service.submit_specs([inline_spec()])[0]
+        assert service.cancel(job_id)
+        assert wait_or_fail(service, job_id).state == JOB_CANCELLED
+
+    def test_recovered_terminal(self, tmp_path):
+        store = JobStore(str(tmp_path / "store.db"))
+        first = JobService(worker_threads=0, store=store)
+        done, cancelled = first.submit_specs(
+            [inline_spec(), inline_spec(threshold=3)]
+        )
+        first.cancel(cancelled)
+        while first.run_next():
+            pass
+        first.shutdown()
+        store.close()
+        store = JobStore(store.path)
+        try:
+            again = JobService(worker_threads=0, store=store)
+            assert wait_or_fail(again, done).state == JOB_DONE
+            assert wait_or_fail(again, cancelled).state == JOB_CANCELLED
+        finally:
+            store.close()
+
+    def test_a_failure_around_the_run(self, monkeypatch):
+        service = JobService(worker_threads=1)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("backend broke")
+
+        monkeypatch.setattr(service._backend, "run", broken)
+        service.start()
+        try:
+            job_id = service.submit_specs([inline_spec()])[0]
+            record = wait_or_fail(service, job_id)
+            assert record.state == JOB_FAILED
+            assert "backend broke" in record.error
+        finally:
+            service.shutdown()
+
+    def test_an_error_after_the_result_is_recorded(self, monkeypatch):
+        service = JobService(worker_threads=1)
+
+        def broken(result):
+            raise RuntimeError("observer broke")
+
+        monkeypatch.setattr(service, "_observe_completion", broken)
+        service.start()
+        try:
+            job_id = service.submit_specs([inline_spec()])[0]
+            assert wait_or_fail(service, job_id).state == JOB_DONE
+        finally:
+            service.shutdown()
 
 
 @pytest.fixture
@@ -581,6 +681,53 @@ class TestClientStartupRetry:
         )
         with pytest.raises(ServiceError, match="cannot reach"):
             client.health()
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["close", "reset"])
+    def test_dropped_connection_is_a_service_error(self, reset):
+        # The server reads the request, then hangs up without answering:
+        # urllib raises RemoteDisconnected (a clean close) or
+        # ConnectionResetError (an RST) outside any URLError.
+        import re
+        import socket
+        import struct
+
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(4)
+
+        def hang_up():
+            conn, _ = listener.accept()
+            # Read the whole request, so the client is already waiting
+            # for the answer when the connection goes.
+            data = b""
+            while b"\r\n\r\n" not in data:
+                data += conn.recv(65536)
+            head, _, body = data.partition(b"\r\n\r\n")
+            length = int(re.search(
+                rb"(?i)content-length: *(\d+)", head
+            ).group(1))
+            while len(body) < length:
+                body += conn.recv(65536)
+            if reset:
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+            conn.close()
+
+        thread = threading.Thread(target=hang_up, daemon=True)
+        thread.start()
+        # One connection only: a retry would wait in the backlog and
+        # time out instead of failing with this message.
+        client = ServiceClient(
+            f"http://127.0.0.1:{listener.getsockname()[1]}",
+            timeout=5.0, connect_retries=3, retry_backoff=0.01,
+        )
+        try:
+            with pytest.raises(ServiceError, match="dropped the connection"):
+                client.worker_claim("w1")
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        finally:
+            listener.close()
 
     def test_http_errors_are_never_retried(self, http_service):
         import time as _time

@@ -19,10 +19,10 @@ import pytest
 
 from repro.batch import (
     BatchJobResult,
-    BatchOptimizer,
     job_from_spec,
     job_spec_text,
     job_to_spec,
+    run_batch,
     run_job,
 )
 from repro.core.optimizer import OptimizerConfig, OptimizerStats
@@ -608,25 +608,31 @@ class TestResultCache:
         from repro.errors import ServiceError
 
         with pytest.raises(ServiceError, match="cannot open job store"):
-            BatchOptimizer(FAST_SETTINGS, max_workers=1,
-                           store_path="/nonexistent-dir/x.db")
+            run_batch([job_from_spec(inline_spec())], FAST_SETTINGS,
+                      max_workers=1, store_path="/nonexistent-dir/x.db")
 
     def test_batch_optimizer_counts_cache_hits(self, tmp_path):
         path = str(tmp_path / "store.db")
         jobs = [job_from_spec(inline_spec(tag="x")),
                 job_from_spec(inline_spec(tag="y"))]
-        optimizer = BatchOptimizer(FAST_SETTINGS, max_workers=1,
-                                   store_path=path)
-        first = optimizer.run(jobs)
+        first = run_batch(jobs, FAST_SETTINGS, max_workers=1,
+                          store_path=path)
         # Tags differ but content does not: the second job of the *same*
         # batch already hits the store.
         assert first.stats.cache_hits == 1
-        second = optimizer.run(jobs)
+        second = run_batch(jobs, FAST_SETTINGS, max_workers=1,
+                           store_path=path)
         assert second.stats.cache_hits == 2
         assert second.stats.candidates_scanned == 0  # no search ran
         for a, b in zip(first.results, second.results):
             assert payload_modulo_cache_hit(a.to_payload()) == \
                 payload_modulo_cache_hit(b.to_payload())
+        # The batch's service records every job it ran in the store.
+        store = JobStore(path)
+        try:
+            assert [job.state for job in store.list_jobs()] == [JOB_DONE] * 4
+        finally:
+            store.close()
 
 
 @pytest.fixture(params=("thread", "process"))
