@@ -235,7 +235,7 @@ INLINE_SPEC_KEYS = frozenset({
 def _as_int(value, key: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # 1e400 reads as inf
         raise JobSpecError(
             f"{key!r} must be an integer, got {value!r}"
         ) from None
@@ -251,7 +251,7 @@ def _as_positive_int(value, key: str) -> Optional[int]:
         return None
     try:
         number = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = 0
     if number < 1:
         raise JobSpecError(

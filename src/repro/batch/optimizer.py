@@ -375,36 +375,39 @@ def run_batch(
     thread tier: deterministic and cache-friendly.  More workers
     (``None`` = one per core, capped by the job count) use its process
     tier, one service thread per pool process; a job whose worker dies
-    is retried once on a fresh pool.  ``store_path`` names a job store
-    (see :mod:`repro.store`), opened now so that a bad path fails
-    loudly: the service records every job in it and answers repeats
-    from its result cache (without a trace), and rows a killed earlier
-    run left queued or running are recovered and run first.
+    is retried once on a fresh pool.  ``store_path`` names a result
+    cache file (see :mod:`repro.store`), opened now so that a bad path
+    fails loudly; every job consults and fills it where it runs, and
+    no job rows are written.  An interrupt cancels the queued jobs.
     """
     from repro.service.server import JobService  # it imports this module
-    from repro.store import JobStore
 
     jobs = list(jobs)
+    if store_path is not None:
+        # run_job would degrade to uncached execution, silently
+        # discarding every result the user asked to persist.
+        _cached_result_cache(store_path)
     if max_workers is None:
         max_workers = os.cpu_count() or 1
     workers = max(1, min(max_workers, len(jobs)))
-    store = JobStore(store_path) if store_path is not None else None
     service = JobService(
         settings,
         worker_threads=workers,
         max_queue=0,  # unbounded: the batch is submitted all at once
-        store=store,
         executor="thread" if workers == 1 else "process",
+        cache_path=store_path,
     )
+    ids: list[str] = []
     start = clock.perf_counter()
     try:
         service.start()
-        ids = [service.submit(job) for job in jobs]
+        for job in jobs:
+            ids.append(service.submit(job))
         records = [service.wait(job_id) for job_id in ids]
     finally:
+        for job_id in ids:
+            service.cancel(job_id)  # a no-op once the job has started
         service.shutdown()
-        if store is not None:
-            store.close()
     wall = clock.perf_counter() - start
     results = [
         record.result or BatchJobResult(job=record.job, error=record.error)

@@ -851,9 +851,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--max-seconds", type=float, default=None)
     p_batch.add_argument("--output", help="write per-job results JSON here")
     p_batch.add_argument("--store", default=None,
-                         help="persistent job store recording every job; "
-                              "identical jobs are served from its result "
-                              "cache, across runs (see repro.store)")
+                         help="persistent result-cache file: identical jobs "
+                              "are served from it instead of re-searching, "
+                              "across runs (see repro.store)")
     _add_engine_flag(p_batch)
     _add_trace_flags(p_batch)
     p_batch.set_defaults(func=cmd_batch_optimize)

@@ -79,23 +79,28 @@ class ExecutorBackend:
     def run(self, job, settings, job_id=None) -> BatchJobResult:
         raise NotImplementedError
 
-    def shutdown(self) -> None:
-        """Release execution resources; in-flight jobs may be abandoned."""
+    def shutdown(self, wait: bool = False) -> None:
+        """Release execution resources; in-flight jobs may be abandoned
+        (``wait``: none is in flight, so block until they are gone)."""
 
 
 class ThreadBackend(ExecutorBackend):
     """Run the search in-process, on the claiming worker thread.
 
-    Cache consult/persist stays with the service (its ``ResultCache``
-    wraps the same ``JobStore`` connection, which keeps ``:memory:``
-    stores working), so this backend is a plain ``run_job`` call.
+    A service with a store keeps cache consult/persist to itself (its
+    ``ResultCache`` wraps the same ``JobStore`` connection, which keeps
+    ``:memory:`` stores working), so this backend is a plain ``run_job``
+    call, given ``store_path`` only by a cache-only service.
     """
 
     name = "thread"
-    manages_store = False
+
+    def __init__(self, store_path: Optional[str] = None):
+        self._store_path = store_path
+        self.manages_store = store_path is not None
 
     def run(self, job, settings, job_id=None) -> BatchJobResult:
-        return run_job(job, settings)
+        return run_job(job, settings, self._store_path)
 
 
 def _default_mp_context():
@@ -219,11 +224,11 @@ class ProcessPoolBackend(ExecutorBackend):
             ),
         )
 
-    def shutdown(self) -> None:
+    def shutdown(self, wait: bool = False) -> None:
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=wait, cancel_futures=True)
 
 
 def make_backend(
@@ -238,14 +243,15 @@ def make_backend(
     """Build the named backend; unknown names raise :class:`ServiceError`.
 
     ``workers`` sizes the process pool (thread execution is sized by the
-    service's worker threads directly); ``store_path`` is forwarded to
-    pool workers only — it must be a path other processes can open, so
-    callers pass ``None`` for in-memory stores.  The lease knobs and
-    ``store`` (the service's own :class:`~repro.store.JobStore`, for
-    lease audit rows) apply to the ``remote`` backend only.
+    service's worker threads directly); ``store_path`` is the result
+    cache file each local run consults and fills (on the thread tier
+    only without ``store``) — it must be a path other processes can
+    open, so callers pass ``None`` for in-memory stores.  ``store`` is
+    the service's own :class:`~repro.store.JobStore`; it and the lease
+    knobs otherwise apply to the ``remote`` backend only (audit rows).
     """
     if executor == "thread":
-        return ThreadBackend()
+        return ThreadBackend(store_path if store is None else None)
     if executor == "process":
         return ProcessPoolBackend(workers=workers, store_path=store_path)
     if executor == "remote":

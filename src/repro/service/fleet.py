@@ -272,7 +272,7 @@ class RemoteBackend(ExecutorBackend):
             if entry.state == _FAILED:
                 return BatchJobResult(job=entry.job, error=entry.error)
 
-    def shutdown(self) -> None:
+    def shutdown(self, wait: bool = False) -> None:
         with self._lock:
             self._closed = True
             for entry in self._jobs.values():

@@ -143,7 +143,9 @@ class JobService:
     job's ``max_seconds`` search budget.  ``store`` attaches a
     :class:`repro.store.JobStore` for durability and cross-restart result
     dedup (recovery runs synchronously in the constructor, before any
-    worker starts).
+    worker starts).  ``cache_path`` instead names a store file each job
+    consults and fills as a result cache where it runs, with no job rows
+    (how :func:`repro.batch.run_batch` shares a live server's store).
 
     ``executor`` picks the execution tier (see
     :mod:`repro.service.executors`): ``"thread"`` runs searches on the
@@ -172,6 +174,7 @@ class JobService:
         trace_path: Optional[str] = None,
         lease_seconds: float = 15.0,
         lease_attempts: int = 3,
+        cache_path: Optional[str] = None,
     ):
         from repro.engine import get_engine
 
@@ -281,10 +284,11 @@ class JobService:
         # Pool workers can only share a store that lives in a file; an
         # in-memory store stays service-side (the backend then reports
         # manages_store=False and this process persists results itself).
+        # A cache-only service hands its file to either local tier.
         self._backend = make_backend(
             executor,
             workers=max(1, self._worker_threads),
-            store_path=shareable_store_path(store),
+            store_path=shareable_store_path(store) or cache_path,
             lease_seconds=lease_seconds,
             lease_attempts=lease_attempts,
             store=store,
@@ -336,7 +340,9 @@ class JobService:
             self._queue.put(None)
         for thread in threads:
             thread.join(timeout)
-        self._backend.shutdown()
+        # No live worker thread means no job in flight: wait for a pool,
+        # which could otherwise wind down during interpreter exit.
+        self._backend.shutdown(wait=not any(t.is_alive() for t in threads))
         if self._trace_writer is not None:
             self._trace_writer.close()
 

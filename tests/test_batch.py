@@ -1,6 +1,7 @@
 """Tests for the batch optimizer (repro.batch)."""
 
 import dataclasses
+import threading
 
 import pytest
 
@@ -131,6 +132,33 @@ class TestParallel:
         for result in batch.results:
             assert "worker process died" in result.error
 
+    def test_pool_is_gone_when_the_batch_returns(self):
+        # A pool still winding down when the interpreter exits can print
+        # a traceback from concurrent.futures' exit hook.
+        before = set(threading.enumerate())
+        run_batch([BatchJob("TPCH-Q3", 2), BatchJob("TPCH-Q3", 3)], TINY,
+                  max_workers=2)
+        assert set(threading.enumerate()) <= before
+
+    def test_interrupted_batch_cancels_its_queued_jobs(self, monkeypatch):
+        from repro.service.server import JobService
+
+        services = []
+
+        def interrupted_wait(service, job_id):
+            services.append(service)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(JobService, "wait", interrupted_wait)
+        jobs = [BatchJob("TPCH-Q3", k) for k in (2, 3, 4, 5)]
+        with pytest.raises(KeyboardInterrupt):
+            run_batch(jobs, TINY, max_workers=1)
+        (service,) = services
+        states = [job["state"] for job in service.list_payload()]
+        # The first job may have started before the interrupt; none of
+        # the others may run after it.
+        assert states[1:] == ["cancelled"] * 3
+
 
 class TestJobConfig:
     def test_jobs_keep_their_engine_and_trace(self):
@@ -144,6 +172,21 @@ class TestJobConfig:
                 builds = [s for s in result.trace
                           if s["name"] == "context_build"]
                 assert [s["attrs"]["engine"] for s in builds] == ["sqlite"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_cache_hits_carry_their_lookup(self, tmp_path, workers):
+        # Each job consults the store where it runs, under its tracer:
+        # a hit's trace is its lookup, not the stored run's spans.
+        config = OptimizerConfig(max_candidates=50, trace=True)
+        jobs = [BatchJob("TPCH-Q3", k, config=config) for k in (2, 3)]
+        path = str(tmp_path / "store.db")
+        run_batch(jobs, TINY, max_workers=workers, store_path=path)
+        again = run_batch(jobs, TINY, max_workers=workers, store_path=path)
+        for result in again.results:
+            assert result.cache_hit
+            assert {s["name"] for s in result.trace} == {
+                "cache_lookup", "store_io"
+            }
 
 
 class TestSessionSharing:

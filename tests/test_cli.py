@@ -137,17 +137,20 @@ class TestJobsFileValidation:
         assert "query_name" in capsys.readouterr().err
 
     def test_non_positive_shape_key_exits_2(self, tmp_path, capsys):
-        (tmp_path / "jobs.json").write_text(json.dumps([
-            {"query_name": "TPCH-Q3", "threshold": 2, "n_leaves": 0},
-        ]))
-        code = main([
-            "batch-optimize",
-            "--jobs", str(tmp_path / "jobs.json"),
-            "--workers", "1",
-        ])
-        assert code == 2
-        assert "'n_leaves' must be a positive integer" in \
-            capsys.readouterr().err
+        # 1e400 is valid JSON that reads back as inf.
+        for key, value in (("n_leaves", "0"), ("height", "1e400")):
+            (tmp_path / "jobs.json").write_text(
+                f'[{{"query_name": "TPCH-Q3", "threshold": 2, '
+                f'"{key}": {value}}}]'
+            )
+            code = main([
+                "batch-optimize",
+                "--jobs", str(tmp_path / "jobs.json"),
+                "--workers", "1",
+            ])
+            assert code == 2
+            assert f"'{key}' must be a positive integer" in \
+                capsys.readouterr().err
 
     def test_non_list_jobs_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "jobs.json").write_text(json.dumps({"query_name": "x"}))

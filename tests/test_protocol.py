@@ -264,6 +264,10 @@ class TestErrorEnvelopes:
              "height"),
             ({"query_name": "TPCH-Q3", "threshold": 2, "n_rows": 0},
              "n_rows"),
+            # 1e400 reads back as inf, which int() cannot convert.
+            ({"query_name": "TPCH-Q3", "threshold": 2, "n_leaves": 1e400},
+             "n_leaves"),
+            ({"query_name": "TPCH-Q3", "threshold": 1e400}, "threshold"),
         ):
             status, _, body = fetch(base, "POST", "/v1/jobs", payload)
             assert status == 400, key

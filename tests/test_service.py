@@ -230,11 +230,14 @@ class TestSpecValidation:
     def test_mistyped_threshold(self):
         with pytest.raises(JobSpecError, match="integer"):
             job_from_spec({"query_name": "TPCH-Q3", "threshold": "high"})
+        # JSON's 1e400 reads as inf, which int() cannot convert.
+        with pytest.raises(JobSpecError, match="integer"):
+            job_from_spec({"query_name": "TPCH-Q3", "threshold": 1e400})
 
     @pytest.mark.parametrize("key,value", [
         ("n_leaves", "many"), ("height", [1]), ("n_leaves", -3),
         ("n_rows", -1), ("height", -2), ("n_leaves", 0), ("height", 0),
-        ("n_rows", 0),
+        ("n_rows", 0), ("n_leaves", 1e400),
     ])
     def test_shape_keys_must_be_positive_integers(self, key, value):
         named = {"query_name": "TPCH-Q3", "threshold": 2, key: value}

@@ -627,11 +627,42 @@ class TestResultCache:
         for a, b in zip(first.results, second.results):
             assert payload_modulo_cache_hit(a.to_payload()) == \
                 payload_modulo_cache_hit(b.to_payload())
-        # The batch's service records every job it ran in the store.
+        # The batch uses the store as a result cache only.
         store = JobStore(path)
         try:
-            assert [job.state for job in store.list_jobs()] == [JOB_DONE] * 4
+            assert store.list_jobs() == []
+            assert store.result_count() == 1
         finally:
+            store.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_shares_a_store_with_a_live_service(self, tmp_path,
+                                                      workers):
+        # A service's queued row must survive a batch on the same file
+        # untouched (a batch that recovered it would run it, and one
+        # that numbered its own jobs from the file would reuse its id),
+        # while the batch's results still land in the shared cache.
+        path = str(tmp_path / "store.db")
+        store = JobStore(path)
+        service = JobService(FAST_SETTINGS, worker_threads=0, store=store)
+        try:
+            served = service.submit(job_from_spec(inline_spec(tag="served")))
+            batch = run_batch(
+                [job_from_spec(inline_spec(tag=f"b{k}", threshold=k))
+                 for k in (2, 3)],
+                FAST_SETTINGS, max_workers=workers, store_path=path,
+            )
+            assert batch.stats.jobs_failed == 0
+            rows = store.list_jobs()
+            assert [(r.job_id, r.state, r.spec["tag"]) for r in rows] == [
+                (served, JOB_QUEUED, "served")
+            ]
+            assert store.result_count() == 2
+            # The served job has the content of the batch's first job.
+            assert service.run_next()
+            assert service.record(served).result.cache_hit
+        finally:
+            service.shutdown()
             store.close()
 
 
