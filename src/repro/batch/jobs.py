@@ -18,6 +18,9 @@ matching job object, validating every key; it is the single parser behind
 ``repro batch-optimize --jobs``, ``repro submit``, and the job service.
 :func:`job_spec_text` writes a job back as the canonical spec text the
 job store keeps, and :func:`job_to_spec` as the parsed dict.
+:func:`decode_job_specs` parses a job service request body for
+:func:`job_from_spec`, reusing the canonical text of a ``database`` it
+decoded recently.
 
 A :class:`BatchJobResult` carries the outcome back the same way: scalars
 and the per-variable abstraction targets rather than live
@@ -30,10 +33,13 @@ import dataclasses
 import json
 import math
 import os
+import re
+import threading
 import traceback
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from repro.core.optimizer import OptimizerConfig, OptimizerStats
 from repro.errors import JobSpecError
@@ -72,9 +78,189 @@ class BatchJob:
 INLINE_CONTEXT_TAG = "__inline__"
 
 
-# Canonical JSON text, so equal payloads hash equally (the shared
-# definition in repro.store.hashing, which the result cache keys on too).
-_canonical = canonical_json
+class CanonicalJSON:
+    """A spec value :func:`decode_job_specs` already made canonical text.
+
+    Only :func:`job_from_spec` reads one.  No serializer knows the type,
+    so one that reaches ``json.dumps`` fails instead of writing the text
+    as a JSON string.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _canonical(value) -> str:
+    """Canonical JSON text, so equal payloads hash equally.
+
+    The shared definition in :mod:`repro.store.hashing`, which the
+    result cache keys on too; a :class:`CanonicalJSON` is its text.
+    """
+    if isinstance(value, CanonicalJSON):
+        return value.text
+    return canonical_json(value)
+
+
+class _DatabaseTexts:
+    """The canonical text of each raw ``database`` text decoded lately.
+
+    Keyed by the whole raw text as it arrived, never by a digest or by
+    the parsed value: ``1``, ``1.0`` and ``true`` compare equal in Python
+    but canonicalize differently.  Holds the 8 most recently used, as
+    :func:`_database_from_text` does.  Handler threads decode
+    concurrently, so a lock guards the entries; it is never held while
+    a value is parsed or dumped.
+    """
+
+    def __init__(self, maxsize: int = 8):
+        self._maxsize = maxsize
+        self._lock = threading.Lock()
+        self._texts: "OrderedDict[str, str]" = OrderedDict()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._texts)
+
+    def match(self, text: str, idx: int) -> Optional[tuple[str, str]]:
+        """The ``(raw, canonical)`` pair whose raw text ``text`` holds at
+        ``idx``, or ``None``."""
+        with self._lock:
+            for raw, canonical in self._texts.items():
+                if text.startswith(raw, idx):
+                    self._texts.move_to_end(raw)
+                    return raw, canonical
+        return None
+
+    def remember(self, raw: str, canonical: str) -> None:
+        with self._lock:
+            self._texts[raw] = canonical
+            self._texts.move_to_end(raw)
+            while len(self._texts) > self._maxsize:
+                self._texts.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._texts.clear()
+
+
+_DATABASE_TEXTS = _DatabaseTexts()
+
+#: Spec ``database`` objects :func:`decode_job_specs` read: ``parsed``
+#: on a first sighting, ``reused`` when a remembered raw text matched.
+_DATABASE_DECODES = metrics.REGISTRY.counter(
+    "repro_inline_database_decodes_total",
+    "Job-spec database objects decoded from request bodies, by outcome "
+    "(parsed/reused).",
+    labelnames=("outcome",),
+)
+
+# The stdlib's C scanner parses every value but a spec's database, and
+# JSON's four whitespace characters separate tokens, as in json.loads.
+_scan_value = json.JSONDecoder().raw_decode
+_skip_space = re.compile(r"[ \t\n\r]*").match
+
+
+def decode_job_specs(body):
+    """``json.loads`` of a ``POST /v1/jobs`` body, for :func:`job_from_spec`.
+
+    The body is one spec object or a list of them.  Each spec's
+    ``database`` object comes back as :class:`CanonicalJSON`: when its
+    raw text arrived lately, the remembered canonical text, without a
+    parse; otherwise it is parsed and dumped once and remembered.
+    Everything else is what ``json.loads`` returns, duplicate keys
+    resolved last-wins, and a body ``json.loads`` rejects raises the
+    same error.
+
+    A JSON object's text ends at its closing brace, so a body that
+    holds a remembered object text where a value starts holds that
+    object there.
+    """
+    if isinstance(body, (bytes, bytearray)):
+        text = body.decode(json.detect_encoding(body), "surrogatepass")
+    elif isinstance(body, str) and not body.startswith("\ufeff"):
+        text = body
+    else:
+        return json.loads(body)
+    idx = _skip_space(text, 0).end()
+    decode = _CONTAINERS.get(text[idx:idx + 1])
+    if decode is None:
+        return json.loads(body)
+    try:
+        value, idx = decode(text, idx + 1)
+        if _skip_space(text, idx).end() == len(text):
+            return value
+    except (ValueError, RecursionError):
+        pass  # the walkers raise ValueError wherever json.loads fails
+    # Malformed: json.loads raises its own message and position.
+    return json.loads(body)
+
+
+def _decode_spec_list(text: str, idx: int) -> tuple[list, int]:
+    """The list whose ``[`` ends before ``idx``, and the index after it."""
+    specs: list = []
+    idx = _skip_space(text, idx).end()
+    if text.startswith("]", idx):
+        return specs, idx + 1
+    while True:
+        if text.startswith("{", idx):
+            spec, idx = _decode_spec(text, idx + 1)
+        else:
+            spec, idx = _scan_value(text, idx)
+        specs.append(spec)
+        idx = _skip_space(text, idx).end()
+        if text.startswith("]", idx):
+            return specs, idx + 1
+        if not text.startswith(",", idx):
+            raise ValueError(idx)
+        idx = _skip_space(text, idx + 1).end()
+
+
+def _decode_spec(text: str, idx: int) -> tuple[dict, int]:
+    """The spec whose ``{`` ends before ``idx``, and the index after it."""
+    spec: dict = {}
+    idx = _skip_space(text, idx).end()
+    if text.startswith("}", idx):
+        return spec, idx + 1
+    while True:
+        if not text.startswith('"', idx):
+            raise ValueError(idx)
+        key, idx = _scan_value(text, idx)
+        idx = _skip_space(text, idx).end()
+        if not text.startswith(":", idx):
+            raise ValueError(idx)
+        idx = _skip_space(text, idx + 1).end()
+        if key == "database" and text.startswith("{", idx):
+            spec[key], idx = _decode_database(text, idx)
+        else:
+            spec[key], idx = _scan_value(text, idx)
+        idx = _skip_space(text, idx).end()
+        if text.startswith("}", idx):
+            return spec, idx + 1
+        if not text.startswith(",", idx):
+            raise ValueError(idx)
+        idx = _skip_space(text, idx + 1).end()
+
+
+def _decode_database(text: str, idx: int) -> tuple[CanonicalJSON, int]:
+    """The database object at ``idx``, and the index after it."""
+    match = _DATABASE_TEXTS.match(text, idx)
+    if match is not None:
+        raw, canonical = match
+        _DATABASE_DECODES.inc(outcome="reused")
+        return CanonicalJSON(canonical), idx + len(raw)
+    value, end = _scan_value(text, idx)
+    canonical = canonical_json(value)
+    _DATABASE_TEXTS.remember(text[idx:end], canonical)
+    _DATABASE_DECODES.inc(outcome="parsed")
+    return CanonicalJSON(canonical), end
+
+
+_CONTAINERS: dict[str, Callable[[str, int], tuple[Any, int]]] = {
+    "{": _decode_spec, "[": _decode_spec_list,
+}
+
 
 #: Inline databases this process built from JSON text: a first-seen job
 #: over a database an earlier job already brought leaves it unchanged.

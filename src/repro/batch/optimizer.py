@@ -34,6 +34,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from repro.batch.jobs import (
+    _DATABASE_TEXTS,
     INLINE_CONTEXT_TAG,
     BatchJob,
     BatchJobResult,
@@ -221,16 +222,18 @@ def clear_worker_caches() -> None:
     """Release this process's cached contexts, sessions and databases.
 
     Sessions hold unbounded query-level caches for up to 32 contexts,
-    and the inline-database cache up to 8 databases; a long-lived
-    process interleaving many large serial sweeps can call this between
-    batches to cap memory (worker processes die with their pool, so
-    they never need it).
+    the inline-database cache up to 8 databases, and the job-spec
+    decoder the texts of up to 8 more; a long-lived process
+    interleaving many large serial sweeps can call this between batches
+    to cap memory (worker processes die with their pool, so they never
+    need it).
     """
     with _cache_lock:
         _cached_session.cache_clear()
         _cached_context.cache_clear()
         _inline_contexts.clear()
         _database_from_text.cache_clear()
+        _DATABASE_TEXTS.clear()
         _result_cache_for.cache_clear()
 
 

@@ -73,13 +73,17 @@ from repro.render import render_kexample, render_query, render_result, render_tr
 
 
 def _read_json_file(path_text: str, what: str, error_cls=SchemaError):
-    """Read a JSON file, mapping I/O and syntax failures to repro errors."""
+    """Read a JSON file, mapping I/O and syntax failures to repro errors.
+
+    The bytes go to ``json.load`` undecoded, so it detects UTF-8, -16 or
+    -32 as the job service does for a request body.
+    """
     try:
-        with open(path_text) as handle:
+        with open(path_text, "rb") as handle:
             return json.load(handle)
     except OSError as exc:
         raise error_cls(f"cannot read {what} {path_text!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise error_cls(
             f"malformed {what} JSON in {path_text!r}: {exc}"
         ) from None
@@ -112,6 +116,18 @@ def _build_example(args, database: KDatabase):
     return build_kexample(
         query, database, n_rows=args.rows,
         engine=getattr(args, "engine", None),
+    )
+
+
+def _load_abstraction(args, tree, example):
+    """The ``--abstraction`` file's function, else the identity."""
+    if not args.abstraction:
+        return AbstractionFunction.identity(tree, example)
+    return abstraction_from_json(
+        _read_json_file(
+            args.abstraction, "abstraction", error_cls=AbstractionError
+        ),
+        tree, example,
     )
 
 
@@ -716,11 +732,7 @@ def cmd_privacy(args) -> int:
     database = _load_database(args.database)
     tree = _load_tree(args.tree)
     example = _build_example(args, database)
-    if args.abstraction:
-        with open(args.abstraction) as handle:
-            function = abstraction_from_json(json.load(handle), tree, example)
-    else:
-        function = AbstractionFunction.identity(tree, example)
+    function = _load_abstraction(args, tree, example)
     abstracted = function.apply(example)
     computer = PrivacyComputer(tree, database.registry)
     privacy = computer.privacy(abstracted)
@@ -733,11 +745,7 @@ def cmd_attack(args) -> int:
     database = _load_database(args.database)
     tree = _load_tree(args.tree)
     example = _build_example(args, database)
-    if args.abstraction:
-        with open(args.abstraction) as handle:
-            function = abstraction_from_json(json.load(handle), tree, example)
-    else:
-        function = AbstractionFunction.identity(tree, example)
+    function = _load_abstraction(args, tree, example)
     abstracted = function.apply(example)
     computer = PrivacyComputer(tree, database.registry)
     cims = sorted(computer.cim_queries(abstracted), key=repr)

@@ -125,7 +125,7 @@ def read_trace(path: str | Path) -> List[Dict[str, Any]]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace file {path}: {exc}") from exc
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -86,11 +86,11 @@ def save(path: str, snapshot: dict) -> None:
 def load(path: str) -> dict:
     """Read a snapshot, mapping failures to :class:`ScenarioError`."""
     try:
-        with open(path) as handle:
+        with open(path, "rb") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise ScenarioError(f"cannot read snapshot {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(
             f"malformed snapshot JSON in {path!r}: {exc}"
         ) from None

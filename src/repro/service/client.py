@@ -21,7 +21,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from repro.errors import ServiceError
 from repro.obs import clock
@@ -84,6 +84,14 @@ class ServiceClient:
             f"{method} {path} failed ({exc.code}{label}): {message}"
         ) from None
 
+    def _raise_dropped(
+        self, method: str, path: str, exc: BaseException
+    ) -> NoReturn:
+        raise ServiceError(
+            f"job service at {self._base} dropped the connection "
+            f"during {method} {path}: {type(exc).__name__}: {exc}"
+        ) from None
+
     def _request(self, method: str, path: str, payload=None) -> dict:
         """One v1 request; ``path`` is relative to :data:`API_PREFIX`."""
         data = None
@@ -115,16 +123,18 @@ class ServiceClient:
                 if refused and attempt < self._connect_retries:
                     time.sleep(self._retry_backoff * (2 ** attempt))
                     continue
+                if isinstance(exc.reason, (ConnectionResetError,
+                                           BrokenPipeError)):
+                    # urllib wraps what breaks while the request is
+                    # still being sent: the server had accepted it.
+                    self._raise_dropped(method, path, exc.reason)
                 raise ServiceError(
                     f"cannot reach job service at {self._base}: {exc.reason}"
                 ) from None
             except (http.client.HTTPException, ConnectionError) as exc:
                 # The server accepted the request, then dropped the
                 # connection (urllib does not wrap these in URLError).
-                raise ServiceError(
-                    f"job service at {self._base} dropped the connection "
-                    f"during {method} {path}: {type(exc).__name__}: {exc}"
-                ) from None
+                self._raise_dropped(method, path, exc)
         try:
             return json.loads(body) if body else {}
         except json.JSONDecodeError as exc:

@@ -80,7 +80,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from queue import Empty, Queue
 from typing import Optional, Sequence
 
-from repro.batch.jobs import BatchJobResult, job_from_spec, job_spec_text
+from repro.batch.jobs import (
+    BatchJobResult,
+    decode_job_specs,
+    job_from_spec,
+    job_spec_text,
+)
 from repro.batch.optimizer import BatchStats
 from repro.core.optimizer import OptimizerConfig
 from repro.engine import DEFAULT_ENGINE
@@ -95,7 +100,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.experiments.settings import DEFAULT_SETTINGS, ExperimentSettings
-from repro.obs import clock, metrics
+from repro.obs import clock, metrics, spans
 from repro.obs.trace import TraceWriter, trace_record
 from repro.service import protocol
 from repro.service.executors import make_backend
@@ -810,7 +815,14 @@ class JobService:
         # this lookup missed.
         result = None
         if self._cache is not None:
-            result = self._cache.lookup(effective, self._settings)
+            # Under the job's tracer, as run_job consults the cache: a
+            # traced hit's trace is its lookup.
+            config = effective.config
+            tracer = spans.Tracer() if config and config.trace else None
+            with spans.activate(tracer):
+                result = self._cache.lookup(effective, self._settings)
+            if result is not None and tracer is not None:
+                result.trace = tracer.to_payload()
         if result is None:
             result = self._backend.run(
                 effective, self._settings, job_id=job_id
@@ -921,7 +933,7 @@ class JobServiceHandler(BaseHTTPRequestHandler):
             "unknown_path", f"no route for {method} {self.path!r}"
         ))
 
-    def _read_json(self):
+    def _read_json(self, decode=json.loads):
         header = self.headers.get("Content-Length") or "0"
         try:
             length = int(header)
@@ -935,9 +947,9 @@ class JobServiceHandler(BaseHTTPRequestHandler):
             )
         raw = self.rfile.read(length) if length else b""
         try:
-            return json.loads(raw) if raw else None
+            return decode(raw) if raw else None
         except UnicodeDecodeError as exc:
-            # json.loads decodes the bytes itself, and a body that is
+            # The decoder decodes the bytes itself, and a body that is
             # not UTF-8 raises this, which is no JSONDecodeError.
             raise RequestError(f"malformed JSON body: {exc}") from None
 
@@ -1011,7 +1023,7 @@ class JobServiceHandler(BaseHTTPRequestHandler):
             return False
         if method == "POST":
             if parts == ["jobs"]:
-                data = self._read_json()
+                data = self._read_json(decode_job_specs)
                 specs = [data] if isinstance(data, dict) else data
                 if not isinstance(specs, list) or not specs:
                     raise RequestError(

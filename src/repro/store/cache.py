@@ -81,7 +81,9 @@ class ResultCache:
         The returned result is rebuilt from the stored payload —
         bit-identical to the original run except for ``cache_hit``,
         which flips to ``True`` so callers and payload consumers can
-        audit the dedup.
+        audit the dedup, and ``trace``, which is ``None``: no search
+        ran, and a row an older store wrote may still hold the storing
+        run's spans.
         """
         from repro.batch.jobs import BatchJobResult
 
@@ -102,6 +104,7 @@ class ResultCache:
             return None
         _LOOKUPS.inc(outcome="hit")
         result.cache_hit = True
+        result.trace = None
         return result
 
     def store_result(self, job, settings, result) -> Optional[str]:
@@ -120,8 +123,11 @@ class ResultCache:
         if result.stats.stopped_by_wall_clock:
             return None
         key = self.key(job, settings)
+        # The trace is the storing run's, not the result's: a traced
+        # and an untraced job share the entry.
+        payload = dict(result.to_payload(), trace=None)
         try:
-            self._store.save_result(key, result.to_payload())
+            self._store.save_result(key, payload)
         except sqlite3.Error:
             return None
         return key

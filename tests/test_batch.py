@@ -1,9 +1,13 @@
 """Tests for the batch optimizer (repro.batch)."""
 
 import dataclasses
+import json
+import os
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.batch import BatchJob, InlineContext, InlineJob, run_batch
 from repro.core.optimizer import OptimizerConfig, find_optimal_abstraction
@@ -188,6 +192,55 @@ class TestJobConfig:
                 "cache_lookup", "store_io"
             }
 
+    def test_service_hits_carry_only_their_own_lookup(self, tmp_path):
+        # The service consults its store before the backend runs a job:
+        # a hit must not carry the spans of the run that stored it.
+        from repro.service import JobService
+        from repro.store import JobStore, job_content_hash
+
+        def run(path, trace):
+            job = BatchJob("TPCH-Q3", 2, config=OptimizerConfig(
+                max_candidates=50, trace=trace,
+            ))
+            store = JobStore(str(path))
+            service = JobService(TINY, worker_threads=0, store=store)
+            try:
+                job_id = service.submit(job)
+                assert service.run_next()
+                return job, service.record(job_id).result
+            finally:
+                service.shutdown()
+                store.close()
+
+        path = tmp_path / "store.db"
+        job, stored = run(path, trace=True)
+        assert not stored.cache_hit
+        assert "search" in {s["name"] for s in stored.trace}
+        key = job_content_hash(job, TINY)
+        store = JobStore(str(path))
+        try:
+            payload = store.peek_result(key)
+        finally:
+            store.close()
+        assert payload["trace"] is None
+        for trace, names in ((True, {"cache_lookup", "store_io"}),
+                             (False, None)):
+            _, hit = run(path, trace)
+            assert hit.cache_hit
+            assert (hit.trace and {s["name"] for s in hit.trace}) == names
+
+        # A row an older store wrote holds the storing run's spans; an
+        # untraced hit on it carries none.
+        older = tmp_path / "older.db"
+        store = JobStore(str(older))
+        try:
+            store.save_result(key, dict(payload, trace=stored.trace))
+        finally:
+            store.close()
+        _, hit = run(older, trace=False)
+        assert hit.cache_hit
+        assert hit.trace is None
+
 
 class TestSessionSharing:
     """Jobs over one context share a privacy session across thresholds."""
@@ -347,3 +400,277 @@ class TestStats:
         assert "1 jobs" in text
         assert "1 worker" in text
         assert batch.stats.parallel_speedup > 0
+
+
+def _spec_body(database, threshold=2):
+    """A ``POST /v1/jobs`` body over ``database``, as a client sends it."""
+    from repro.examples_data import running_example_tree
+    from repro.io.json_io import tree_to_json
+
+    return json.dumps({
+        "database": database,
+        "tree": tree_to_json(running_example_tree()),
+        "query": TestInlineJobs.QUERY,
+        "threshold": threshold,
+    }).encode()
+
+
+def _decoded_jobs(decode, body):
+    """What submitting ``body`` yields: a decode error, or per spec the
+    stored spec text and content hash of its job, or its error."""
+    from repro.batch import job_from_spec, job_spec_text
+    from repro.store import job_content_hash
+
+    try:
+        data = decode(body)
+    except json.JSONDecodeError as exc:
+        return ("malformed", exc.msg, exc.pos)
+    outcome = []
+    for spec in data if isinstance(data, list) else [data]:
+        try:
+            job = job_from_spec(spec)
+        except Exception as exc:  # noqa: BLE001 - compared, not hidden
+            outcome.append((type(exc).__name__, str(exc)))
+        else:
+            outcome.append((job_spec_text(job), job_content_hash(job, TINY)))
+    return outcome
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-10**6, 10**6),
+        st.floats(), st.text(max_size=6),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_SPEC_KEYS = st.one_of(
+    st.sampled_from(["database", "tree", "query", "kexample", "threshold",
+                     "n_rows", "tag", "max_candidates"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _spec_texts(draw):
+    """Spec bodies with duplicate keys, escapes and varied whitespace,
+    which ``json.dumps`` of a dict never writes."""
+    space = st.text(" \t\n\r", max_size=2)
+    ascii_only = draw(st.booleans())
+
+    def dump(value):
+        return json.dumps(value, ensure_ascii=ascii_only,
+                          indent=draw(st.sampled_from([None, 1])))
+
+    def spec():
+        pairs = [
+            ("database", draw(st.one_of(
+                st.dictionaries(st.text(max_size=4), _JSON_VALUES,
+                                max_size=4),
+                _JSON_VALUES,
+            ))),
+            ("tree", draw(_JSON_VALUES)),
+            ("query", draw(st.text(min_size=1, max_size=6))),
+            ("threshold", draw(st.integers(0, 4))),
+        ]
+        pairs += draw(st.lists(st.tuples(_SPEC_KEYS, _JSON_VALUES),
+                               max_size=2))
+        items = [
+            draw(space) + dump(key) + draw(space) + ":" + draw(space)
+            + dump(value) + draw(space)
+            for key, value in draw(st.permutations(pairs))
+        ]
+        return "{" + ",".join(items) + "}"
+
+    if draw(st.booleans()):
+        body = spec()
+    else:
+        items = [spec() for _ in range(draw(st.integers(0, 3)))]
+        items += [dump(v) for v in draw(st.lists(_JSON_VALUES, max_size=1))]
+        body = "[" + ",".join(draw(space) + s + draw(space)
+                              for s in items) + "]"
+    return draw(space) + body + draw(space)
+
+
+class TestJobSpecDecoder:
+    """``decode_job_specs`` stands in for ``json.loads`` on the submit path."""
+
+    @staticmethod
+    def _decodes():
+        from repro.obs import metrics
+
+        return metrics.REGISTRY.get("repro_inline_database_decodes_total")
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_spec_texts(),
+           encoding=st.sampled_from([None, "utf-8", "utf-16", "utf-32"]))
+    def test_same_jobs_as_json_loads(self, text, encoding):
+        from repro.batch.jobs import decode_job_specs
+
+        body = text if encoding is None else text.encode(encoding)
+        expected = _decoded_jobs(json.loads, body)
+        assert _decoded_jobs(decode_job_specs, body) == expected
+        # The second decode reads every database object from the memo.
+        assert _decoded_jobs(decode_job_specs, body) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_spec_texts(), at=st.integers(min_value=0),
+           char=st.sampled_from(list('{}[],:"\\x0 ')))
+    def test_malformed_bodies_fail_as_json_loads_does(self, text, at, char):
+        from repro.batch.jobs import decode_job_specs
+
+        at %= len(text) + 1
+        for broken in (text[:at], text[:at] + char + text[at:],
+                       text[:at] + text[at + 1:]):
+            for body in (broken, broken.encode()):
+                assert (_decoded_jobs(decode_job_specs, body)
+                        == _decoded_jobs(json.loads, body))
+
+    def test_a_body_that_is_not_utf8_fails_as_json_loads_does(self):
+        from repro.batch.jobs import decode_job_specs
+
+        body = b'{"database": {"caf\xe9": 1}, "threshold": 2}'
+        with pytest.raises(UnicodeDecodeError):
+            json.loads(body)
+        with pytest.raises(UnicodeDecodeError):
+            decode_job_specs(body)
+
+    def test_a_second_spec_over_one_database_reuses_its_text(self):
+        from repro.batch import clear_worker_caches, job_from_spec
+        from repro.batch.jobs import decode_job_specs
+        from repro.examples_data import running_example_db
+        from repro.io.json_io import database_to_json
+
+        database = database_to_json(running_example_db())
+        decodes = self._decodes()
+        clear_worker_caches()
+        parsed = decodes.value(outcome="parsed")
+        reused = decodes.value(outcome="reused")
+        first = decode_job_specs(_spec_body(database, 2))
+        second = decode_job_specs(_spec_body(database, 3))
+        assert decodes.value(outcome="parsed") == parsed + 1
+        assert decodes.value(outcome="reused") == reused + 1
+        assert second["database"].text is first["database"].text
+        for threshold, spec in ((2, first), (3, second)):
+            plain = json.loads(_spec_body(database, threshold))
+            assert job_from_spec(spec) == job_from_spec(plain)
+
+    def test_remembered_database_then_garbage_fails_as_json_loads(self):
+        from repro.batch.jobs import decode_job_specs
+
+        database = {"relations": [], "garbage": True}
+        decode_job_specs(_spec_body(database))
+        raw = json.dumps(database)
+        assert raw in _spec_body(database).decode()
+        for body in ('{"database": ' + raw + "}}",
+                     '{"database": ' + raw + ' "tree": 1}',
+                     '[{"database": ' + raw + "]",
+                     '{"database": ' + raw + ', "tree": }',
+                     '{"database": ' + raw[:-1]):
+            with pytest.raises(json.JSONDecodeError) as expected:
+                json.loads(body)
+            with pytest.raises(json.JSONDecodeError) as got:
+                decode_job_specs(body.encode())
+            assert (got.value.msg, got.value.pos) == (
+                expected.value.msg, expected.value.pos
+            )
+
+    @pytest.mark.parametrize("second", [
+        {"n": 12}, {"n": 1, "m": 2}, {"n": 1.0}, {"n": True},
+    ])
+    def test_only_a_whole_remembered_text_is_reused(self, second):
+        # Each second database starts like the first or equals it in
+        # Python, and canonicalizes differently.
+        from repro.batch.jobs import decode_job_specs
+
+        for database in ({"n": 1}, second):
+            body = _spec_body(database)
+            assert (_decoded_jobs(decode_job_specs, body)
+                    == _decoded_jobs(json.loads, body))
+
+    @pytest.mark.parametrize("value", [[1, {"a": 2}], "db", 7, None])
+    def test_a_non_object_database_passes_through(self, value):
+        from repro.batch.jobs import decode_job_specs
+
+        decodes = self._decodes()
+        before = (decodes.value(outcome="parsed"),
+                  decodes.value(outcome="reused"))
+        body = json.dumps({"database": value, "threshold": 2})
+        assert decode_job_specs(body) == {"database": value, "threshold": 2}
+        assert (decodes.value(outcome="parsed"),
+                decodes.value(outcome="reused")) == before
+
+    def test_a_ninth_database_evicts_the_oldest(self):
+        from repro.batch import clear_worker_caches
+        from repro.batch.jobs import _DATABASE_TEXTS, decode_job_specs
+
+        bodies = [_spec_body({"relations": [], "n": n}) for n in range(9)]
+        decodes = self._decodes()
+        clear_worker_caches()
+        for body in bodies:
+            decode_job_specs(body)
+        assert len(_DATABASE_TEXTS) == 8
+        reused = decodes.value(outcome="reused")
+        decode_job_specs(bodies[8])
+        assert decodes.value(outcome="reused") == reused + 1
+        parsed = decodes.value(outcome="parsed")
+        decode_job_specs(bodies[0])
+        assert decodes.value(outcome="parsed") == parsed + 1
+
+    def test_clear_worker_caches_empties_the_memo(self):
+        from repro.batch import clear_worker_caches
+        from repro.batch.jobs import _DATABASE_TEXTS, decode_job_specs
+
+        decode_job_specs(_spec_body({"relations": [], "cleared": True}))
+        assert len(_DATABASE_TEXTS) > 0
+        clear_worker_caches()
+        assert len(_DATABASE_TEXTS) == 0
+
+    def test_concurrent_decodes_match_json_loads(self, monkeypatch):
+        # More threads than cores decode specs over three databases with
+        # a memo bounded at two, so lookups race insertions and evictions.
+        import random
+        import sys
+        import time
+
+        from repro.batch import jobs as jobs_module
+        from repro.batch import job_from_spec
+
+        memo = jobs_module._DatabaseTexts(maxsize=2)
+        monkeypatch.setattr(jobs_module, "_DATABASE_TEXTS", memo)
+        bodies = [_spec_body({"relations": [], "n": n}, threshold)
+                  for n in range(3) for threshold in (2, 3)]
+        expected = {body: job_from_spec(json.loads(body)) for body in bodies}
+        failures: list = []
+        deadline = time.monotonic() + 1.0
+
+        def decode(seed):
+            pick = random.Random(seed).choice
+            while time.monotonic() < deadline and not failures:
+                body = pick(bodies)
+                try:
+                    job = job_from_spec(jobs_module.decode_job_specs(body))
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+                    return
+                if job != expected[body]:
+                    failures.append(body)
+                if len(memo) > 2:
+                    failures.append(f"memo grew to {len(memo)}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=decode, args=(seed,))
+                       for seed in range((os.cpu_count() or 1) + 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

@@ -280,6 +280,31 @@ class TestLoaderErrors:
         assert code == 2
         assert "K-example" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        "optimize", "batch-optimize", "privacy", "scenarios", "trace",
+    ])
+    def test_a_file_that_is_not_utf8_exits_2_naming_it(
+        self, workspace, capsys, command
+    ):
+        bad = workspace / "latin1.json"
+        bad.write_bytes(b'[{"query_name": "caf\xe9", "threshold": 2}]')
+        common = ["--tree", str(workspace / "tree.json"), "--query", QUERY]
+        argv = {
+            "optimize": ["optimize", "--database", str(bad), *common,
+                         "--threshold", "2"],
+            "batch-optimize": ["batch-optimize", "--jobs", str(bad),
+                               "--workers", "1"],
+            "privacy": ["privacy", "--database", str(workspace / "data"),
+                        *common, "--abstraction", str(bad)],
+            "scenarios": ["scenarios", "diff", str(bad), str(bad)],
+            "trace": ["trace", "summary", str(bad)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(bad) in err
+        assert err.count("\n") == 1
+
     def test_serve_port_in_use_exits_2(self, capsys):
         import socket
 

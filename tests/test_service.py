@@ -386,6 +386,31 @@ class TestHTTPService:
         assert stats["sessions_reused"] >= 1
         assert stats["jobs_done"] == 2
 
+    def test_submits_over_one_database_decode_it_once(self, http_service):
+        import urllib.request
+
+        from repro.batch import clear_worker_caches
+        from repro.obs import metrics
+
+        client, service = http_service
+        decodes = metrics.REGISTRY.get("repro_inline_database_decodes_total")
+        clear_worker_caches()
+        before = [decodes.value(outcome=o) for o in ("parsed", "reused")]
+        spec = inline_spec(tag="decoded")
+        ids = client.submit_many([spec, {**spec, "threshold": 3}])
+        ids.append(client.submit(spec))
+        after = [decodes.value(outcome=o) for o in ("parsed", "reused")]
+        assert after == [before[0] + 1, before[1] + 2]
+        # The jobs are the ones json.loads would have built.
+        expected = job_from_spec(spec)
+        assert service.record(ids[0]).job == expected
+        assert service.record(ids[2]).job == expected
+        with urllib.request.urlopen(client.base_url + "/v1/metrics") as resp:
+            text = resp.read().decode()
+        assert 'repro_inline_database_decodes_total{outcome="reused"}' in text
+        for job_id in ids:
+            assert client.wait(job_id, timeout=60)["state"] == JOB_DONE
+
     def test_named_workload_job_over_http(self, http_service):
         client, _ = http_service
         ids = client.submit_many([{
@@ -727,6 +752,45 @@ class TestClientStartupRetry:
         try:
             with pytest.raises(ServiceError, match="dropped the connection"):
                 client.worker_claim("w1")
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        finally:
+            listener.close()
+
+    def test_reset_while_the_body_is_sent_is_a_dropped_connection(self):
+        # The server reads 64 KiB of a large POST, then resets: the
+        # reset reaches the client while urllib still sends the body,
+        # and urllib wraps it in a URLError.
+        import socket
+        import struct
+
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(4)
+
+        def reset_early():
+            conn, _ = listener.accept()
+            received = 0
+            while received < 65536:
+                chunk = conn.recv(65536 - received)
+                if not chunk:
+                    break
+                received += len(chunk)
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            conn.close()
+
+        thread = threading.Thread(target=reset_early, daemon=True)
+        thread.start()
+        client = ServiceClient(
+            f"http://127.0.0.1:{listener.getsockname()[1]}",
+            timeout=5.0, connect_retries=3, retry_backoff=0.01,
+        )
+        try:
+            with pytest.raises(ServiceError, match=(
+                "dropped the connection during POST /jobs"
+            )):
+                client.submit_many([{"blob": "x" * (16 << 20)}])
             thread.join(timeout=5)
             assert not thread.is_alive()
         finally:
