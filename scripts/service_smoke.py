@@ -12,9 +12,9 @@ and asserts the service guarantees:
   observable — for ``--executor process`` this proves each pool
   *process* warmed and reused its own privacy session), and
 * with ``--executor process`` (which runs with a ``--store`` file), a
-  resubmitted identical job is answered from the shared SQLite result
-  cache — the search ran in a pool worker process, the hit is served by
-  the service process, so the cache demonstrably crosses processes.
+  resubmitted identical job is answered from the SQLite result cache —
+  the search ran in a pool worker process and the service stored its
+  result, then answered the repeat without dispatching it.
 
 Run from the repo root: ``python scripts/service_smoke.py
 [--executor thread|process]``.
@@ -70,8 +70,8 @@ def main() -> int:
     ]
     store_dir = None
     if args.executor == "process":
-        # A file-backed store: pool workers persist results into it, the
-        # service process answers repeats from it — the cross-process leg.
+        # A file-backed store: the service stores each pool worker's
+        # result in it and answers repeats from it — the cross-process leg.
         store_dir = tempfile.TemporaryDirectory(prefix="repro-smoke-")
         command += ["--store", os.path.join(store_dir.name, "jobs.db")]
     server = subprocess.Popen(command, env=env, cwd=REPO_ROOT)

@@ -446,6 +446,19 @@ def _as_positive_int(value, key: str) -> Optional[int]:
     return number
 
 
+def _is_text(value) -> bool:
+    """A non-empty string UTF-8 can encode.  JSON's ``\\ud800`` escape
+    yields a lone surrogate, which the context's content hash cannot
+    digest."""
+    if not (isinstance(value, str) and value):
+        return False
+    try:
+        value.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _config_from_spec(
     spec: dict, base_config: Optional[OptimizerConfig]
 ) -> Optional[OptimizerConfig]:
@@ -462,11 +475,16 @@ def _config_from_spec(
         overrides["max_candidates"] = _as_int(spec["max_candidates"], "max_candidates")
     if "max_seconds" in spec:
         try:
-            overrides["max_seconds"] = float(spec["max_seconds"])
+            max_seconds = float(spec["max_seconds"])
         except (TypeError, ValueError):
+            max_seconds = math.nan
+        # A NaN budget compares false with every elapsed time, so the
+        # search would never stop, whatever --job-timeout says.
+        if math.isnan(max_seconds):
             raise JobSpecError(
                 f"'max_seconds' must be a number, got {spec['max_seconds']!r}"
-            ) from None
+            )
+        overrides["max_seconds"] = max_seconds
     return dataclasses.replace(base_config or OptimizerConfig(), **overrides)
 
 
@@ -526,7 +544,7 @@ def job_from_spec(
                 "inline job spec needs exactly one of 'query' or 'kexample'"
             )
         query = spec.get("query")
-        if "query" in spec and not (isinstance(query, str) and query):
+        if "query" in spec and not _is_text(query):
             raise JobSpecError(
                 f"'query' must be a non-empty string, got {query!r}"
             )

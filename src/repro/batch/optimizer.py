@@ -241,21 +241,16 @@ def clear_worker_caches() -> None:
 def _result_cache_for(pid: int, store_path: str):
     """One :class:`ResultCache` connection per (process, store path).
 
-    Worker processes receive the store *path* (a picklable string) and
-    open their own SQLite connection on first use; WAL journaling in
-    :class:`~repro.store.jobstore.JobStore` lets them all append results
-    concurrently.  The pid in the key matters under the ``fork`` start
-    method: a child inherits the parent's populated cache, and reusing a
-    connection across fork is corruption-prone per SQLite — a fresh pid
-    forces a fresh connection instead.
+    Each process opens its own SQLite connection on first use; WAL
+    journaling in :class:`~repro.store.jobstore.JobStore` lets several
+    append results concurrently.  The pid in the key matters under the
+    ``fork`` start method: a child inherits the parent's populated
+    cache, and reusing a connection across fork is corruption-prone per
+    SQLite — a fresh pid forces a fresh connection instead.
     """
     from repro.store import JobStore, ResultCache
 
     return ResultCache(JobStore(store_path))
-
-
-def _cached_result_cache(store_path: str):
-    return _result_cache_for(os.getpid(), store_path)
 
 
 def run_job(
@@ -265,17 +260,16 @@ def run_job(
 ) -> BatchJobResult:
     """Execute one job; never raises (failures land in ``result.error``).
 
-    With ``store_path``, the persistent result cache is consulted first:
-    a hit skips the search entirely (``result.cache_hit``), a miss runs
-    it and persists the payload for every later identical job.  An
-    unopenable store degrades to running uncached — callers that want a
-    loud failure on a bad path open it up front, as :func:`run_batch`
-    does.
+    With ``store_path`` (for callers that own no job service, such as
+    ``repro worker --store``), the persistent result cache is consulted
+    first: a hit skips the search entirely (``result.cache_hit``), a
+    miss runs it and persists the payload for every later identical
+    job.  An unopenable store degrades to running uncached.
     """
     cache = None
     if store_path:
         try:
-            cache = _cached_result_cache(store_path)
+            cache = _result_cache_for(os.getpid(), store_path)
         except ReproError:
             cache = None
     config = job.config or OptimizerConfig(
@@ -379,17 +373,13 @@ def run_batch(
     (``None`` = one per core, capped by the job count) use its process
     tier, one service thread per pool process; a job whose worker dies
     is retried once on a fresh pool.  ``store_path`` names a result
-    cache file (see :mod:`repro.store`), opened now so that a bad path
-    fails loudly; every job consults and fills it where it runs, and
-    no job rows are written.  An interrupt cancels the queued jobs.
+    cache file (see :mod:`repro.store`) that the service opens, so a bad
+    path fails before any job runs; the service consults and fills it,
+    and writes no job rows.  An interrupt cancels the queued jobs.
     """
     from repro.service.server import JobService  # it imports this module
 
     jobs = list(jobs)
-    if store_path is not None:
-        # run_job would degrade to uncached execution, silently
-        # discarding every result the user asked to persist.
-        _cached_result_cache(store_path)
     if max_workers is None:
         max_workers = os.cpu_count() or 1
     workers = max(1, min(max_workers, len(jobs)))
@@ -400,16 +390,10 @@ def run_batch(
         executor="thread" if workers == 1 else "process",
         cache_path=store_path,
     )
-    ids: list[str] = []
     start = clock.perf_counter()
     try:
-        service.start()
-        for job in jobs:
-            ids.append(service.submit(job))
-        records = [service.wait(job_id) for job_id in ids]
+        records = service.start().run_all(jobs)
     finally:
-        for job_id in ids:
-            service.cancel(job_id)  # a no-op once the job has started
         service.shutdown()
     wall = clock.perf_counter() - start
     results = [

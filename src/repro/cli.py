@@ -884,8 +884,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", choices=EXECUTOR_NAMES, default=EXECUTOR_NAMES[0],
         help="execution tier: 'thread' runs searches in-process "
              "(shared warm caches, GIL-capped at ~1 core), 'process' "
-             "fans them out to a pool of --workers processes that "
-             "share the --store result cache (scales to all cores)",
+             "fans them out to a pool of --workers processes (scales "
+             "to all cores)",
     )
     p_serve.add_argument(
         "--lease-seconds", type=float, default=15.0,

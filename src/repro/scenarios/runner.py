@@ -15,10 +15,11 @@ the in-process service over HTTP (a daemon serving thread) so that
 leased cells over the v1 wire protocol.  Everything else (snapshot
 shape, hashes, cache behavior) is tier-independent by construction.
 
-With a persistent store attached the run dedups against everything the
-store has ever seen: repeated cells — in this run, a previous run, or a
-run on the *other* execution tier — come back as ``cache_hit`` cells
-whose payload (timing included) is the original run's.
+A store file is a result cache only: repeated cells — in this run, a
+previous run, or a run on the *other* execution tier — come back as
+``cache_hit`` cells whose payload (timing included) is the original
+run's, while the run writes no job rows and recovers none, so it can
+share the file with a live ``repro serve --store``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from repro.errors import ScenarioError
 from repro.obs import clock
 from repro.scenarios.matrix import ScenarioMatrix, materialize
 from repro.scenarios.snapshot import SNAPSHOT_SCHEMA, result_hash
-from repro.service.server import JobService
-from repro.store import JobStore, job_content_hash
+from repro.service.server import JobService, make_server
+from repro.store import job_content_hash
 
 
 def run_matrix(
@@ -52,11 +53,11 @@ def run_matrix(
 ) -> dict:
     """Run every cell of ``matrix`` and return the snapshot dict.
 
-    ``store_path`` attaches a persistent :class:`~repro.store.JobStore`
-    (shared across runs and execution tiers); ``None`` runs without
-    caching.  Any cell that fails aborts the whole run with a
-    :class:`ScenarioError` — a seeded, candidate-capped matrix has no
-    legitimate per-cell failures, so one is a bug, not a data point.
+    ``store_path`` names a result-cache file (shared across runs and
+    execution tiers); ``None`` runs without caching.  Any cell that
+    fails aborts the whole run with a :class:`ScenarioError` — a seeded,
+    candidate-capped matrix has no legitimate per-cell failures, so one
+    is a bug, not a data point.
 
     ``engine`` picks the relational evaluation backend, exactly like
     ``executor`` picks the concurrency tier: content hashes, result
@@ -86,12 +87,11 @@ def run_matrix(
         # The cells carry configs, which the service runs as given.
         jobs = [(cell, dataclasses.replace(job, config=dataclasses.replace(
             job.config, trace=True))) for cell, job in jobs]
-    store = JobStore(store_path) if store_path else None
     service = JobService(
         settings=settings,
         worker_threads=max(1, workers),
         max_queue=0,  # unbounded: the matrix is submitted all at once
-        store=store,
+        cache_path=store_path,
         executor=executor,
         engine=engine,
         trace=trace,
@@ -101,34 +101,29 @@ def run_matrix(
     # Snapshot timestamp (wall, display-only) vs. run duration (perf).
     started = time.time()
     wall_t0 = clock.perf_counter()
-    service.start()
     server = None
-    serve_thread = None
-    if fleet_port is not None:
-        from repro.service.server import make_server
-
-        server = make_server(service, fleet_host, fleet_port, quiet=True)
-        serve_thread = threading.Thread(
-            target=server.serve_forever,
-            name="repro-scenarios-fleet-server",
-            daemon=True,
-        )
-        serve_thread.start()
     try:
-        ids = [(cell, job, service.submit(job)) for cell, job in jobs]
-        cells = [
-            _cell_entry(cell, job, service.wait(job_id), settings)
-            for cell, job, job_id in ids
-        ]
+        service.start()
+        if fleet_port is not None:
+            http = make_server(service, fleet_host, fleet_port, quiet=True)
+            serve_thread = threading.Thread(
+                target=http.serve_forever,
+                name="repro-scenarios-fleet-server",
+                daemon=True,
+            )
+            serve_thread.start()
+            server = http  # shut down only once it is serving
+        records = service.run_all([job for _, job in jobs])
     finally:
         if server is not None:
             server.shutdown()
             server.server_close()
-            if serve_thread is not None:
-                serve_thread.join(timeout=5.0)
+            serve_thread.join(timeout=5.0)
         service.shutdown()
-        if store is not None:
-            store.close()
+    cells = [
+        _cell_entry(cell, job, record, settings)
+        for (cell, job), record in zip(jobs, records)
+    ]
     wall = clock.perf_counter() - wall_t0
     failures = [c for c in cells if c.get("error")]
     if failures:

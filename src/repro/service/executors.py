@@ -18,10 +18,10 @@ and are backend-independent; an :class:`ExecutorBackend` only decides
     --executor process`` and multi-worker batches
     (:func:`repro.batch.run_batch`) both run on it.  Each worker
     *process* owns its warm context/privacy-session caches (content-hash
-    keyed) and — when the service has a file-backed store — consults the
-    shared SQLite result cache before searching and persists fresh
-    results into it.  Search parallelism scales to the cores; the store
-    keeps dedup global across the processes.
+    keyed), so search parallelism scales to the cores.
+
+No backend touches the result cache: the service consults it before
+``run`` and fills it after, on every tier.
 
 Results cross the pool as :meth:`BatchJobResult.to_payload` dictionaries
 (the PR-4 lossless JSON round trip), never as pickled result objects:
@@ -61,15 +61,11 @@ class ExecutorBackend:
     raises for job-level failures (those land in ``result.error``).
     ``job_id`` is the service's id for the job — local backends ignore
     it, the remote backend leases it to fleet workers under that id.
-    ``manages_store`` tells the service whether this backend already
-    consults/persists the shared result cache itself, so the service
-    does not double-write fresh results.  ``is_remote`` gates the
-    ``/v1/workers/*`` endpoints: only a fleet-facing backend serves
-    claim/heartbeat/complete traffic.
+    ``is_remote`` gates the ``/v1/workers/*`` endpoints: only a
+    fleet-facing backend serves claim/heartbeat/complete traffic.
     """
 
     name = "?"
-    manages_store = False
     is_remote = False
 
     def start(self) -> "ExecutorBackend":
@@ -85,22 +81,12 @@ class ExecutorBackend:
 
 
 class ThreadBackend(ExecutorBackend):
-    """Run the search in-process, on the claiming worker thread.
-
-    A service with a store keeps cache consult/persist to itself (its
-    ``ResultCache`` wraps the same ``JobStore`` connection, which keeps
-    ``:memory:`` stores working), so this backend is a plain ``run_job``
-    call, given ``store_path`` only by a cache-only service.
-    """
+    """Run the search in-process, on the claiming worker thread."""
 
     name = "thread"
 
-    def __init__(self, store_path: Optional[str] = None):
-        self._store_path = store_path
-        self.manages_store = store_path is not None
-
     def run(self, job, settings, job_id=None) -> BatchJobResult:
-        return run_job(job, settings, self._store_path)
+        return run_job(job, settings)
 
 
 def _default_mp_context():
@@ -121,35 +107,16 @@ def _default_mp_context():
 
 
 class ProcessPoolBackend(ExecutorBackend):
-    """Run searches on a process pool, one process per service worker.
-
-    ``store_path`` (optional) is the file-backed job store the workers
-    share: each worker process opens its own SQLite connection
-    (pid-keyed inside ``run_job``), consults the result cache before
-    searching, and persists fresh results — WAL journaling serializes
-    the short writes.  In-memory stores cannot cross processes; the
-    service keeps cache handling to itself in that case
-    (``manages_store`` is False when no path was given).
-    """
+    """Run searches on a process pool, one process per service worker."""
 
     name = "process"
 
-    def __init__(
-        self,
-        workers: int = 1,
-        store_path: Optional[str] = None,
-        mp_context=None,
-    ):
+    def __init__(self, workers: int = 1, mp_context=None):
         self._workers = max(1, int(workers))
-        self._store_path = store_path
         self._mp_context = mp_context
         self._pool: Optional[ProcessPoolExecutor] = None
         self._lock = threading.Lock()
         self._pools_replaced = 0
-
-    @property
-    def manages_store(self) -> bool:  # type: ignore[override]
-        return self._store_path is not None
 
     @property
     def workers(self) -> int:
@@ -198,9 +165,7 @@ class ProcessPoolBackend(ExecutorBackend):
         for attempt in range(2):
             pool = self._ensure_pool()
             try:
-                payload = pool.submit(
-                    run_job_payload, job, settings, self._store_path
-                ).result()
+                payload = pool.submit(run_job_payload, job, settings).result()
             except BrokenProcessPool as exc:
                 # A worker died (OOM kill, segfault, an os._exit in
                 # native code) and the executor condemned the *whole*
@@ -234,7 +199,6 @@ class ProcessPoolBackend(ExecutorBackend):
 def make_backend(
     executor: str,
     workers: int = 1,
-    store_path: Optional[str] = None,
     *,
     lease_seconds: float = 15.0,
     lease_attempts: int = 3,
@@ -243,17 +207,14 @@ def make_backend(
     """Build the named backend; unknown names raise :class:`ServiceError`.
 
     ``workers`` sizes the process pool (thread execution is sized by the
-    service's worker threads directly); ``store_path`` is the result
-    cache file each local run consults and fills (on the thread tier
-    only without ``store``) — it must be a path other processes can
-    open, so callers pass ``None`` for in-memory stores.  ``store`` is
-    the service's own :class:`~repro.store.JobStore`; it and the lease
-    knobs otherwise apply to the ``remote`` backend only (audit rows).
+    service's worker threads directly).  ``store`` is the service's own
+    :class:`~repro.store.JobStore`; it and the lease knobs apply to the
+    ``remote`` backend only (audit rows).
     """
     if executor == "thread":
-        return ThreadBackend(store_path if store is None else None)
+        return ThreadBackend()
     if executor == "process":
-        return ProcessPoolBackend(workers=workers, store_path=store_path)
+        return ProcessPoolBackend(workers=workers)
     if executor == "remote":
         # Imported here, not at module top: fleet.py subclasses
         # ExecutorBackend from this module.

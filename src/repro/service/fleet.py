@@ -121,15 +121,9 @@ class RemoteBackend(ExecutorBackend):
     many claims one job may burn before it fails visibly.  ``store``
     (optional) mirrors lease changes into the job store's audit
     columns.
-
-    ``manages_store`` stays False: the *service* consults and persists
-    the shared result cache around ``run`` exactly as on the thread
-    tier, and workers with a reachable ``--store`` additionally consult
-    it inside ``run_job`` — same division of labor as the process pool.
     """
 
     name = "remote"
-    manages_store = False
     #: Marks the backend as fleet-facing; the service gates the
     #: ``/v1/workers/*`` endpoints on this (``not_remote`` otherwise).
     is_remote = True

@@ -15,10 +15,10 @@ the aggregate search counters.
 on the worker thread itself (shared warm caches, GIL-capped at roughly
 one core), while the ``process`` backend (``repro serve --executor
 process --workers N``) dispatches it to a process pool whose workers
-each own warm caches and share the file-backed result cache — the
-pure-CPU search then scales to the cores while every service behavior
-around it (queueing, cancellation, timeout clamps, backpressure,
-durability, stats) is backend-independent.
+each own warm caches — the pure-CPU search then scales to the cores
+while every service behavior around it (queueing, cancellation, timeout
+clamps, backpressure, the result cache, durability, stats) is
+backend-independent.
 
 The HTTP surface is the versioned v1 wire protocol defined (as data) in
 :mod:`repro.service.protocol` — ``GET /v1/`` serves the machine-readable
@@ -64,8 +64,9 @@ lifecycle state) and every clean result payload is stored
 content-addressed.  A restarted service recovers the store on startup —
 completed results are served again, queued *and* interrupted running
 jobs are re-enqueued — and the worker loop consults the result cache
-before every search, so a job content-identical to any earlier one (this
-process or a previous life) returns instantly with ``cache_hit`` set.
+before every search, on every tier, so a job content-identical to any
+earlier one (this process or a previous life) returns instantly with
+``cache_hit`` set.
 """
 
 from __future__ import annotations
@@ -113,12 +114,7 @@ from repro.service.state import (
     TERMINAL_STATES,
     JobRecord,
 )
-from repro.store import (
-    JobStore,
-    ResultCache,
-    job_content_hash,
-    shareable_store_path,
-)
+from repro.store import JobStore, ResultCache, job_content_hash
 
 
 class _UnparseableJob:
@@ -148,9 +144,12 @@ class JobService:
     job's ``max_seconds`` search budget.  ``store`` attaches a
     :class:`repro.store.JobStore` for durability and cross-restart result
     dedup (recovery runs synchronously in the constructor, before any
-    worker starts).  ``cache_path`` instead names a store file each job
-    consults and fills as a result cache where it runs, with no job rows
-    (how :func:`repro.batch.run_batch` shares a live server's store).
+    worker starts).  ``cache_path`` instead names a store file the
+    service opens as a result cache only — no job rows, no recovery —
+    and closes in :meth:`shutdown` (how :func:`repro.batch.run_batch`
+    and :func:`repro.scenarios.run_matrix` share a live server's store).
+    Either way the service alone consults and fills the cache, on every
+    executor tier.
 
     ``executor`` picks the execution tier (see
     :mod:`repro.service.executors`): ``"thread"`` runs searches on the
@@ -183,6 +182,16 @@ class JobService:
     ):
         from repro.engine import get_engine
 
+        self._store = store
+        # Opened first, so that a bad path fails before anything else
+        # is held open.
+        self._cache_file = (
+            JobStore(cache_path) if store is None and cache_path else None
+        )
+        cache_store = store if store is not None else self._cache_file
+        self._cache = (
+            ResultCache(cache_store) if cache_store is not None else None
+        )
         self._settings = settings
         self._worker_threads = max(0, worker_threads)
         self._job_timeout = job_timeout
@@ -284,16 +293,9 @@ class JobService:
             "repro_service_fleet_workers_live",
             "Fleet workers seen within the liveness window.",
         )
-        self._store = store
-        self._cache = ResultCache(store) if store is not None else None
-        # Pool workers can only share a store that lives in a file; an
-        # in-memory store stays service-side (the backend then reports
-        # manages_store=False and this process persists results itself).
-        # A cache-only service hands its file to either local tier.
         self._backend = make_backend(
             executor,
             workers=max(1, self._worker_threads),
-            store_path=shareable_store_path(store) or cache_path,
             lease_seconds=lease_seconds,
             lease_attempts=lease_attempts,
             store=store,
@@ -350,6 +352,8 @@ class JobService:
         self._backend.shutdown(wait=not any(t.is_alive() for t in threads))
         if self._trace_writer is not None:
             self._trace_writer.close()
+        if self._cache_file is not None:
+            self._cache_file.close()
 
     # -- durability --------------------------------------------------------
 
@@ -590,6 +594,21 @@ class JobService:
         record.done.wait()
         return record
 
+    def run_all(self, jobs: Sequence) -> list[JobRecord]:
+        """Submit ``jobs``, wait for each, and return their records in
+        order.  An exception on the way (an interrupt above all) cancels
+        the jobs still queued before it propagates, so :meth:`shutdown`
+        does not run them first."""
+        ids: list[str] = []
+        try:
+            for job in jobs:
+                ids.append(self.submit(job))
+            return [self.wait(job_id) for job_id in ids]
+        except BaseException:
+            for job_id in ids:
+                self.cancel(job_id)  # a no-op once the job has started
+            raise
+
     def status_payload(self, job_id: str) -> dict:
         with self._lock:
             return self._records[job_id].status_payload()
@@ -655,12 +674,7 @@ class JobService:
         # block up to its busy timeout, and that wait must not freeze
         # submit/status/worker traffic.  Best-effort like every other
         # store call — a broken store must not take /stats down with it.
-        results_stored = 0
-        if self._store is not None:
-            try:
-                results_stored = self._store.result_count()
-            except sqlite3.Error:
-                self._m_store_errors.inc()
+        results_stored = self._results_stored()
         store_errors = int(self._m_store_errors.value())
         with self._lock:
             states = [r.state for r in self._records.values()]
@@ -692,7 +706,8 @@ class JobService:
                 # the service runs without --store).
                 "cache_hits": effort.cache_hits,
                 "store_path": (
-                    self._store.path if self._store is not None else None
+                    self._cache.store.path if self._cache is not None
+                    else None
                 ),
                 "results_stored": results_stored,
                 # Store operations that failed and were degraded; nonzero
@@ -719,14 +734,19 @@ class JobService:
         self._g_queue_depth.set(states.count(JOB_QUEUED))
         self._g_jobs_running.set(states.count(JOB_RUNNING))
         self._g_uptime.set(clock.monotonic() - self._started_monotonic)
-        results_stored = 0
-        if self._store is not None:
-            try:
-                results_stored = self._store.result_count()
-            except sqlite3.Error:
-                self._m_store_errors.inc()
-        self._g_results_stored.set(results_stored)
+        self._g_results_stored.set(self._results_stored())
         return metrics.render_many([self._smetrics, metrics.REGISTRY])
+
+    def _results_stored(self) -> int:
+        """Result payloads in the cache's store (0 without one, or when
+        the read fails — counted as a store error)."""
+        if self._cache is None:
+            return 0
+        try:
+            return self._cache.store.result_count()
+        except sqlite3.Error:
+            self._m_store_errors.inc()
+            return 0
 
     # -- execution ---------------------------------------------------------
 
@@ -808,15 +828,11 @@ class JobService:
             max(0.0, record.started_at - record.submitted_at)
         )
         effective = self._effective_job(record.job)
-        # The service-side cache consult answers repeats without a pool
-        # round trip; a process backend with a file store consults (and
-        # persists into) the same SQLite file again inside the worker,
-        # which also catches results a concurrent writer stored after
-        # this lookup missed.
+        # The one place a service consults and fills the result cache,
+        # whatever the tier: a backend only runs the search.
         result = None
         if self._cache is not None:
-            # Under the job's tracer, as run_job consults the cache: a
-            # traced hit's trace is its lookup.
+            # Under the job's tracer: a traced hit's trace is its lookup.
             config = effective.config
             tracer = spans.Tracer() if config and config.trace else None
             with spans.activate(tracer):
@@ -827,7 +843,7 @@ class JobService:
             result = self._backend.run(
                 effective, self._settings, job_id=job_id
             )
-            if self._cache is not None and not self._backend.manages_store:
+            if self._cache is not None:
                 self._cache.store_result(effective, self._settings, result)
         # Which fleet worker delivered (remote only); fetched before the
         # service lock — worker_of takes the backend's own lock.

@@ -5,12 +5,13 @@ within a process (the warm caches in :mod:`repro.batch.optimizer`), and
 with this package not across processes or restarts either.  A SQLite
 file holds job records and full result payloads keyed by a canonical
 content hash of (context spec, threshold, effective optimizer config,
-search mode); the batch workers, the job service (``repro serve
---store``), and the ``repro jobs`` CLI all share it.  See
+search mode); the job service (``repro serve --store``, and the batch
+and scenario runs that use a file as a result cache only), fleet
+workers, and the ``repro jobs`` CLI all share it.  See
 ``docs/PERFORMANCE.md`` ("Persistent job store & result cache").
 """
 
-from repro.store.cache import ResultCache, shareable_store_path
+from repro.store.cache import ResultCache
 from repro.store.hashing import (
     CONTEXT_SETTINGS_FIELDS,
     HASH_VERSION,
@@ -32,6 +33,5 @@ __all__ = [
     "context_settings",
     "effective_config",
     "job_content_hash",
-    "shareable_store_path",
     "spec_content_hash",
 ]

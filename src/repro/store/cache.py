@@ -1,13 +1,14 @@
 """The content-addressed result cache over a :class:`JobStore`.
 
-This is the API the execution layers consult *before* running the
-optimizer: :func:`repro.batch.optimizer.run_job` (one cache per worker
-process, keyed by store path) and the job service's run loop both ask
-:meth:`ResultCache.lookup` first — a hit rebuilds the stored
+This is the API consulted *before* running the optimizer: the job
+service's run loop asks :meth:`ResultCache.lookup` first on every
+executor tier, as does :func:`repro.batch.optimizer.run_job` when a
+caller that owns no service hands it a store path (``repro worker
+--store``) — a hit rebuilds the stored
 :class:`~repro.batch.jobs.BatchJobResult` instantly, marked
-``cache_hit=True``; a miss runs the search and :meth:`ResultCache.store`
-persists the payload for every later identical job, in this process or
-any other, before or after a restart.
+``cache_hit=True``; a miss runs the search and
+:meth:`ResultCache.store_result` persists the payload for every later
+identical job, in this process or any other, before or after a restart.
 
 Only clean, *reproducible* results are cached: a crashed search
 (``not result.ok``) may be environmental (out of memory, a bug since
@@ -41,25 +42,6 @@ _LOOKUPS = metrics.REGISTRY.counter(
     "ResultCache lookups by outcome (hit/miss/error).",
     labelnames=("outcome",),
 )
-
-
-def shareable_store_path(store: Optional[JobStore]) -> Optional[str]:
-    """A store path other processes can open, or ``None``.
-
-    An in-memory store is private to the connection that created it —
-    handing ``":memory:"`` to a pool worker would silently open a
-    fresh, empty database and every result persisted there would die
-    with the worker.  Callers that fan execution out across processes
-    (the service's process backend) use this to decide whether workers
-    can share the cache or the owning process must keep cache handling
-    to itself.
-    """
-    if store is None:
-        return None
-    path = store.path
-    if path == ":memory:" or path.startswith("file::memory:"):
-        return None
-    return path
 
 
 class ResultCache:

@@ -16,10 +16,11 @@ One file (or ``:memory:``) holds two tables:
     ``last_used_at`` record cache traffic and drive ``gc`` retention.
 
 The store is safe to share across the service's HTTP and worker threads
-(one connection guarded by a lock) and across batch worker *processes*
-(each opens its own connection; WAL journaling plus a busy timeout
-serialize the short writes).  All values cross the boundary as canonical
-JSON text, so a payload read back is byte-for-byte the payload written.
+(one connection guarded by a lock) and across *processes* — a batch or
+scenario run next to a live service, fleet workers — each with its own
+connection (WAL journaling plus a busy timeout serialize the short
+writes).  All values cross the boundary as canonical JSON text, so a
+payload read back is byte-for-byte the payload written.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ class JobStore:
             self._conn = sqlite3.connect(
                 self._path, check_same_thread=False, timeout=10.0
             )
-            # WAL lets batch worker processes append results while the
-            # service reads; in-memory databases silently keep the
+            # WAL lets other processes append results while the service
+            # reads; in-memory databases silently keep the
             # default journal, which is fine (they have one process).
             # Connecting is lazy — pointing at a non-SQLite file only
             # fails here, so the schema setup shares the error mapping.

@@ -179,8 +179,9 @@ class TestJobConfig:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_traced_cache_hits_carry_their_lookup(self, tmp_path, workers):
-        # Each job consults the store where it runs, under its tracer:
-        # a hit's trace is its lookup, not the stored run's spans.
+        # The service consults the store under the job's tracer on
+        # either tier: a hit's trace is its lookup, not the stored run's
+        # spans.
         config = OptimizerConfig(max_candidates=50, trace=True)
         jobs = [BatchJob("TPCH-Q3", k, config=config) for k in (2, 3)]
         path = str(tmp_path / "store.db")

@@ -152,6 +152,19 @@ class TestJobsFileValidation:
             assert f"'{key}' must be a positive integer" in \
                 capsys.readouterr().err
 
+    def test_nan_budget_exits_2(self, tmp_path, capsys):
+        # NaN is JSON to Python's parser, and a NaN budget never trips.
+        (tmp_path / "jobs.json").write_text(
+            '[{"query_name": "TPCH-Q3", "threshold": 2, "max_seconds": NaN}]'
+        )
+        code = main([
+            "batch-optimize",
+            "--jobs", str(tmp_path / "jobs.json"),
+            "--workers", "1",
+        ])
+        assert code == 2
+        assert "'max_seconds' must be a number" in capsys.readouterr().err
+
     def test_non_list_jobs_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "jobs.json").write_text(json.dumps({"query_name": "x"}))
         code = main([

@@ -253,6 +253,9 @@ class TestErrorEnvelopes:
             ([{"treshold": 2}], "treshold"),
             ({"jobs": [inline_spec()]}, "jobs"),
             (inline_spec(query=["not", "a", "string"]), "query"),
+            # JSON's "\ud800" escape is a lone surrogate, which no
+            # content hash can digest.
+            (inline_spec(query="Q(x) :- R(x)\ud800"), "query"),
             (inline_spec(n_rows=-1), "n_rows"),
             ({"query_name": "TPCH-Q3", "threshold": 2, "n_leaves": "many"},
              "n_leaves"),
@@ -268,6 +271,10 @@ class TestErrorEnvelopes:
             ({"query_name": "TPCH-Q3", "threshold": 2, "n_leaves": 1e400},
              "n_leaves"),
             ({"query_name": "TPCH-Q3", "threshold": 1e400}, "threshold"),
+            # A NaN budget would never trip, --job-timeout or not.
+            ({"query_name": "TPCH-Q3", "threshold": 2,
+              "max_seconds": float("nan")}, "max_seconds"),
+            (inline_spec(max_seconds="nan"), "max_seconds"),
         ):
             status, _, body = fetch(base, "POST", "/v1/jobs", payload)
             assert status == 400, key

@@ -131,12 +131,15 @@ class TestMaterialize:
 
 
 @pytest.fixture(scope="module")
-def two_runs(tmp_path_factory):
+def store_file(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("scenarios") / "store.sqlite")
+
+
+@pytest.fixture(scope="module")
+def two_runs(store_file):
     """The TINY matrix run twice against one persistent store."""
-    root = tmp_path_factory.mktemp("scenarios")
-    store = str(root / "store.sqlite")
-    first = run_matrix(TINY, seed=7, workers=1, store_path=store)
-    second = run_matrix(TINY, seed=7, workers=1, store_path=store)
+    first = run_matrix(TINY, seed=7, workers=1, store_path=store_file)
+    second = run_matrix(TINY, seed=7, workers=1, store_path=store_file)
     return first, second
 
 
@@ -164,6 +167,35 @@ class TestRunMatrix:
     def test_runs_are_identical_modulo_volatile_fields(self, two_runs):
         first, second = two_runs
         assert normalize(first) == normalize(second)
+
+    def test_the_store_is_a_result_cache_only(self, two_runs, store_file):
+        # Job rows would make every later run's service parse them all.
+        from repro.store import JobStore
+
+        store = JobStore(store_file)
+        try:
+            assert store.list_jobs() == []
+            assert store.result_count() == len(two_runs[0]["cells"])
+        finally:
+            store.close()
+
+    def test_interrupted_run_cancels_its_queued_cells(self, monkeypatch):
+        from repro.service.server import JobService
+
+        services = []
+
+        def interrupted_wait(service, job_id):
+            services.append(service)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(JobService, "wait", interrupted_wait)
+        with pytest.raises(KeyboardInterrupt):
+            run_matrix(SHAPE, seed=7, workers=1)
+        (service,) = services
+        states = [job["state"] for job in service.list_payload()]
+        # The first cell may have started before the interrupt; none of
+        # the others may run after it.
+        assert states[1:] == ["cancelled"] * 3
 
     def test_rejects_invalid_matrix_before_running(self):
         with pytest.raises(ScenarioError, match="unknown workload query"):

@@ -227,6 +227,16 @@ class TestSpecValidation:
         job = job_from_spec({"query_name": "TPCH-Q3", "threshold": 2})
         assert job.config is None
 
+    @pytest.mark.parametrize("value", [float("nan"), "nan"],
+                             ids=["number", "string"])
+    def test_nan_budget_is_rejected(self, value):
+        # A NaN budget never trips (elapsed > nan is false), and the
+        # service's job_timeout clamp keeps it: min(nan, t) is nan.
+        for spec in ({"query_name": "TPCH-Q3", "threshold": 2},
+                     inline_spec()):
+            with pytest.raises(JobSpecError, match="'max_seconds'"):
+                job_from_spec({**spec, "max_seconds": value})
+
     def test_mistyped_threshold(self):
         with pytest.raises(JobSpecError, match="integer"):
             job_from_spec({"query_name": "TPCH-Q3", "threshold": "high"})
@@ -545,7 +555,8 @@ class TestExecutorTier:
             service.shutdown()
 
     def test_cross_process_cache_hits_through_shared_store(self, tmp_path):
-        """Pool workers persist into the store; repeats never re-search."""
+        """The service stores a pool worker's result; repeats never
+        re-search."""
         store = JobStore(str(tmp_path / "jobs.db"))
         service = JobService(worker_threads=0, executor="process",
                              store=store)
@@ -555,7 +566,8 @@ class TestExecutorTier:
             service.run_next()
             _, fresh = service.result_payload(first[0])
             assert fresh["state"] == JOB_DONE and not fresh["cache_hit"]
-            # The *worker process* wrote the result into the SQLite file.
+            # The service wrote the *worker process*'s result into the
+            # SQLite file.
             assert store.result_count() == 1
             second = service.submit_specs([spec])
             service.run_next()

@@ -665,6 +665,58 @@ class TestResultCache:
             service.shutdown()
             store.close()
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_scenario_run_shares_a_store_with_a_live_service(self, tmp_path,
+                                                             executor):
+        # The twin of the batch case: a scenario run uses its store as a
+        # result cache only, so it neither recovers nor renumbers the
+        # live service's rows.
+        from repro.scenarios import ScenarioMatrix, run_matrix
+
+        matrix = ScenarioMatrix(
+            queries=("TPCH-Q3",), scales=("xs",), tree_leaves=(16,),
+            tree_heights=(3,), rows=(2,), thresholds=(2, 3),
+            max_candidates=120,
+        )
+        path = str(tmp_path / "store.db")
+        store = JobStore(path)
+        service = JobService(FAST_SETTINGS, worker_threads=0, store=store)
+        try:
+            served = service.submit(job_from_spec(inline_spec(tag="served")))
+            snapshot = run_matrix(matrix, seed=7, executor=executor,
+                                  workers=1, store_path=path)
+            assert snapshot["summary"]["cells"] == 2
+            rows = store.list_jobs()
+            assert [(r.job_id, r.state, r.spec["tag"], r.lease_worker)
+                    for r in rows] == [(served, JOB_QUEUED, "served", None)]
+            assert store.result_count() == 2
+        finally:
+            service.shutdown()
+            store.close()
+
+    def test_batch_hits_never_reach_the_pool(self, tmp_path, monkeypatch):
+        # The service answers a hit before dispatching: a batch served
+        # wholly from its store sends nothing to the process pool.
+        from repro.service import ProcessPoolBackend
+
+        path = str(tmp_path / "store.db")
+        jobs = [job_from_spec(inline_spec(tag=f"k{k}", threshold=k))
+                for k in (2, 3)]
+        run_batch(jobs, FAST_SETTINGS, max_workers=2, store_path=path)
+        dispatched = []
+        run = ProcessPoolBackend.run
+
+        def counting_run(backend, job, settings, job_id=None):
+            dispatched.append(job_id)
+            return run(backend, job, settings, job_id)
+
+        monkeypatch.setattr(ProcessPoolBackend, "run", counting_run)
+        again = run_batch(jobs, FAST_SETTINGS, max_workers=2,
+                          store_path=path)
+        assert again.stats.workers == 2
+        assert again.stats.cache_hits == 2
+        assert dispatched == []
+
 
 @pytest.fixture(params=("thread", "process"))
 def make_service(request):
