@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 from pathlib import Path
@@ -225,6 +226,33 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _float_type(minimum: float | None = None, *, inclusive: bool = False):
+    """Argparse type for float flags: never NaN, and with ``minimum``
+    finite and above it (or equal, when ``inclusive``).
+
+    NaN compares false with every bound, so a NaN budget, timeout, lease
+    or age would clamp nothing.
+    """
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if math.isnan(value):
+            raise argparse.ArgumentTypeError(f"must be a number, got {text!r}")
+        if minimum is not None and not (
+            math.isfinite(value)
+            and (value >= minimum if inclusive else value > minimum)
+        ):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {'>=' if inclusive else '>'} "
+                f"{minimum:g}, got {text}"
+            )
+        return value
+
+    return parse
 
 
 def _settings_for(args):
@@ -825,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_opt)
     p_opt.add_argument("--threshold", type=int, required=True)
     p_opt.add_argument("--max-candidates", type=int, default=None)
-    p_opt.add_argument("--max-seconds", type=float, default=None)
+    p_opt.add_argument("--max-seconds", type=_float_type(), default=None)
     p_opt.add_argument("--output", help="write the result JSON here")
     _add_trace_flags(p_opt)
     p_opt.set_defaults(func=cmd_optimize)
@@ -856,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--profile", choices=("fast", "default"),
                          default="fast", help="experiment settings profile")
     p_batch.add_argument("--max-candidates", type=int, default=None)
-    p_batch.add_argument("--max-seconds", type=float, default=None)
+    p_batch.add_argument("--max-seconds", type=_float_type(), default=None)
     p_batch.add_argument("--output", help="write per-job results JSON here")
     p_batch.add_argument("--store", default=None,
                          help="persistent result-cache file: identical jobs "
@@ -888,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
              "to all cores)",
     )
     p_serve.add_argument(
-        "--lease-seconds", type=float, default=15.0,
+        "--lease-seconds", type=_float_type(0.0), default=15.0,
         help="with --executor remote: how long a fleet worker may go "
              "without a heartbeat before its job is requeued",
     )
@@ -900,13 +928,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--queue-size", type=int, default=64,
                          help="pending-job bound; submissions beyond it "
                               "are rejected with HTTP 503")
-    p_serve.add_argument("--job-timeout", type=float, default=None,
+    p_serve.add_argument("--job-timeout", type=_float_type(0.0), default=None,
                          help="per-job wall-clock cap in seconds (clamps "
                               "each job's max_seconds budget)")
     p_serve.add_argument("--profile", choices=("fast", "default"),
                          default="fast", help="experiment settings profile")
     p_serve.add_argument("--max-candidates", type=int, default=None)
-    p_serve.add_argument("--max-seconds", type=float, default=None)
+    p_serve.add_argument("--max-seconds", type=_float_type(), default=None)
     p_serve.add_argument("--quiet", action="store_true",
                          help="suppress per-request logging")
     p_serve.add_argument("--store", default=None,
@@ -937,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="K-example rows when building from a query")
     p_submit.add_argument("--tag", default="")
     p_submit.add_argument("--max-candidates", type=int, default=None)
-    p_submit.add_argument("--max-seconds", type=float, default=None)
+    p_submit.add_argument("--max-seconds", type=_float_type(), default=None)
     p_submit.add_argument("--wait", action="store_true",
                           help="poll until every job finishes")
     p_submit.add_argument("--timeout", type=float, default=300.0)
@@ -1012,7 +1040,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_jgc.add_argument("--store", required=True, help="job-store file")
     p_jgc.add_argument("--keep-results", type=int, default=None,
                        help="keep only the N most-recently-used results")
-    p_jgc.add_argument("--keep-days", type=float, default=None,
+    p_jgc.add_argument("--keep-days", type=_float_type(0.0, inclusive=True),
+                       default=None,
                        help="drop results unused (and terminal job records "
                             "finished) more than N days ago")
     p_jgc.add_argument("--drop-jobs", action="store_true",
@@ -1058,7 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --executor remote (required there): "
                              "port to serve the v1 protocol on so "
                              "`repro worker` processes can claim cells")
-    p_srun.add_argument("--lease-seconds", type=float, default=15.0,
+    p_srun.add_argument("--lease-seconds", type=_float_type(0.0), default=15.0,
                         help="with --executor remote: lease length before "
                              "a silent worker's cell is requeued")
     p_srun.add_argument("--output", default="BENCH_scenarios.json",

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.abstraction.concretization import ConcretizationEngine
@@ -91,8 +92,8 @@ class PrivacyStats:
     query_cache_misses: int = 0
     consistency_calls: int = 0
     # Session-level reuse: row-option sets served from / added to the
-    # shared per-(output, occurrences) cache.  Work counters above are
-    # only charged on misses — a hit does no enumeration or filtering.
+    # shared per-row cache.  Work counters above are only charged on
+    # misses — a hit does no enumeration or filtering.
     row_option_cache_hits: int = 0
     row_option_cache_misses: int = 0
     # Pairwise strict-containment verdicts (the homomorphism searches
@@ -102,10 +103,11 @@ class PrivacyStats:
     containment_cache_misses: int = 0
     minimal_set_cache_hits: int = 0
     minimal_set_cache_misses: int = 0
-    # Consistent-query generation cut short by ``max_alignment_combos``,
-    # charged per consistency call (cache misses only): skeletons whose
-    # alignment combinations were truncated.  A cut can drop a CIM query,
-    # so a nonzero count means the privacy may undercount.
+    # Consistent-query generation cut short by ``max_alignment_combos``:
+    # skeletons whose alignment combinations were truncated, charged per
+    # consistency call and again on each use of a cached prefix that was
+    # cut.  A cut can drop a CIM query, so a nonzero count means the
+    # privacy may undercount.
     alignment_combo_truncations: int = 0
 
 
@@ -117,10 +119,12 @@ class PrivacySession:
     cache-relevant config fields (:meth:`PrivacyConfig.session_key`).  It
     holds:
 
-    * ``row_option_cache`` — each row signature's concretization options
-      (only the connected ones under the connectivity filter), keyed by
-      ``(output, occurrences)``,
-    * ``query_cache`` — connected consistent queries per prefix,
+    * ``row_option_cache`` — each row's concretization options (only the
+      connected ones under the connectivity filter), keyed by the row,
+    * ``query_cache`` — each concrete prefix's connected consistent
+      queries as a canonical key -> query map, keyed by the prefix's rows;
+      ``capped_prefixes`` holds, for the prefixes whose generation
+      ``max_alignment_combos`` cut short, how many cuts it charged,
     * ``engine`` — the :class:`ConcretizationEngine` with its memoized
       per-label value indexes (each choice's value set and, per value, a
       bitmask of the choices holding it),
@@ -151,8 +155,9 @@ class PrivacySession:
         self.engine = ConcretizationEngine(
             tree, registry, use_connectivity_cache=config.cache_connectivity
         )
-        self.query_cache: dict[tuple, frozenset[CQ]] = {}
-        self.row_option_cache: dict[tuple, list[KExampleRow]] = {}
+        self.query_cache: dict[tuple[KExampleRow, ...], dict[tuple, CQ]] = {}
+        self.capped_prefixes: dict[tuple[KExampleRow, ...], int] = {}
+        self.row_option_cache: dict[KExampleRow, list[KExampleRow]] = {}
         self.containment_cache: dict[tuple, bool] = {}
         self.minimal_set_cache: dict[frozenset, frozenset] = {}
         #: How many computers have attached; > 1 means the session was reused.
@@ -240,7 +245,7 @@ class PrivacyComputer:
         """Algorithm 1: the privacy of ``abstracted`` or -1 if below ``threshold``."""
         if self._config.row_by_row:
             return self._compute_row_by_row(abstracted, threshold)
-        return self._compute_monolithic(abstracted, threshold)
+        return self._gated_cim_count(self._product_queries(abstracted), threshold)
 
     def privacy(self, abstracted: AbstractedKExample) -> int:
         """The exact privacy (no threshold early-exit)."""
@@ -250,7 +255,7 @@ class PrivacyComputer:
     def cim_queries(self, abstracted: AbstractedKExample) -> frozenset[CQ]:
         """The CIM queries w.r.t. ``abstracted`` (Definition 3.10)."""
         connected = self._connected_queries_full(abstracted)
-        keys = self._minimal_keys(connected)
+        keys = self._minimal_keys(frozenset(connected), [connected])
         return frozenset(connected[k] for k in keys)
 
     # -- Algorithm 1 proper -------------------------------------------------
@@ -259,79 +264,54 @@ class PrivacyComputer:
         self, abstracted: AbstractedKExample, threshold: int
     ) -> int:
         rows = abstracted.rows
-        first_row_options = self._row_options(rows[0])
-        if not first_row_options:
-            return -1 if threshold > 0 else 0
-
-        # GoodConc: concrete prefixes that admit a consistent connected query.
-        good_prefixes: list[tuple[KExampleRow, ...]] = [
-            (row,) for row in first_row_options
-        ]
-
-        if len(rows) == 1:
-            connected = self._queries_for_prefixes(good_prefixes)[0]
-            return self._gated_cim_count(connected, threshold)
-
-        for index in range(1, len(rows)):
-            next_options = self._row_options(rows[index])
-            if not next_options:
+        good: list[tuple[KExampleRow, ...]] = [()]
+        for index, row in enumerate(rows):
+            options = self._row_options(row)
+            if not options:
                 return -1 if threshold > 0 else 0
-            prefixes = []
-            for prefix in good_prefixes:
-                for option in next_options:
-                    prefixes.append(prefix + (option,))
-                    if len(prefixes) > self._config.max_concretizations:
-                        raise OptimizationError(
-                            "concretization budget exhausted; tighten the "
-                            "abstraction or raise max_concretizations"
-                        )
-            connected, prefix_of_query = self._queries_for_prefixes(prefixes)
+            self._check_fan_out(len(good) * len(options))
+            prefixes = [p + (option,) for p in good for option in options]
             if index == len(rows) - 1:
                 # Neither count is monotone in the rows (a later row can
                 # split a class, or kill a query that dominated others),
                 # so both gates fire only on the complete example.
-                return self._gated_cim_count(connected, threshold)
-
-            good_set: set[tuple[KExampleRow, ...]] = set()
-            for key in connected:
-                good_set.update(prefix_of_query[key])
-            good_prefixes = sorted(
-                good_set, key=lambda p: tuple(r.occurrences for r in p)
-            )
-
+                return self._gated_cim_count(
+                    self._prefix_queries(prefixes), threshold
+                )
+            # GoodConc: the distinct concrete prefixes that admit a
+            # consistent connected query, in product order.  The first
+            # row's options all pass unchecked.
+            good = prefixes if index == 0 else list(dict.fromkeys(
+                prefix for prefix, queries
+                in zip(prefixes, self._prefix_queries(prefixes)) if queries
+            ))
         raise AssertionError("unreachable")
-
-    def _compute_monolithic(
-        self, abstracted: AbstractedKExample, threshold: int
-    ) -> int:
-        connected = self._connected_queries_full(abstracted)
-        return self._gated_cim_count(connected, threshold)
 
     def _connected_queries_full(
         self, abstracted: AbstractedKExample
     ) -> dict[tuple, CQ]:
         """The minimal-only consistent queries, keyed by canonical form."""
+        return _representatives(self._product_queries(abstracted))
+
+    def _product_queries(
+        self, abstracted: AbstractedKExample
+    ) -> list[dict[tuple, CQ]]:
+        """Each concretization's queries, in product order."""
         per_row_options = [self._row_options(row) for row in abstracted.rows]
-        if any(not options for options in per_row_options):
-            return {}
-        out: dict[tuple, CQ] = {}
-        count = 0
-        for combo in itertools.product(*per_row_options):
-            count += 1
-            if count > self._config.max_concretizations:
-                raise OptimizationError(
-                    "concretization budget exhausted; tighten the "
-                    "abstraction or raise max_concretizations"
-                )
-            for query in self._queries_of_prefix(combo):
-                out.setdefault(query.canonical(), query)
-        return out
+        self._check_fan_out(math.prod(map(len, per_row_options)))
+        return self._prefix_queries(itertools.product(*per_row_options))
 
     # -- helpers --------------------------------------------------------------
 
+    def _check_fan_out(self, count: int) -> None:
+        if count > self._config.max_concretizations:
+            raise OptimizationError(
+                "concretization budget exhausted; tighten the "
+                "abstraction or raise max_concretizations"
+            )
+
     def _row_options(self, row: KExampleRow) -> list[KExampleRow]:
-        key = (row.output, row.occurrences)
-        cached = self._row_option_cache.get(key)
+        cached = self._row_option_cache.get(row)
         if cached is not None:
             self.stats.row_option_cache_hits += 1
             return cached
@@ -347,47 +327,51 @@ class PrivacyComputer:
         ))
         self.stats.concretizations_seen += total
         self.stats.concretizations_pruned_disconnected += total - len(options)
-        self._row_option_cache[key] = options
+        self._row_option_cache[row] = options
         return options
 
-    def _queries_for_prefixes(
-        self, prefixes: list[tuple[KExampleRow, ...]]
-    ) -> tuple[dict[tuple, CQ], dict[tuple, list[tuple[KExampleRow, ...]]]]:
-        """Connected consistent queries per prefix, plus the inverse map."""
-        queries: dict[tuple, CQ] = {}
-        prefix_of_query: dict[tuple, list[tuple[KExampleRow, ...]]] = {}
+    def _prefix_queries(
+        self, prefixes: Iterable[tuple[KExampleRow, ...]]
+    ) -> list[dict[tuple, CQ]]:
+        """Each prefix's connected consistent queries, canonical key ->
+        query.  A cached prefix charges again the alignment-combo cuts
+        its generation charged."""
+        if not self._config.cache_queries:
+            return [self._generate(prefix) for prefix in prefixes]
+        stats, capped = self.stats, self._session.capped_prefixes
+        out = []
         for prefix in prefixes:
-            for query in self._queries_of_prefix(prefix):
-                key = query.canonical()
-                queries.setdefault(key, query)
-                prefix_of_query.setdefault(key, []).append(prefix)
-        return queries, prefix_of_query
+            queries = self._query_cache.get(prefix)
+            if queries is None:
+                cuts = stats.alignment_combo_truncations
+                queries = self._query_cache[prefix] = self._generate(prefix)
+                stats.query_cache_misses += 1
+                if stats.alignment_combo_truncations > cuts:
+                    capped[prefix] = stats.alignment_combo_truncations - cuts
+            else:
+                stats.query_cache_hits += 1
+                if capped:
+                    stats.alignment_combo_truncations += capped.get(prefix, 0)
+            out.append(queries)
+        return out
 
-    def _queries_of_prefix(
-        self, prefix: tuple[KExampleRow, ...]
-    ) -> frozenset[CQ]:
-        key = tuple((row.output, row.occurrences) for row in prefix)
-        if self._config.cache_queries:
-            cached = self._query_cache.get(key)
-            if cached is not None:
-                self.stats.query_cache_hits += 1
-                return cached
+    def _generate(self, prefix: tuple[KExampleRow, ...]) -> dict[tuple, CQ]:
         self.stats.consistency_calls += 1
-        example = KExample(prefix, self._registry)
-        result = consistent_queries(
-            example, self._config.consistency, self.stats, minimal_only=True
+        queries = consistent_queries(
+            KExample(prefix, self._registry), self._config.consistency,
+            self.stats, minimal_only=True,
         )
-        if self._config.cache_queries:
-            self.stats.query_cache_misses += 1
-            self._query_cache[key] = result
-        return result
+        return {query.canonical(): query for query in queries}
 
-    def _gated_cim_count(self, connected: dict[tuple, CQ], threshold: int) -> int:
+    def _gated_cim_count(self, maps: list[dict[tuple, CQ]], threshold: int) -> int:
         """Both gates of Algorithm 1's tail, shared by every compute path:
         connected count first (cheap), CIM count second (homomorphisms)."""
-        if len(connected) < threshold:
+        keys: set[tuple] = set()
+        for queries in maps:
+            keys.update(queries)
+        if len(keys) < threshold:
             return -1
-        cim = len(self._minimal_keys(connected))
+        cim = len(self._minimal_keys(frozenset(keys), maps))
         return cim if cim >= threshold else -1
 
     # -- session-cached query-level facts -----------------------------------
@@ -408,21 +392,24 @@ class PrivacyComputer:
             self.stats.containment_cache_hits += 1
         return cached
 
-    def _minimal_keys(self, queries: dict[tuple, CQ]) -> frozenset:
-        """Canonical keys of the inclusion-minimal queries of the set.
+    def _minimal_keys(
+        self, keys: frozenset, maps: list[dict[tuple, CQ]]
+    ) -> frozenset:
+        """The inclusion-minimal ones of ``keys``, the canonical keys of the
+        queries in ``maps``, whose representatives are gathered on a miss.
 
-        Count-equivalent to :func:`_minimal_queries` — the dict is keyed
-        by canonical form, so its values are pairwise non-equal and the
-        minimality scan visits the same queries in the same order.  It
-        skips pairs whose constants already refute the homomorphism.
+        Count-equivalent to :func:`_minimal_queries` — one query per key,
+        so they are pairwise non-equal and the minimality scan visits the
+        same queries in the same order.  It skips pairs whose constants
+        already refute the homomorphism.
         """
-        set_key = frozenset(queries)
-        cached = self._minimal_set_cache.get(set_key)
+        cached = self._minimal_set_cache.get(keys)
         if cached is not None:
             self.stats.minimal_set_cache_hits += 1
             return cached
         self.stats.minimal_set_cache_misses += 1
-        ordered = sorted(queries.values(), key=lambda q: (len(q.body), repr(q)))
+        ordered = sorted(_representatives(maps).values(),
+                         key=lambda q: (len(q.body), repr(q)))
         minimal = [
             query for query in ordered
             if not any(self._strictly_contained(other, query)
@@ -430,8 +417,16 @@ class PrivacyComputer:
                        and query.constants() <= other.constants())
         ]
         result = frozenset(query.canonical() for query in minimal)
-        self._minimal_set_cache[set_key] = result
+        self._minimal_set_cache[keys] = result
         return result
+
+
+def _representatives(maps: list[dict[tuple, CQ]]) -> dict[tuple, CQ]:
+    """Each canonical key's query from the first map that holds it."""
+    out: dict[tuple, CQ] = {}
+    for queries in reversed(maps):
+        out.update(queries)
+    return out
 
 
 def _minimal_queries(queries: frozenset[CQ]) -> frozenset[CQ]:

@@ -31,9 +31,12 @@ class KExampleRow:
     occurrences in a canonical (sorted) order; abstraction functions operate
     per occurrence (Definition 3.1 allows mapping different occurrences of
     the same variable differently).
+
+    The hash is computed once, at construction: rows key Algorithm 1's
+    session caches, alone and in concretization prefixes.
     """
 
-    __slots__ = ("_output", "_occurrences")
+    __slots__ = ("_output", "_occurrences", "_hash")
 
     def __init__(self, output: tuple, provenance: "Monomial | Iterable[str]"):
         self._output = tuple(output)
@@ -43,6 +46,7 @@ class KExampleRow:
             self._occurrences = tuple(sorted(str(v) for v in provenance))
         if not self._occurrences:
             raise SchemaError("a K-example row must have non-empty provenance")
+        self._hash = hash((self._output, self._occurrences))
 
     @property
     def output(self) -> tuple:
@@ -77,7 +81,7 @@ class KExampleRow:
         )
 
     def __hash__(self) -> int:
-        return hash((self._output, self._occurrences))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{self._output!r} <- {self.monomial()!r}"

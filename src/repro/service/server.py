@@ -74,6 +74,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import sqlite3
 import threading
 import time
@@ -140,8 +141,9 @@ class JobService:
     :meth:`run_next` calls (how the tests drive the queue).
 
     ``max_queue`` bounds pending jobs (submissions beyond it raise
-    :class:`ServiceError` — HTTP 503); ``job_timeout`` caps any single
-    job's ``max_seconds`` search budget.  ``store`` attaches a
+    :class:`ServiceError` — HTTP 503); ``job_timeout`` (finite seconds
+    > 0, else :class:`ServiceError`) caps any single job's
+    ``max_seconds`` search budget.  ``store`` attaches a
     :class:`repro.store.JobStore` for durability and cross-restart result
     dedup (recovery runs synchronously in the constructor, before any
     worker starts).  ``cache_path`` instead names a store file the
@@ -182,6 +184,13 @@ class JobService:
     ):
         from repro.engine import get_engine
 
+        if job_timeout is not None and not (
+            math.isfinite(job_timeout) and job_timeout > 0
+        ):
+            raise ServiceError(
+                f"job_timeout must be a finite number of seconds > 0, "
+                f"got {job_timeout!r}"
+            )
         self._store = store
         # Opened first, so that a bad path fails before anything else
         # is held open.

@@ -349,6 +349,44 @@ class TestLoaderErrors:
         assert "--workers" in err
         assert "must be >= 1" in err or "positive integer" in err
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["serve", "--port", "0"], "--job-timeout", "nan"),
+        (["serve", "--port", "0"], "--job-timeout", "inf"),
+        (["serve", "--port", "0"], "--job-timeout", "0"),
+        (["serve", "--port", "0"], "--job-timeout", "-3"),
+        (["serve", "--port", "0"], "--lease-seconds", "nan"),
+        (["serve", "--port", "0"], "--lease-seconds", "-3"),
+        (["serve", "--port", "0"], "--lease-seconds", "0"),
+        (["scenarios", "run", "--preset", "smoke"], "--lease-seconds", "nan"),
+        (["scenarios", "run", "--preset", "smoke"], "--lease-seconds", "-3"),
+        (["jobs", "gc", "--store", "s.db"], "--keep-days", "nan"),
+        (["jobs", "gc", "--store", "s.db"], "--keep-days", "inf"),
+        (["jobs", "gc", "--store", "s.db"], "--keep-days", "-1"),
+        (["optimize", "--threshold", "2"], "--max-seconds", "nan"),
+        (["batch-optimize"], "--max-seconds", "nan"),
+        (["serve", "--port", "0"], "--max-seconds", "nan"),
+        (["submit", "--server", "http://127.0.0.1:1"], "--max-seconds", "nan"),
+        (["serve", "--port", "0"], "--job-timeout", "soon"),
+    ])
+    def test_seconds_flags_that_clamp_nothing_exit_2(
+        self, argv, flag, value, capsys
+    ):
+        # NaN compares false with every bound: a NaN timeout, lease, age
+        # or budget would clamp nothing.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert value in err
+
+    def test_seconds_flag_bounds(self):
+        from repro.cli import _float_type
+
+        assert _float_type(0.0, inclusive=True)("0") == 0.0  # --keep-days 0
+        assert _float_type(0.0)("0.5") == 0.5
+        assert _float_type()("inf") == float("inf")  # no budget, as in specs
+
     def test_serve_rejects_unknown_executor(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--port", "0", "--executor", "mpi"])

@@ -8,6 +8,7 @@ from repro.abstraction.builders import balanced_tree
 from repro.abstraction.concretization import ConcretizationEngine
 from repro.abstraction.function import AbstractionFunction
 from repro.core import privacy as privacy_module
+from repro.core.consistency import ConsistencyConfig
 from repro.core.privacy import PrivacyComputer, PrivacyConfig, PrivacySession
 from repro.db.database import KDatabase
 from repro.db.schema import Schema
@@ -16,6 +17,7 @@ from repro.provenance.builder import build_kexample
 from repro.provenance.kexample import KExample, KExampleRow
 from repro.query.containment import is_equivalent
 from repro.query.parser import parse_cq
+from repro.render import render_query
 from repro.examples_data import Q_FALSE_1, Q_FALSE_2, Q_REAL
 
 
@@ -57,6 +59,28 @@ class TestPaperExamples:
         assert any(is_equivalent(q, Q_REAL) for q in cims)
         assert any(is_equivalent(q, Q_FALSE_2) for q in cims)
 
+    @pytest.mark.parametrize("targets, expected", [
+        ({"h1": "Facebook", "h2": "LinkedIn"}, [
+            "Q(x0) :- Hobbies(x0, 'Dance', x2), Interests(x0, 'Music', x4), "
+            "Person(x0, x5, x6)",
+            "Q(x0) :- Hobbies(x0, 'Trips', x2), Interests(x0, 'Music', x4), "
+            "Person(x0, x5, x6)",
+        ]),
+        ({"i1": "WikiLeaks", "i2": "Facebook"}, [
+            "Q(x0) :- Hobbies(x0, 'Dance', x2), Interests(x0, 'Music', x4), "
+            "Person(x0, x5, x6)",
+            "Q(x0) :- Hobbies(x0, 'Dance', x2), Interests(x0, 'Parties', x4), "
+            "Person(x0, x5, x6)",
+        ]),
+    ], ids=["Ex_abs1", "Ex_abs2"])
+    def test_cim_queries_render_pinned(
+        self, computer, paper_tree, paper_example, targets, expected
+    ):
+        """The CIM queries ``repro attack`` prints, as rendered text."""
+        abstracted = _abstract(paper_tree, paper_example, targets)
+        rendered = sorted(render_query(q) for q in computer.cim_queries(abstracted))
+        assert rendered == expected
+
     def test_abs3_fails_threshold_2(self, computer, paper_tree, paper_example):
         """Example 4.2: Ex_abs3's only CIM query is Q_real -> returns -1."""
         abstracted = _abstract(paper_tree, paper_example, {"i1": "WikiLeaks"})
@@ -88,16 +112,15 @@ class TestConfigEquivalence:
         ),
     ]
 
+    TARGETS = [
+        {"h1": "Facebook", "h2": "LinkedIn"},
+        {"i1": "WikiLeaks", "i2": "Facebook"},
+        {"i1": "WikiLeaks"},
+        {"h1": "Social Network"},
+    ]
+
     @pytest.mark.parametrize("config", CONFIGS)
-    @pytest.mark.parametrize(
-        "targets",
-        [
-            {"h1": "Facebook", "h2": "LinkedIn"},
-            {"i1": "WikiLeaks", "i2": "Facebook"},
-            {"i1": "WikiLeaks"},
-            {"h1": "Social Network"},
-        ],
-    )
+    @pytest.mark.parametrize("targets", TARGETS)
     def test_privacy_invariant_under_config(
         self, paper_tree, paper_db, paper_example, config, targets
     ):
@@ -130,6 +153,64 @@ class TestMechanics:
         assert computer.privacy(abstracted) == 2
         assert computer.stats.consistency_calls > 0
         assert computer.stats.alignment_combo_truncations == 0
+
+    def test_cap_counters_repeat_on_warm_sessions(self):
+        """A cached prefix whose generation was capped charges its cuts on
+        every use, so a warm compute reports what a cold one does (the
+        two-row example of ``test_consistency.py::TestCapCounters``)."""
+        db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["x", "y"]}))
+        db.insert("R", (1, 10), "r1")
+        db.insert("R", (1, 30), "r3")
+        db.insert("S", (10, 5), "s1")
+        example = KExample([KExampleRow((1,), ["r1", "r3"])] * 2, db.registry)
+        tree = balanced_tree(["r1", "r3", "s1"], height=1, seed=0)
+        config = PrivacyConfig(
+            consistency=ConsistencyConfig(max_alignment_combos=1)
+        )
+        session = PrivacySession(tree, db.registry, config)
+        abstracted = _abstract(tree, example, {})
+        cold, warm = (
+            PrivacyComputer(tree, db.registry, config, session=session)
+            for _ in range(2)
+        )
+        cold.privacy(abstracted)
+        warm.privacy(abstracted)
+        assert cold.stats.consistency_calls > 0
+        assert warm.stats.consistency_calls == 0
+        assert warm.stats.alignment_combo_truncations == (
+            cold.stats.alignment_combo_truncations
+        ) > 0
+
+    @pytest.mark.parametrize("row_by_row", [True, False])
+    def test_uncached_compute_generates_each_prefix_once(
+        self, row_by_row, paper_tree, paper_db, paper_example, monkeypatch
+    ):
+        """Without the prefix cache a compute still generates each prefix
+        it visits once: the representatives the minimality scan needs come
+        from the queries already generated, never from a second call."""
+        calls = []
+        original = privacy_module.consistent_queries
+
+        def recording(example, *args, **kwargs):
+            calls.append(example.key())
+            return original(example, *args, **kwargs)
+
+        monkeypatch.setattr(privacy_module, "consistent_queries", recording)
+        for targets in TestConfigEquivalence.TARGETS:
+            abstracted = _abstract(paper_tree, paper_example, targets)
+            # A fresh session generates each prefix the compute visits once.
+            PrivacyComputer(
+                paper_tree, paper_db.registry,
+                PrivacyConfig(row_by_row=row_by_row),
+            ).privacy(abstracted)
+            visited = sorted(calls)
+            calls.clear()
+            PrivacyComputer(
+                paper_tree, paper_db.registry,
+                PrivacyConfig(row_by_row=row_by_row, cache_queries=False),
+            ).privacy(abstracted)
+            assert visited and sorted(calls) == visited
+            calls.clear()
 
     def test_connectivity_filter_prunes(self, paper_tree, paper_db, paper_example):
         computer = PrivacyComputer(paper_tree, paper_db.registry)
@@ -222,7 +303,8 @@ def _random_instance(seed: int, n_rows: int = 2):
     and the rows admit consistent queries."""
     rng = random.Random(seed)
     db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["b", "c"]}))
-    n_r, n_s = rng.randint(3, 5), rng.randint(3, 5)
+    low = max(3, n_rows)
+    n_r, n_s = rng.randint(low, 5), rng.randint(low, 5)
     r_bs = [rng.randint(0, 3) for _ in range(n_r)]
     for i, b in enumerate(r_bs):
         db.insert("R", (i, b), f"r{i}")
@@ -297,6 +379,33 @@ class TestRowByRowEquivalence:
                 assert row_by_row.compute(abstracted, threshold) == (
                     monolithic.compute(abstracted, threshold)
                 ), f"{n_rows} rows, threshold {threshold}"
+
+    @pytest.mark.parametrize("n_rows", [3, 4])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_deep_rows_match_monolithic(self, seed, n_rows):
+        """Three rows apply GoodConc once and four rows twice; row-by-row
+        must agree with the monolithic path at every threshold, on a fresh
+        session and on a warm shared one.  Abstractions whose full product
+        exceeds the monolithic budget are skipped."""
+        db, example, tree = _random_instance(seed, n_rows)
+        rng = random.Random(seed + 10000)
+        warm = PrivacyComputer(tree, db.registry)
+        checked = 0
+        for _ in range(3):
+            abstracted = _random_abstraction(example, tree, rng)
+            monolithic = PrivacyComputer(tree, db.registry, PrivacyConfig(
+                row_by_row=False, max_concretizations=20_000,
+            ))
+            try:
+                expected = [monolithic.compute(abstracted, k) for k in range(6)]
+            except OptimizationError:
+                continue
+            fresh = PrivacyComputer(tree, db.registry)
+            for threshold, want in enumerate(expected):
+                assert fresh.compute(abstracted, threshold) == want, threshold
+                assert warm.compute(abstracted, threshold) == want, threshold
+            checked += 1
+        assert checked
 
     def test_three_rows_match_monolithic(self):
         """The two-row prefix admits one connected query, yet the whole
@@ -436,7 +545,7 @@ class TestPrivacySession:
         for _ in range(3):
             abstracted = _random_abstraction(example, tree, rng)
             connected = computer._connected_queries_full(abstracted)
-            keys = computer._minimal_keys(connected)
+            keys = computer._minimal_keys(frozenset(connected), [connected])
             reference = _minimal_queries(frozenset(connected.values()))
             assert keys == frozenset(q.canonical() for q in reference)
 

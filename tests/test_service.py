@@ -186,6 +186,14 @@ class TestJobService:
         no_timeout = JobService(worker_threads=0)
         assert no_timeout._effective_job(unbounded) is unbounded
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -3.0])
+    def test_job_timeout_must_clamp(self, timeout):
+        # min(60.0, nan) is 60.0 and a NaN budget never trips, so a NaN
+        # timeout would clamp nothing; inf and non-positive ones are no
+        # per-job cap either.
+        with pytest.raises(ServiceError, match="job_timeout"):
+            JobService(worker_threads=0, job_timeout=timeout)
+
     def test_bad_spec_rejects_whole_batch(self, make_service):
         service = make_service(max_queue=8)
         with pytest.raises(JobSpecError, match="job 1.*treshold"):
