@@ -18,10 +18,14 @@ Two assertions:
   thread tier, the 1-process tier, and the 4-process tier (timing
   fields aside): the executor may only change speed, never results.
 
-Every job uses a distinct ``n_leaves``, so every context is cold in
-every phase and per-job effort is deterministic — no cross-job session
-sharing whose worker-placement luck could skew either the clock or the
-effort counters.
+Every job uses a distinct ``n_leaves``, so every context and privacy
+session is cold in every phase and the effort counters a payload
+carries are deterministic.  The jobs are trees over one database,
+though, so a process's later jobs share the query-fact holder
+(generated queries, containment verdicts, minimal sets) its earlier
+ones filled: a job is not cold in that, and where it runs moves the
+clock but never a payload.  The sharing favours the tiers that run more
+jobs per process, so it narrows the measured scale-out.
 """
 
 import os
@@ -37,8 +41,9 @@ MIN_SPEEDUP = 2.0
 
 POOL_WORKERS = 4
 
-#: One TPCH-Q3 job per tree size — distinct contexts, ~0.5-2s of pure
-#: search each at the bench profile.
+#: One TPCH-Q3 job per tree size — distinct contexts over one database.
+#: All 8 together took 0.16-0.22 s on the thread tier of a 2-core x86-64
+#: host, so pool start-up weighs on the ratio there.
 N_LEAVES = (28, 31, 34, 37, 40, 43, 46, 49)
 
 

@@ -19,8 +19,12 @@ cache with the same key (plus the cache-relevant privacy switches): every
 cached entry of Algorithm 1 — row-option sets, prefix queries, and
 connectivity verdicts — is threshold-independent, so the jobs of a
 threshold sweep over one context share a single warmed session instead of
-recomputing the same concretization work per threshold.  Results are
-bit-identical with or without the sharing.
+recomputing the same concretization work per threshold.  The sessions
+over one database's registry and one consistency config, whatever their
+tree, share one :class:`~repro.core.privacy.QueryFacts` holder, so a job
+over a new tree of a database skips the query generation and containment
+work other trees already paid for.  Results are bit-identical with or
+without the sharing.
 """
 
 from __future__ import annotations
@@ -42,11 +46,13 @@ from repro.batch.jobs import (
     InlineJob,
     _database_from_text,
 )
+from repro.core.consistency import ConsistencyConfig
 from repro.core.optimizer import OptimizerConfig, find_optimal_abstraction
-from repro.core.privacy import PrivacyConfig, PrivacySession
+from repro.core.privacy import PrivacyConfig, PrivacySession, QueryFacts
+from repro.db.database import AnnotationRegistry
 from repro.errors import ReproError
 from repro.experiments.settings import DEFAULT_SETTINGS, ExperimentSettings
-from repro.obs import clock, spans
+from repro.obs import clock, metrics, spans
 
 
 @dataclass
@@ -188,6 +194,29 @@ def _cached_context(
     )
 
 
+#: Query-fact holders this process built: a session over a database an
+#: earlier session already served shares that session's holder.
+_QUERY_FACTS_BUILDS = metrics.REGISTRY.counter(
+    "repro_query_facts_builds_total",
+    "Algorithm 1 query-fact holders built in this process.",
+)
+
+
+@lru_cache(maxsize=8)
+def _query_facts(
+    registry: AnnotationRegistry, consistency: ConsistencyConfig
+) -> QueryFacts:
+    """The holder every cached session over ``registry`` and
+    ``consistency`` shares, whatever its tree.
+
+    Contexts over one database share its registry object (named contexts
+    through ``experiments.runner._tpch``/``_imdb``, inline ones through
+    ``_database_from_text``), so the registry's identity keys the cache.
+    """
+    _QUERY_FACTS_BUILDS.inc()
+    return QueryFacts(registry, consistency)
+
+
 @lru_cache(maxsize=32)
 def _cached_session(
     context_key: tuple,
@@ -203,7 +232,11 @@ def _cached_session(
     differing only in cache-*consultation* switches still share.
     """
     context = _cached_context(context_key, settings, engine)
-    return PrivacySession(context.tree, context.example.registry, privacy)
+    registry = context.example.registry
+    return PrivacySession(
+        context.tree, registry, privacy,
+        facts=_query_facts(registry, privacy.consistency),
+    )
 
 
 def _session_for(
@@ -221,15 +254,17 @@ def _session_for(
 def clear_worker_caches() -> None:
     """Release this process's cached contexts, sessions and databases.
 
-    Sessions hold unbounded query-level caches for up to 32 contexts,
-    the inline-database cache up to 8 databases, and the job-spec
-    decoder the texts of up to 8 more; a long-lived process
-    interleaving many large serial sweeps can call this between batches
-    to cap memory (worker processes die with their pool, so they never
-    need it).
+    Sessions hold unbounded caches for up to 32 contexts, and the
+    query-fact holders they share unbounded query-level caches for up
+    to 8 databases; the inline-database cache holds up to 8 databases,
+    and the job-spec decoder the texts of up to 8 more.  A long-lived
+    process interleaving many large serial sweeps can call this between
+    batches to cap memory (worker processes die with their pool, so
+    they never need it).
     """
     with _cache_lock:
         _cached_session.cache_clear()
+        _query_facts.cache_clear()
         _cached_context.cache_clear()
         _inline_contexts.clear()
         _database_from_text.cache_clear()

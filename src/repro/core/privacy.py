@@ -20,7 +20,10 @@ them in one shareable object so every ``compute()`` call over the same
 context reuses them: across the candidates of one search (candidates
 popped from the frontier differ in one variable level, so untouched rows'
 option sets are reusable verbatim), and across the searches of a
-threshold sweep or batch job group.
+threshold sweep or batch job group.  The caches that do not depend on
+the tree — a concrete prefix's queries, containment verdicts and minimal
+sets — live in a :class:`QueryFacts` holder that sessions over other
+trees of the same database may share.
 """
 
 from __future__ import annotations
@@ -111,29 +114,63 @@ class PrivacyStats:
     alignment_combo_truncations: int = 0
 
 
-class PrivacySession:
-    """Shareable caches for Algorithm 1 over one (tree, registry) context.
+class QueryFacts:
+    """Algorithm 1's caches over one (registry, consistency config) pair.
 
-    One session may back any number of :class:`PrivacyComputer` instances
-    — sequentially or interleaved — as long as they agree on the
-    cache-relevant config fields (:meth:`PrivacyConfig.session_key`).  It
-    holds:
+    A concrete prefix's consistent queries depend only on the registry
+    that resolves its annotations and on the consistency knobs, and
+    containment verdicts and minimal sets only on the queries.  None of
+    them depends on the abstraction tree, so every :class:`PrivacySession`
+    over the same registry and consistency config may share one holder:
+    a session over a new tree of a database then skips the generation
+    and homomorphism work an earlier tree already paid for.  It holds:
 
-    * ``row_option_cache`` — each row's concretization options (only the
-      connected ones under the connectivity filter), keyed by the row,
     * ``query_cache`` — each concrete prefix's connected consistent
       queries as a canonical key -> query map, keyed by the prefix's rows;
       ``capped_prefixes`` holds, for the prefixes whose generation
       ``max_alignment_combos`` cut short, how many cuts it charged,
-    * ``engine`` — the :class:`ConcretizationEngine` with its memoized
-      per-label value indexes (each choice's value set and, per value, a
-      bitmask of the choices holding it),
     * ``containment_cache`` — pairwise strict-containment verdicts (each
       one a homomorphism search, the dominant cost of GetMinimalQueries),
       keyed by the two queries' canonical forms, for the pairs whose
       constants do not already refute containment,
     * ``minimal_set_cache`` — the inclusion-minimal subset of a whole
       connected-query set, keyed by the set of canonical forms.
+
+    Computers on several threads may share a holder.  Every entry holds
+    what recomputation yields, so two threads that miss one key together
+    at worst both compute it; a prefix's cuts are recorded before its
+    queries are published, so a compute that finds the queries also
+    finds the cuts.
+    """
+
+    def __init__(
+        self, registry: AnnotationRegistry, consistency: ConsistencyConfig
+    ):
+        self.registry = registry
+        self.consistency = consistency
+        self.query_cache: dict[tuple[KExampleRow, ...], dict[tuple, CQ]] = {}
+        self.capped_prefixes: dict[tuple[KExampleRow, ...], int] = {}
+        self.containment_cache: dict[tuple, bool] = {}
+        self.minimal_set_cache: dict[frozenset, frozenset] = {}
+
+
+class PrivacySession:
+    """Shareable caches for Algorithm 1 over one (tree, registry) context.
+
+    One session may back any number of :class:`PrivacyComputer` instances
+    — sequentially or interleaved — as long as they agree on the
+    cache-relevant config fields (:meth:`PrivacyConfig.session_key`).  It
+    holds the caches that depend on the tree:
+
+    * ``row_option_cache`` — each row's concretization options (only the
+      connected ones under the connectivity filter), keyed by the row,
+    * ``engine`` — the :class:`ConcretizationEngine` with its memoized
+      per-label value indexes (each choice's value set and, per value, a
+      bitmask of the choices holding it),
+
+    and ``facts``, the :class:`QueryFacts` holder of the caches that do
+    not.  ``facts`` omitted, the session builds a private holder; a given
+    one must be bound to the session's registry and consistency config.
 
     Every entry is threshold-independent (query-level facts don't depend
     on any config at all), so a session warmed by one search is valid for
@@ -147,19 +184,25 @@ class PrivacySession:
         tree: AbstractionTree,
         registry: AnnotationRegistry,
         config: PrivacyConfig | None = None,
+        facts: QueryFacts | None = None,
     ):
         config = config or PrivacyConfig()
+        if facts is None:
+            facts = QueryFacts(registry, config.consistency)
+        elif (facts.registry is not registry
+              or facts.consistency != config.consistency):
+            raise OptimizationError(
+                "query facts are bound to another registry or "
+                "consistency config"
+            )
         self._tree = tree
         self._registry = registry
         self._key = config.session_key()
         self.engine = ConcretizationEngine(
             tree, registry, use_connectivity_cache=config.cache_connectivity
         )
-        self.query_cache: dict[tuple[KExampleRow, ...], dict[tuple, CQ]] = {}
-        self.capped_prefixes: dict[tuple[KExampleRow, ...], int] = {}
         self.row_option_cache: dict[KExampleRow, list[KExampleRow]] = {}
-        self.containment_cache: dict[tuple, bool] = {}
-        self.minimal_set_cache: dict[frozenset, frozenset] = {}
+        self.facts = facts
         #: How many computers have attached; > 1 means the session was reused.
         self.computers_attached = 0
 
@@ -185,13 +228,15 @@ class PrivacySession:
         )
 
     def cache_sizes(self) -> dict[str, int]:
-        """Current entry counts, for diagnostics and tests."""
+        """Current entry counts, for diagnostics and tests; the last three
+        count the holder's entries, which sessions sharing it share."""
+        facts = self.facts
         return {
             "row_options": len(self.row_option_cache),
-            "prefix_queries": len(self.query_cache),
+            "prefix_queries": len(facts.query_cache),
             "connectivity": self.engine.connectivity_cache_size,
-            "containments": len(self.containment_cache),
-            "minimal_sets": len(self.minimal_set_cache),
+            "containments": len(facts.containment_cache),
+            "minimal_sets": len(facts.minimal_set_cache),
         }
 
 
@@ -223,10 +268,12 @@ class PrivacyComputer:
         self._session = session
         session.computers_attached += 1
         self._engine = session.engine
-        self._query_cache = session.query_cache
         self._row_option_cache = session.row_option_cache
-        self._containment_cache = session.containment_cache
-        self._minimal_set_cache = session.minimal_set_cache
+        facts = session.facts
+        self._query_cache = facts.query_cache
+        self._capped_prefixes = facts.capped_prefixes
+        self._containment_cache = facts.containment_cache
+        self._minimal_set_cache = facts.minimal_set_cache
         self.stats = PrivacyStats()
 
     @property
@@ -327,7 +374,9 @@ class PrivacyComputer:
         ))
         self.stats.concretizations_seen += total
         self.stats.concretizations_pruned_disconnected += total - len(options)
-        self._row_option_cache[row] = options
+        # Occurrences that share leaves yield equal rows (a row sorts its
+        # occurrences): keep the first of each, in product order.
+        options = self._row_option_cache[row] = list(dict.fromkeys(options))
         return options
 
     def _prefix_queries(
@@ -338,16 +387,19 @@ class PrivacyComputer:
         its generation charged."""
         if not self._config.cache_queries:
             return [self._generate(prefix) for prefix in prefixes]
-        stats, capped = self.stats, self._session.capped_prefixes
+        stats, capped = self.stats, self._capped_prefixes
         out = []
         for prefix in prefixes:
             queries = self._query_cache.get(prefix)
             if queries is None:
                 cuts = stats.alignment_combo_truncations
-                queries = self._query_cache[prefix] = self._generate(prefix)
+                queries = self._generate(prefix)
                 stats.query_cache_misses += 1
                 if stats.alignment_combo_truncations > cuts:
+                    # Before the queries are published: a compute on
+                    # another thread that finds them must find the cuts.
                     capped[prefix] = stats.alignment_combo_truncations - cuts
+                self._query_cache[prefix] = queries
             else:
                 stats.query_cache_hits += 1
                 if capped:
@@ -378,8 +430,8 @@ class PrivacyComputer:
     #
     # Containment and inclusion-minimality are renaming-invariant facts of
     # the queries alone (no config, no threshold), so their verdicts are
-    # cached in the session by canonical form and shared across
-    # candidates, thresholds, and jobs.
+    # cached in the session's holder by canonical form and shared across
+    # candidates, thresholds, trees, and jobs.
 
     def _strictly_contained(self, a: CQ, b: CQ) -> bool:
         key = (a.canonical(), b.canonical())

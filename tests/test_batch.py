@@ -288,6 +288,85 @@ class TestSessionSharing:
                 function = result.function(context.tree, context.example)
                 assert function.assignment == direct.function.assignment
 
+    @staticmethod
+    def _tree_jobs(database, trees, threshold=2):
+        return [
+            InlineJob(InlineContext.from_objects(
+                database, tree, query=TestInlineJobs.QUERY,
+            ), threshold)
+            for tree in trees
+        ]
+
+    @staticmethod
+    def _trees(database):
+        from repro.abstraction.builders import balanced_tree
+        from repro.examples_data import running_example_tree
+
+        return [running_example_tree(),
+                balanced_tree(sorted(database.annotations()), 2)]
+
+    def test_a_new_tree_reuses_the_query_facts_of_its_database(
+        self, monkeypatch
+    ):
+        """A job over a new tree of a database the process has served
+        generates fewer consistent queries than in a fresh process, with
+        an equal payload."""
+        from repro.batch import clear_worker_caches
+        from repro.batch.optimizer import run_job
+        from repro.core import privacy
+        from repro.examples_data import running_example_db
+
+        calls = []
+        original = privacy.consistent_queries
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        def comparable(result):
+            payload = result.to_payload()
+            del payload["seconds"], payload["stats"]["elapsed_seconds"]
+            return payload
+
+        monkeypatch.setattr(privacy, "consistent_queries", counting)
+        database = running_example_db()
+        first, second = self._tree_jobs(database, self._trees(database))
+        try:
+            clear_worker_caches()
+            alone = run_job(second, TINY)
+            fresh_calls = len(calls)
+            clear_worker_caches()
+            assert run_job(first, TINY).ok
+            calls.clear()
+            after = run_job(second, TINY)
+            assert alone.ok and after.ok
+            assert 0 < len(calls) < fresh_calls
+            assert comparable(after) == comparable(alone)
+        finally:
+            clear_worker_caches()
+
+    def test_holders_are_built_once_per_database(self):
+        from repro.batch import clear_worker_caches
+        from repro.examples_data import running_example_db
+        from repro.obs import metrics
+
+        builds = metrics.REGISTRY.get("repro_query_facts_builds_total")
+        database = running_example_db()
+        other = running_example_db()
+        other.insert("Person", (3, "Ann K", 40), "p3")
+        jobs = [
+            job for db in (database, other)
+            for job in self._tree_jobs(db, self._trees(db))
+        ]
+        clear_worker_caches()
+        try:
+            before = builds.value()
+            batch = run_batch(jobs, TINY, max_workers=1)
+            assert all(result.ok for result in batch.results)
+            assert builds.value() == before + 2
+        finally:
+            clear_worker_caches()
+
 
 class TestInlineJobs:
     """User-supplied contexts run through the same workers and caches."""

@@ -1,15 +1,27 @@
 """Tests for Algorithm 1: privacy computation."""
 
+import os
 import random
+import sys
+import threading
+import time
 
+import hypothesis
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.abstraction.builders import balanced_tree
 from repro.abstraction.concretization import ConcretizationEngine
 from repro.abstraction.function import AbstractionFunction
 from repro.core import privacy as privacy_module
-from repro.core.consistency import ConsistencyConfig
-from repro.core.privacy import PrivacyComputer, PrivacyConfig, PrivacySession
+from repro.core.consistency import ConsistencyConfig, consistent_queries
+from repro.core.privacy import (
+    PrivacyComputer,
+    PrivacyConfig,
+    PrivacySession,
+    QueryFacts,
+)
 from repro.db.database import KDatabase
 from repro.db.schema import Schema
 from repro.errors import OptimizationError
@@ -156,17 +168,8 @@ class TestMechanics:
 
     def test_cap_counters_repeat_on_warm_sessions(self):
         """A cached prefix whose generation was capped charges its cuts on
-        every use, so a warm compute reports what a cold one does (the
-        two-row example of ``test_consistency.py::TestCapCounters``)."""
-        db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["x", "y"]}))
-        db.insert("R", (1, 10), "r1")
-        db.insert("R", (1, 30), "r3")
-        db.insert("S", (10, 5), "s1")
-        example = KExample([KExampleRow((1,), ["r1", "r3"])] * 2, db.registry)
-        tree = balanced_tree(["r1", "r3", "s1"], height=1, seed=0)
-        config = PrivacyConfig(
-            consistency=ConsistencyConfig(max_alignment_combos=1)
-        )
+        every use, so a warm compute reports what a cold one does."""
+        db, example, tree, config = _capped_example()
         session = PrivacySession(tree, db.registry, config)
         abstracted = _abstract(tree, example, {})
         cold, warm = (
@@ -179,6 +182,68 @@ class TestMechanics:
         assert warm.stats.consistency_calls == 0
         assert warm.stats.alignment_combo_truncations == (
             cold.stats.alignment_combo_truncations
+        ) > 0
+
+    def test_cuts_are_recorded_before_the_queries_are_published(self):
+        """A compute on another thread may find a prefix's queries the
+        moment they are published, so the prefix's cuts must already be
+        recorded then, or that compute charges none of them."""
+        db, example, tree, config = _capped_example()
+        facts = QueryFacts(db.registry, config.consistency)
+        recorded_cuts = []
+
+        class Publishing(dict):
+            def __setitem__(self, prefix, queries):
+                recorded_cuts.append(facts.capped_prefixes.get(prefix, 0))
+                super().__setitem__(prefix, queries)
+
+        facts.query_cache = Publishing()
+        session = PrivacySession(tree, db.registry, config, facts)
+        computer = PrivacyComputer(tree, db.registry, config, session=session)
+        computer.privacy(_abstract(tree, example, {}))
+        assert sum(recorded_cuts) == (
+            computer.stats.alignment_combo_truncations
+        ) > 0
+
+    def test_equal_row_options_are_kept_once(self):
+        """Two occurrences abstracted to one label concretize to equal rows
+        from distinct combinations (a row sorts its occurrences).  A row
+        keeps the first of each, still counts only the disconnected
+        combinations as pruned, and its privacy equals the monolithic
+        path's and Definition 3.12 over every connected concretization."""
+        from repro.core.privacy import _minimal_queries
+
+        db, example, _ = _random_instance(3)
+        tree = balanced_tree(sorted(db.annotations()), height=1, seed=0)
+        abstracted = _abstract(
+            tree, example, {var: "*" for var in example.variables()}
+        )
+        row = abstracted.rows[0]
+        assert len(set(row.occurrences)) == 1 < len(row.occurrences)
+
+        computer = PrivacyComputer(tree, db.registry)
+        options = computer._row_options(row)
+        connected = list(computer.engine.concretize_row(row, connected_only=True))
+        assert len(options) == len(set(options)) < len(connected)
+        assert options == list(dict.fromkeys(connected))
+        stats = computer.stats
+        assert stats.concretizations_seen - (
+            stats.concretizations_pruned_disconnected
+        ) == len(connected)
+
+        reference = _minimal_queries(frozenset(
+            query
+            for concretization in computer.engine.concretizations(
+                abstracted, connected_only=True
+            )
+            for query in consistent_queries(concretization, minimal_only=True)
+        ))
+        monolithic = PrivacyComputer(
+            tree, db.registry, PrivacyConfig(row_by_row=False)
+        )
+        assert computer.privacy(abstracted) == monolithic.privacy(abstracted)
+        assert computer.privacy(abstracted) == len(
+            {query.canonical() for query in reference}
         ) > 0
 
     @pytest.mark.parametrize("row_by_row", [True, False])
@@ -290,6 +355,21 @@ class TestMechanics:
             "Q(1) :- R(1, 2, 3, 4, x), S(x, 6, 7, 8, y), "
             "T(y, 10, 11, 12, 13)"
         ).canonical()}
+
+
+def _capped_example():
+    """The two-row example of ``test_consistency.py::TestCapCounters``,
+    with the config whose ``max_alignment_combos`` cuts its generation."""
+    db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["x", "y"]}))
+    db.insert("R", (1, 10), "r1")
+    db.insert("R", (1, 30), "r3")
+    db.insert("S", (10, 5), "s1")
+    example = KExample([KExampleRow((1,), ["r1", "r3"])] * 2, db.registry)
+    tree = balanced_tree(["r1", "r3", "s1"], height=1, seed=0)
+    config = PrivacyConfig(
+        consistency=ConsistencyConfig(max_alignment_combos=1)
+    )
+    return db, example, tree, config
 
 
 _JOIN = parse_cq("Q(a) :- R(a, b), S(b, c)")
@@ -587,3 +667,146 @@ class TestPrivacySession:
             abstracted = _random_abstraction(example, tree, rng)
             fresh = PrivacyComputer(tree, db.registry)
             assert shared.privacy(abstracted) == fresh.privacy(abstracted)
+
+
+def _outcome(computer, abstracted):
+    """One compute's privacy and cuts, then the CIM queries; or the
+    budget error."""
+    try:
+        privacy = computer.privacy(abstracted)
+        cuts = computer.stats.alignment_combo_truncations
+        return privacy, cuts, computer.cim_queries(abstracted)
+    except OptimizationError as exc:
+        return str(exc)
+
+
+def _trees_over(db, tree, count, seed):
+    """``tree`` and ``count - 1`` other trees over ``db``'s annotations."""
+    annotations = sorted(db.annotations())
+    return [tree] + [
+        balanced_tree(annotations, height=2 + i % 2, seed=seed + i)
+        for i in range(1, count)
+    ]
+
+
+class TestQueryFacts:
+    """Sessions over different trees of one registry share a holder."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_rows=st.sampled_from([2, 3]),
+        n_trees=st.sampled_from([2, 3]),
+        cap=st.sampled_from([1, 2, 20_000]),
+    )
+    @hypothesis.example(seed=0, n_rows=2, n_trees=3, cap=1)
+    @hypothesis.example(seed=2, n_rows=3, n_trees=2, cap=20_000)
+    def test_shared_holder_matches_private_sessions(
+        self, seed, n_rows, n_trees, cap
+    ):
+        """Trees compute interleaved through one holder, on fresh and warm
+        sessions and in both modes; each compute's privacy, cut count and
+        CIM queries equal a private session's."""
+        db, example, tree = _random_instance(seed, n_rows)
+        trees = _trees_over(db, tree, n_trees, seed)
+        consistency = ConsistencyConfig(max_alignment_combos=cap)
+        modes = [
+            PrivacyConfig(consistency=consistency, max_concretizations=2_000),
+            PrivacyConfig(row_by_row=False, consistency=consistency,
+                          max_concretizations=2_000),
+        ]
+        facts = QueryFacts(db.registry, consistency)
+        warm = [PrivacySession(t, db.registry, modes[0], facts) for t in trees]
+        rng = random.Random(seed)
+        for _ in range(2):
+            for t, warm_session in zip(trees, warm):
+                abstracted = _random_abstraction(example, t, rng)
+                for config in modes:
+                    expected = _outcome(
+                        PrivacyComputer(t, db.registry, config), abstracted
+                    )
+                    for session in (
+                        PrivacySession(t, db.registry, config, facts),
+                        warm_session,
+                    ):
+                        assert _outcome(PrivacyComputer(
+                            t, db.registry, config, session=session
+                        ), abstracted) == expected
+
+    def test_holder_of_another_registry_or_consistency_is_rejected(self):
+        db, example, tree = _random_instance(0)
+        other, _, _ = _random_instance(0)
+        config = PrivacyConfig()
+        with pytest.raises(OptimizationError):
+            PrivacySession(tree, db.registry, config,
+                           QueryFacts(other.registry, config.consistency))
+        with pytest.raises(OptimizationError):
+            PrivacySession(tree, db.registry, config, QueryFacts(
+                db.registry, ConsistencyConfig(max_alignment_combos=1)
+            ))
+        # An equal config object will do, whatever the session's other
+        # switches.
+        facts = QueryFacts(db.registry, ConsistencyConfig())
+        PrivacySession(tree, db.registry, config, facts)
+        PrivacySession(tree, db.registry,
+                       PrivacyConfig(connectivity_filter=False), facts)
+
+    def test_threads_sharing_a_holder_match_private_sessions(self):
+        """More threads than cores, switching every microsecond, each
+        compute through sessions of three trees that share one holder per
+        round; every compute's privacy and cut count must equal a private
+        session's."""
+        db, example, tree = _random_instance(0)
+        trees = _trees_over(db, tree, 3, 0)
+        config = PrivacyConfig(
+            consistency=ConsistencyConfig(max_alignment_combos=1)
+        )
+        rng = random.Random(0)
+        work = [(index, _random_abstraction(example, t, rng))
+                for index, t in enumerate(trees) for _ in range(3)]
+
+        def outcome(session, abstracted):
+            computer = PrivacyComputer(
+                session.tree, db.registry, config, session=session
+            )
+            return (computer.privacy(abstracted),
+                    computer.stats.alignment_combo_truncations)
+
+        reference = [
+            outcome(PrivacySession(trees[index], db.registry, config), item)
+            for index, item in work
+        ]
+        assert any(privacy for privacy, _ in reference)
+        assert any(cuts for _, cuts in reference)
+
+        def run(facts, slot, results):
+            sessions = [PrivacySession(t, db.registry, config, facts)
+                        for t in trees]
+            # Each thread starts at another item, so threads miss and
+            # publish prefixes in different orders.
+            order = [(slot + i) % len(work) for i in range(len(work))]
+            got = {i: outcome(sessions[work[i][0]], work[i][1]) for i in order}
+            results[slot] = [got[i] for i in range(len(work))]
+
+        n_threads = (os.cpu_count() or 1) + 2
+        interval = sys.getswitchinterval()
+        deadline = time.monotonic() + 2.0
+        rounds = 0
+        sys.setswitchinterval(1e-6)
+        try:
+            while rounds == 0 or time.monotonic() < deadline:
+                facts = QueryFacts(db.registry, config.consistency)
+                results: list = [None] * n_threads
+                threads = [
+                    threading.Thread(target=run, args=(facts, slot, results))
+                    for slot in range(n_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [reference] * n_threads
+                rounds += 1
+        finally:
+            sys.setswitchinterval(interval)
