@@ -10,7 +10,9 @@ evaluation engine and asserts the engine contract:
   probe optional engines without making them a hard dependency,
 * a cold run produces per-cell content and result hashes identical to
   the committed ``benchmarks/BENCH_scenarios.json`` baseline — the
-  engine is an execution detail, and any hash it moves is a bug.
+  engine is an execution detail, and any hash it moves is a bug.  A
+  cell whose content hash moved is not compared, so the diff must
+  compare every cell of the baseline.
 
 Run from the repo root: ``python scripts/engine_smoke.py --engine sqlite``.
 """
@@ -25,6 +27,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.engine import ENGINE_NAMES, available_engines  # noqa: E402
+from repro.scenarios import diff, load  # noqa: E402
 
 BASELINE = os.path.join(REPO_ROOT, "benchmarks", "BENCH_scenarios.json")
 SEED = "7"
@@ -69,9 +72,13 @@ def main() -> int:
             "--engine", args.engine,
             "--store", store, "--output", snapshot,
         ) == 0, f"cold smoke run on the {args.engine} engine")
-        check(run_cli(
-            "scenarios", "diff", BASELINE, snapshot,
-        ) == 0, f"no {args.engine}-engine drift vs the committed baseline")
+        message = f"no {args.engine}-engine drift vs the committed baseline"
+        check(run_cli("scenarios", "diff", BASELINE, snapshot) == 0, message)
+        baseline = load(BASELINE)
+        compared = diff(baseline, load(snapshot)).compared
+        cells = len(baseline["cells"])
+        check(compared == cells,
+              f"{message}: compared {compared}/{cells} cells")
     print(f"[engine-smoke] all checks passed ({args.engine})")
     return 0
 

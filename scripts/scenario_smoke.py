@@ -7,7 +7,8 @@ Replays the committed 12-cell smoke matrix (seed 7) through the
 * **cross-tier identity** — the thread and process execution tiers,
   each run against its own fresh store, produce snapshots with
   identical per-cell content *and* result hashes (``scenarios diff``
-  reports no drift and no changed inputs),
+  reports no drift and compares every cell: a cell whose content hash
+  moved is not compared, so it fails the check),
 * **no drift vs the committed baseline** — the fresh thread snapshot
   diffs clean against ``benchmarks/BENCH_scenarios.json`` (a result
   hash that moves on identical inputs fails the build),
@@ -38,7 +39,7 @@ import tempfile
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.scenarios import normalize  # noqa: E402
+from repro.scenarios import diff, load, normalize  # noqa: E402
 
 BASELINE = os.path.join(REPO_ROOT, "benchmarks", "BENCH_scenarios.json")
 SEED = "7"
@@ -57,6 +58,15 @@ def check(condition: bool, message: str) -> None:
     print(f"[scenario-smoke] {status}: {message}", flush=True)
     if not condition:
         sys.exit(1)
+
+
+def check_diff(old: str, new: str, message: str) -> None:
+    """``scenarios diff`` reports no drift, having compared every cell."""
+    check(run_cli("scenarios", "diff", old, new) == 0, message)
+    baseline = load(old)
+    compared = diff(baseline, load(new)).compared
+    cells = len(baseline["cells"])
+    check(compared == cells, f"{message}: compared {compared}/{cells} cells")
 
 
 def main() -> int:
@@ -86,18 +96,14 @@ def main() -> int:
             "--store", engine_store, "--output", snaps["sqlite"],
         ) == 0, "cold run on the sqlite evaluation engine")
 
-        check(run_cli(
-            "scenarios", "diff", snaps["thread"], snaps["process"],
-        ) == 0, "thread and process tiers agree cell for cell")
-        check(run_cli(
-            "scenarios", "diff", snaps["thread"], snaps["sqlite"],
-        ) == 0, "naive and sqlite engines agree cell for cell")
-        check(run_cli(
-            "scenarios", "diff", BASELINE, snaps["thread"],
-        ) == 0, "no result-hash drift vs the committed baseline")
-        check(run_cli(
-            "scenarios", "diff", BASELINE, snaps["sqlite"],
-        ) == 0, "no sqlite-engine drift vs the committed baseline")
+        check_diff(snaps["thread"], snaps["process"],
+                   "thread and process tiers agree cell for cell")
+        check_diff(snaps["thread"], snaps["sqlite"],
+                   "naive and sqlite engines agree cell for cell")
+        check_diff(BASELINE, snaps["thread"],
+                   "no result-hash drift vs the committed baseline")
+        check_diff(BASELINE, snaps["sqlite"],
+                   "no sqlite-engine drift vs the committed baseline")
 
         check(run_cli(
             "scenarios", "run", "--preset", "smoke", "--seed", SEED,

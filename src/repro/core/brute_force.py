@@ -9,7 +9,6 @@ optimization component can be measured against a common reference.
 from __future__ import annotations
 
 from repro.abstraction.tree import AbstractionTree
-from repro.core.consistency import ConsistencyConfig
 from repro.core.optimizer import (
     OptimalAbstractionResult,
     OptimizerConfig,
@@ -19,10 +18,7 @@ from repro.core.privacy import PrivacyConfig
 from repro.provenance.kexample import KExample
 
 
-def brute_force_config(
-    max_candidates: "int | None" = None,
-    consistency: "ConsistencyConfig | None" = None,
-) -> OptimizerConfig:
+def brute_force_config(max_candidates: "int | None" = None) -> OptimizerConfig:
     """An optimizer configuration with every optimization disabled."""
     return OptimizerConfig(
         sort_abstractions=False,
@@ -35,7 +31,6 @@ def brute_force_config(
             connectivity_filter=False,
             cache_queries=False,
             cache_connectivity=False,
-            consistency=consistency or ConsistencyConfig(),
         ),
     )
 

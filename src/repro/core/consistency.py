@@ -19,9 +19,21 @@ Positions with identical value vectors are merged into one term — the
 vector is constant may be a constant or (generalizing) a shared variable;
 we emit the base query plus its constant-to-variable "flip" variants, since
 a flip can connect an otherwise disconnected join graph and thereby become
-a CIM query.  Any consistent query is subsumed by (contains) one of these
-candidates, so privacy counts computed from this set agree with the
-definition while avoiding the full generalization lattice.
+a CIM query.
+
+Which queries this counts
+-------------------------
+Every term of a generated query is a whole class of an alignment's layout:
+the class's variable or, for a constant class, its constant.  Privacy
+counted from this set is Definition 3.12's count over that family.  A
+consistent connected query that splits a class lies outside it, although
+it contains the class-level base query.  Example: ``R`` holds
+r1 = R(1, 0) and r2 = R(2, 0), ``S`` holds s1 = S(0, 0), and the rows
+are r1·s1 and r2·s1.  The generator builds ``Q(x0) :- R(x0, 0), S(0, 0)``
+and ``Q(x0) :- R(x0, x1), S(x1, x1)``; ``Q(x0) :- R(x0, x1), S(x1, 0)``
+and ``Q(x0) :- R(x0, x1), S(0, x1)`` are consistent and connected too,
+but each splits the class of vector (0, 0).  Whether the paper's
+definition counts them is not settled here.
 
 Definition 3.12 counts connected inclusion-minimal queries, so Algorithm 1
 asks for ``minimal_only`` generation.  For flip sets F ⊊ F' of one
@@ -29,30 +41,35 @@ alignment, Q_F is strictly contained in Q_F' (send the variables flipped
 only in F' back to their constants; Q_F keeps a constant Q_F' lacks), so
 only the minimal connecting flip sets can yield a CIM query, and a dropped
 variant is never the only witness against another query.
+
+Generation enumerates every alignment or none: a skeleton whose product
+of per-row alignment counts exceeds :data:`MAX_ALIGNMENT_COMBOS` raises
+:class:`~repro.errors.OptimizationError` before it builds any layout.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from collections.abc import Iterator
-from typing import TYPE_CHECKING
 
 from repro.db.tuples import Tuple
+from repro.errors import OptimizationError
 from repro.provenance.kexample import KExample
 from repro.query.ast import CQ, Atom, Constant, Term, Variable
 from repro.query.join_graph import overlap_connected
 from repro.semirings.base import Semiring, SemiringName, get_semiring
 
-if TYPE_CHECKING:
-    from repro.core.privacy import PrivacyStats
+#: The most alignment combinations one skeleton may enumerate.  It is in
+#: no content hash, so changing it needs a ``HASH_VERSION`` bump.
+MAX_ALIGNMENT_COMBOS = 20_000
 
 
 @dataclass(frozen=True)
 class ConsistencyConfig:
     """Knobs for consistent-query generation.
 
-    ``max_alignment_combos`` bounds the product of per-row alignments;
     ``require_variable`` drops fully-ground queries, the paper's
     trivial-query elimination for the UCQ setting;
     ``max_tuple_reuse`` allows a skeleton slot multiset to repeat a tuple
@@ -61,7 +78,6 @@ class ConsistencyConfig:
 
     head_name: str = "Q"
     semiring: SemiringName = SemiringName.NX
-    max_alignment_combos: int = 20_000
     require_variable: bool = False
     max_tuple_reuse: int = 1
 
@@ -72,17 +88,16 @@ class ConsistencyConfig:
 def consistent_queries(
     example: KExample,
     config: ConsistencyConfig | None = None,
-    stats: PrivacyStats | None = None,
     *,
     minimal_only: bool = False,
 ) -> frozenset[CQ]:
     """The candidate consistent queries w.r.t. a concrete K-example.
 
     Returns the most-specific consistent query of every alignment together
-    with its constant-flip variants, deduplicated up to isomorphism.  Every
-    CIM query of the example is contained in this set (see module docs)
-    unless ``max_alignment_combos`` cut the enumeration short; ``stats``,
-    when given, counts each such cut (``alignment_combo_truncations``).
+    with its constant-flip variants, deduplicated up to isomorphism: every
+    CIM query of the example over the family the module docs describe.
+    Raises :class:`~repro.errors.OptimizationError` when a skeleton has
+    more than :data:`MAX_ALIGNMENT_COMBOS` alignment combinations.
 
     ``minimal_only`` builds only each alignment's minimal connecting flip
     variants: a subset of the connected part with the same CIM queries,
@@ -90,7 +105,7 @@ def consistent_queries(
     """
     config = config or ConsistencyConfig()
     out: dict[tuple, CQ] = {}
-    for query in _generate(example, config, stats, minimal_only):
+    for query in _generate(example, config, minimal_only):
         out.setdefault(query.canonical(), query)
     return frozenset(out.values())
 
@@ -98,7 +113,6 @@ def consistent_queries(
 def _generate(
     example: KExample,
     config: ConsistencyConfig,
-    stats: PrivacyStats | None,
     minimal_only: bool,
 ) -> Iterator[CQ]:
     rows = example.rows
@@ -121,12 +135,14 @@ def _generate(
         if not feasible:
             continue
 
-        combos = itertools.product(*per_row_alignments)
-        for combo_index, combo in enumerate(combos):
-            if combo_index >= config.max_alignment_combos:
-                if stats is not None:
-                    stats.alignment_combo_truncations += 1
-                break
+        combos = math.prod(map(len, per_row_alignments))
+        if combos > MAX_ALIGNMENT_COMBOS:
+            raise OptimizationError(
+                f"alignment budget exhausted: {combos} alignment "
+                f"combinations exceed MAX_ALIGNMENT_COMBOS "
+                f"({MAX_ALIGNMENT_COMBOS}); use fewer rows"
+            )
+        for combo in itertools.product(*per_row_alignments):
             matrix = [skeleton, *combo]
             yield from _queries_from_matrix(
                 example, matrix, config, minimal_only

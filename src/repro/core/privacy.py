@@ -56,7 +56,9 @@ class PrivacyConfig:
     the budget, so exactly ``max_concretizations`` items are allowed at
     each site.  A row's count is the product of its occurrences' choice
     counts, so it aborts before enumerating anything.  The paper's
-    settings stay far below the default.
+    settings stay far below the default.  Consistent-query generation
+    aborts the same way past
+    :data:`~repro.core.consistency.MAX_ALIGNMENT_COMBOS`.
     """
 
     row_by_row: bool = True
@@ -106,12 +108,6 @@ class PrivacyStats:
     containment_cache_misses: int = 0
     minimal_set_cache_hits: int = 0
     minimal_set_cache_misses: int = 0
-    # Consistent-query generation cut short by ``max_alignment_combos``:
-    # skeletons whose alignment combinations were truncated, charged per
-    # consistency call and again on each use of a cached prefix that was
-    # cut.  A cut can drop a CIM query, so a nonzero count means the
-    # privacy may undercount.
-    alignment_combo_truncations: int = 0
 
 
 class QueryFacts:
@@ -126,9 +122,7 @@ class QueryFacts:
     and homomorphism work an earlier tree already paid for.  It holds:
 
     * ``query_cache`` — each concrete prefix's connected consistent
-      queries as a canonical key -> query map, keyed by the prefix's rows;
-      ``capped_prefixes`` holds, for the prefixes whose generation
-      ``max_alignment_combos`` cut short, how many cuts it charged,
+      queries as a canonical key -> query map, keyed by the prefix's rows,
     * ``containment_cache`` — pairwise strict-containment verdicts (each
       one a homomorphism search, the dominant cost of GetMinimalQueries),
       keyed by the two queries' canonical forms, for the pairs whose
@@ -138,9 +132,8 @@ class QueryFacts:
 
     Computers on several threads may share a holder.  Every entry holds
     what recomputation yields, so two threads that miss one key together
-    at worst both compute it; a prefix's cuts are recorded before its
-    queries are published, so a compute that finds the queries also
-    finds the cuts.
+    at worst both compute it.  A prefix whose generation aborts stores
+    nothing, so every compute over it aborts alike.
     """
 
     def __init__(
@@ -149,7 +142,6 @@ class QueryFacts:
         self.registry = registry
         self.consistency = consistency
         self.query_cache: dict[tuple[KExampleRow, ...], dict[tuple, CQ]] = {}
-        self.capped_prefixes: dict[tuple[KExampleRow, ...], int] = {}
         self.containment_cache: dict[tuple, bool] = {}
         self.minimal_set_cache: dict[frozenset, frozenset] = {}
 
@@ -271,7 +263,6 @@ class PrivacyComputer:
         self._row_option_cache = session.row_option_cache
         facts = session.facts
         self._query_cache = facts.query_cache
-        self._capped_prefixes = facts.capped_prefixes
         self._containment_cache = facts.containment_cache
         self._minimal_set_cache = facts.minimal_set_cache
         self.stats = PrivacyStats()
@@ -364,11 +355,7 @@ class PrivacyComputer:
             return cached
         self.stats.row_option_cache_misses += 1
         total = math.prod(map(len, self._engine.occurrence_choices(row)))
-        if total > self._config.max_concretizations:
-            raise OptimizationError(
-                "per-row concretization budget exhausted; tighten the "
-                "abstraction or raise max_concretizations"
-            )
+        self._check_fan_out(total)
         options = list(self._engine.concretize_row(
             row, connected_only=self._config.connectivity_filter
         ))
@@ -383,27 +370,18 @@ class PrivacyComputer:
         self, prefixes: Iterable[tuple[KExampleRow, ...]]
     ) -> list[dict[tuple, CQ]]:
         """Each prefix's connected consistent queries, canonical key ->
-        query.  A cached prefix charges again the alignment-combo cuts
-        its generation charged."""
+        query."""
         if not self._config.cache_queries:
             return [self._generate(prefix) for prefix in prefixes]
-        stats, capped = self.stats, self._capped_prefixes
+        cache, stats = self._query_cache, self.stats
         out = []
         for prefix in prefixes:
-            queries = self._query_cache.get(prefix)
+            queries = cache.get(prefix)
             if queries is None:
-                cuts = stats.alignment_combo_truncations
-                queries = self._generate(prefix)
+                queries = cache[prefix] = self._generate(prefix)
                 stats.query_cache_misses += 1
-                if stats.alignment_combo_truncations > cuts:
-                    # Before the queries are published: a compute on
-                    # another thread that finds them must find the cuts.
-                    capped[prefix] = stats.alignment_combo_truncations - cuts
-                self._query_cache[prefix] = queries
             else:
                 stats.query_cache_hits += 1
-                if capped:
-                    stats.alignment_combo_truncations += capped.get(prefix, 0)
             out.append(queries)
         return out
 
@@ -411,7 +389,7 @@ class PrivacyComputer:
         self.stats.consistency_calls += 1
         queries = consistent_queries(
             KExample(prefix, self._registry), self._config.consistency,
-            self.stats, minimal_only=True,
+            minimal_only=True,
         )
         return {query.canonical(): query for query in queries}
 

@@ -14,7 +14,10 @@ from repro.examples_data import (
     running_example_db,
     running_example_tree,
 )
+from repro.db.database import KDatabase
+from repro.db.schema import Schema
 from repro.provenance.builder import build_kexample
+from repro.provenance.kexample import KExample, KExampleRow
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +59,25 @@ def tpch_db():
 def imdb_db():
     """A tiny deterministic IMDB-style instance."""
     return generate_imdb(n_people=120, n_movies=80, seed=1)
+
+
+@pytest.fixture(scope="session")
+def self_join_rows():
+    """Builds a two-row K-example whose rows each hold ``n`` distinct ``R``
+    tuples, so the second row aligns with the first in n! ways.  Each row
+    outputs its tuples' ``a`` values, so only one alignment yields a
+    query and the rest stop at the head."""
+
+    def build(n: int) -> KExample:
+        db = KDatabase(Schema.from_dict({"R": ["a", "b"]}))
+        rows = []
+        for row in range(2):
+            names = [f"r{row}_{i}" for i in range(n)]
+            for i, name in enumerate(names):
+                db.insert("R", (10 * row + i, row), name)
+            rows.append(KExampleRow(
+                tuple(10 * row + i for i in range(n)), names
+            ))
+        return KExample(rows, db.registry)
+
+    return build

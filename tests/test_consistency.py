@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.core import consistency
 from repro.core.consistency import ConsistencyConfig, consistent_queries
-from repro.core.privacy import PrivacyStats
 from repro.db.database import KDatabase
 from repro.db.schema import Schema
+from repro.errors import OptimizationError
 from repro.provenance.kexample import KExample, KExampleRow
 from repro.query.containment import is_equivalent
 from repro.query.join_graph import is_connected
@@ -247,8 +248,9 @@ class TestCapCounters:
         db.insert("S", (10, 5), "s1")
         return db
 
-    def test_alignment_combo_truncation_counted(self, db):
-        """Two R tuples in the second row: two alignments."""
+    def test_alignment_combo_truncation_counted(self, db, monkeypatch):
+        """Two R tuples in the second row: two alignments.  A budget of
+        two returns; a budget of one aborts before building any layout."""
         example = KExample(
             [
                 KExampleRow((1,), ["r1", "r3"]),
@@ -256,12 +258,32 @@ class TestCapCounters:
             ],
             db.registry,
         )
-        capped, exact = PrivacyStats(), PrivacyStats()
-        consistent_queries(
-            example, ConsistencyConfig(max_alignment_combos=1), capped
-        )
-        consistent_queries(
-            example, ConsistencyConfig(max_alignment_combos=2), exact
-        )
-        assert capped.alignment_combo_truncations == 1
-        assert exact.alignment_combo_truncations == 0
+        monkeypatch.setattr(consistency, "MAX_ALIGNMENT_COMBOS", 2)
+        assert consistent_queries(example)
+        layouts = []
+
+        def record(*args):
+            layouts.append(args)
+            return iter(())
+
+        monkeypatch.setattr(consistency, "_queries_from_matrix", record)
+        monkeypatch.setattr(consistency, "MAX_ALIGNMENT_COMBOS", 1)
+        with pytest.raises(OptimizationError, match="MAX_ALIGNMENT_COMBOS"):
+            consistent_queries(example)
+        assert layouts == []
+
+
+class TestAlignmentBudget:
+    """The unpatched budget at the size where it binds."""
+
+    def test_eight_tuples_per_row_abort(self, self_join_rows):
+        """8! = 40,320 alignment combinations."""
+        example = self_join_rows(8)
+        for minimal_only in (False, True):
+            with pytest.raises(OptimizationError, match="40320 alignment"):
+                consistent_queries(example, minimal_only=minimal_only)
+
+    def test_seven_tuples_per_row_return(self, self_join_rows):
+        """7! = 5,040 alignment combinations."""
+        (query,) = consistent_queries(self_join_rows(7))
+        assert len(query.body) == 7

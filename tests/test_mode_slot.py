@@ -107,22 +107,23 @@ class TestPinnedHashes:
     in the wild silently lose its cached results.  A deliberate change of
     the hash inputs bumps :data:`repro.store.hashing.HASH_VERSION` and
     re-pins these digests; the job digests were last re-pinned at
-    ``repro-job-v2``, when ``ConsistencyConfig`` lost ``max_flip_classes``.
+    ``repro-job-v3``, when ``ConsistencyConfig`` lost its alignment-combo
+    cap to a module constant.
     """
 
     def test_named_job_hash_is_stable(self):
         job = job_from_spec(NAMED_SPEC, default_rows=PINNED.kexample_rows,
                             base_config=_base_config())
         assert job_content_hash(job, PINNED) == (
-            "e0c94fdf010f8f943bb2296c85ea0218"
-            "debdbb3860d1ed50478b4b4dc56279aa"
+            "68e89df224447decf6dc2ca1ad0b5ceb"
+            "acaba8dbbf7f6c100e19a42c73eec5fd"
         )
 
     def test_inline_job_hash_is_stable(self):
         job = job_from_spec(INLINE_SPEC, base_config=_base_config())
         assert job_content_hash(job, PINNED) == (
-            "0ed0b28261cc81bc689e2749f8f3abab"
-            "743f4f97a35d49de861e6f64fdd541ee"
+            "e1b1db2f3041b27b3587786cc134e255"
+            "0a2d557756c283eb3f2bac0ed3ebf3e2"
         )
 
     def test_inline_context_hash_is_stable(self):

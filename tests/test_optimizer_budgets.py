@@ -1,9 +1,10 @@
 """Budget exhaustion paths of Algorithm 2 and Algorithm 1.
 
-The optimizer has three safety valves: a candidate budget
+The optimizer has four safety valves: a candidate budget
 (``max_candidates``), a wall-clock budget (``max_seconds``), and — inside
 the privacy computation — a concretization budget
-(``PrivacyConfig.max_concretizations``).  Each must degrade gracefully:
+(``PrivacyConfig.max_concretizations``) and an alignment budget
+(``consistency.MAX_ALIGNMENT_COMBOS``).  Each must degrade gracefully:
 return the best abstraction found so far (or a not-found result), never
 raise out of ``find_optimal_abstraction``.
 """
@@ -13,6 +14,7 @@ import math
 import pytest
 
 from repro.abstraction.function import AbstractionFunction
+from repro.core import consistency
 from repro.core.dual import find_dual_optimal_abstraction
 from repro.core.optimizer import OptimizerConfig, find_optimal_abstraction
 from repro.core.privacy import PrivacyComputer, PrivacyConfig
@@ -111,19 +113,29 @@ class TestTimeBudget:
 
 
 class TestPrivacyConcretizationBudget:
-    def test_exhaustion_is_counted_and_survived(self, paper_example, paper_tree):
-        """A tiny concretization budget makes every proper abstraction
-        unevaluable; the search skips them (counting each exhaustion) and
-        reports not-found instead of raising."""
-        result = find_optimal_abstraction(
-            paper_example, paper_tree, threshold=2,
-            config=OptimizerConfig(
-                privacy=PrivacyConfig(max_concretizations=1),
-            ),
-        )
-        assert not result.found
-        assert result.stats.privacy_budget_exhausted > 0
-        assert result.stats.privacy_computations >= result.stats.privacy_budget_exhausted
+    def test_exhaustion_is_counted_and_survived(
+        self, paper_example, paper_tree, monkeypatch
+    ):
+        """A tiny concretization budget, or an alignment budget of zero,
+        makes every proper abstraction unevaluable; the search skips them
+        (counting each exhaustion) and reports not-found instead of
+        raising."""
+        budgets = [
+            (PrivacyConfig(max_concretizations=1),
+             consistency.MAX_ALIGNMENT_COMBOS),
+            (PrivacyConfig(), 0),
+        ]
+        for privacy, max_combos in budgets:
+            monkeypatch.setattr(
+                consistency, "MAX_ALIGNMENT_COMBOS", max_combos
+            )
+            result = find_optimal_abstraction(
+                paper_example, paper_tree, threshold=2,
+                config=OptimizerConfig(privacy=privacy),
+            )
+            assert not result.found
+            assert result.stats.privacy_budget_exhausted > 0
+            assert result.stats.privacy_computations >= result.stats.privacy_budget_exhausted
 
     def test_computer_raises_directly(self, paper_example, paper_tree):
         computer = PrivacyComputer(

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+from unittest import mock
 
 import hypothesis
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from repro.abstraction.builders import balanced_tree
 from repro.abstraction.concretization import ConcretizationEngine
 from repro.abstraction.function import AbstractionFunction
+from repro.core import consistency
 from repro.core import privacy as privacy_module
 from repro.core.consistency import ConsistencyConfig, consistent_queries
 from repro.core.privacy import (
@@ -156,54 +158,41 @@ class TestMechanics:
         assert computer.stats.query_cache_misses == misses_after_first
 
     def test_cap_counters_zero_at_defaults(
-        self, paper_tree, paper_db, paper_example
+        self, paper_tree, paper_db, paper_example, monkeypatch
     ):
-        computer = PrivacyComputer(paper_tree, paper_db.registry)
+        """The running example stays inside the alignment budget; a budget
+        of zero aborts it."""
         abstracted = _abstract(
             paper_tree, paper_example, {"h1": "Facebook", "h2": "LinkedIn"}
         )
+        computer = PrivacyComputer(paper_tree, paper_db.registry)
         assert computer.privacy(abstracted) == 2
         assert computer.stats.consistency_calls > 0
-        assert computer.stats.alignment_combo_truncations == 0
+        monkeypatch.setattr(consistency, "MAX_ALIGNMENT_COMBOS", 0)
+        with pytest.raises(OptimizationError, match="MAX_ALIGNMENT_COMBOS"):
+            PrivacyComputer(paper_tree, paper_db.registry).privacy(abstracted)
 
-    def test_cap_counters_repeat_on_warm_sessions(self):
-        """A cached prefix whose generation was capped charges its cuts on
-        every use, so a warm compute reports what a cold one does."""
-        db, example, tree, config = _capped_example()
-        session = PrivacySession(tree, db.registry, config)
+    def test_cap_counters_repeat_on_warm_sessions(self, self_join_rows):
+        """Two rows of 8 ``R`` tuples (8! alignment combinations) abort on
+        a cold session, on the warm one and on one sharing its holder; the
+        prefix leaves nothing in the holder, so each compute generates it
+        again."""
+        example = self_join_rows(8)
+        registry = example.registry
+        tree = balanced_tree(sorted(registry.annotations()), height=1, seed=0)
+        first_row = KExample(example.rows[:1], registry)
+        session = PrivacySession(tree, registry)
+        assert PrivacyComputer(tree, registry, session=session).privacy(
+            _abstract(tree, first_row, {})
+        ) == 1
         abstracted = _abstract(tree, example, {})
-        cold, warm = (
-            PrivacyComputer(tree, db.registry, config, session=session)
-            for _ in range(2)
-        )
-        cold.privacy(abstracted)
-        warm.privacy(abstracted)
-        assert cold.stats.consistency_calls > 0
-        assert warm.stats.consistency_calls == 0
-        assert warm.stats.alignment_combo_truncations == (
-            cold.stats.alignment_combo_truncations
-        ) > 0
-
-    def test_cuts_are_recorded_before_the_queries_are_published(self):
-        """A compute on another thread may find a prefix's queries the
-        moment they are published, so the prefix's cuts must already be
-        recorded then, or that compute charges none of them."""
-        db, example, tree, config = _capped_example()
-        facts = QueryFacts(db.registry, config.consistency)
-        recorded_cuts = []
-
-        class Publishing(dict):
-            def __setitem__(self, prefix, queries):
-                recorded_cuts.append(facts.capped_prefixes.get(prefix, 0))
-                super().__setitem__(prefix, queries)
-
-        facts.query_cache = Publishing()
-        session = PrivacySession(tree, db.registry, config, facts)
-        computer = PrivacyComputer(tree, db.registry, config, session=session)
-        computer.privacy(_abstract(tree, example, {}))
-        assert sum(recorded_cuts) == (
-            computer.stats.alignment_combo_truncations
-        ) > 0
+        sharing = PrivacySession(tree, registry, facts=session.facts)
+        for target in (PrivacySession(tree, registry), session, sharing):
+            computer = PrivacyComputer(tree, registry, session=target)
+            with pytest.raises(OptimizationError, match="40320 alignment"):
+                computer.privacy(abstracted)
+            assert computer.stats.consistency_calls == 1
+        assert list(session.facts.query_cache) == [tuple(first_row.rows)]
 
     def test_equal_row_options_are_kept_once(self):
         """Two occurrences abstracted to one label concretize to equal rows
@@ -318,7 +307,8 @@ class TestMechanics:
         # The first row offers the five Facebook leaves for h1.
         abstracted = _abstract(paper_tree, paper_example, {"h1": "Facebook"})
         if budget < 5:
-            with pytest.raises(OptimizationError, match="per-row"):
+            with pytest.raises(OptimizationError,
+                               match="max_concretizations"):
                 computer.privacy(abstracted)
             assert calls == []
         else:
@@ -355,21 +345,6 @@ class TestMechanics:
             "Q(1) :- R(1, 2, 3, 4, x), S(x, 6, 7, 8, y), "
             "T(y, 10, 11, 12, 13)"
         ).canonical()}
-
-
-def _capped_example():
-    """The two-row example of ``test_consistency.py::TestCapCounters``,
-    with the config whose ``max_alignment_combos`` cuts its generation."""
-    db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["x", "y"]}))
-    db.insert("R", (1, 10), "r1")
-    db.insert("R", (1, 30), "r3")
-    db.insert("S", (10, 5), "s1")
-    example = KExample([KExampleRow((1,), ["r1", "r3"])] * 2, db.registry)
-    tree = balanced_tree(["r1", "r3", "s1"], height=1, seed=0)
-    config = PrivacyConfig(
-        consistency=ConsistencyConfig(max_alignment_combos=1)
-    )
-    return db, example, tree, config
 
 
 _JOIN = parse_cq("Q(a) :- R(a, b), S(b, c)")
@@ -670,12 +645,9 @@ class TestPrivacySession:
 
 
 def _outcome(computer, abstracted):
-    """One compute's privacy and cuts, then the CIM queries; or the
-    budget error."""
+    """One compute's privacy, then the CIM queries; or the budget error."""
     try:
-        privacy = computer.privacy(abstracted)
-        cuts = computer.stats.alignment_combo_truncations
-        return privacy, cuts, computer.cim_queries(abstracted)
+        return computer.privacy(abstracted), computer.cim_queries(abstracted)
     except OptimizationError as exc:
         return str(exc)
 
@@ -705,33 +677,34 @@ class TestQueryFacts:
         self, seed, n_rows, n_trees, cap
     ):
         """Trees compute interleaved through one holder, on fresh and warm
-        sessions and in both modes; each compute's privacy, cut count and
-        CIM queries equal a private session's."""
+        sessions and in both modes, under an alignment budget of ``cap``;
+        each compute's privacy and CIM queries, or its error, equal a
+        private session's."""
         db, example, tree = _random_instance(seed, n_rows)
         trees = _trees_over(db, tree, n_trees, seed)
-        consistency = ConsistencyConfig(max_alignment_combos=cap)
         modes = [
-            PrivacyConfig(consistency=consistency, max_concretizations=2_000),
-            PrivacyConfig(row_by_row=False, consistency=consistency,
-                          max_concretizations=2_000),
+            PrivacyConfig(max_concretizations=2_000),
+            PrivacyConfig(row_by_row=False, max_concretizations=2_000),
         ]
-        facts = QueryFacts(db.registry, consistency)
+        facts = QueryFacts(db.registry, modes[0].consistency)
         warm = [PrivacySession(t, db.registry, modes[0], facts) for t in trees]
         rng = random.Random(seed)
-        for _ in range(2):
-            for t, warm_session in zip(trees, warm):
-                abstracted = _random_abstraction(example, t, rng)
-                for config in modes:
-                    expected = _outcome(
-                        PrivacyComputer(t, db.registry, config), abstracted
-                    )
-                    for session in (
-                        PrivacySession(t, db.registry, config, facts),
-                        warm_session,
-                    ):
-                        assert _outcome(PrivacyComputer(
-                            t, db.registry, config, session=session
-                        ), abstracted) == expected
+        with mock.patch.object(consistency, "MAX_ALIGNMENT_COMBOS", cap):
+            for _ in range(2):
+                for t, warm_session in zip(trees, warm):
+                    abstracted = _random_abstraction(example, t, rng)
+                    for config in modes:
+                        expected = _outcome(
+                            PrivacyComputer(t, db.registry, config),
+                            abstracted,
+                        )
+                        for session in (
+                            PrivacySession(t, db.registry, config, facts),
+                            warm_session,
+                        ):
+                            assert _outcome(PrivacyComputer(
+                                t, db.registry, config, session=session
+                            ), abstracted) == expected
 
     def test_holder_of_another_registry_or_consistency_is_rejected(self):
         db, example, tree = _random_instance(0)
@@ -742,7 +715,7 @@ class TestQueryFacts:
                            QueryFacts(other.registry, config.consistency))
         with pytest.raises(OptimizationError):
             PrivacySession(tree, db.registry, config, QueryFacts(
-                db.registry, ConsistencyConfig(max_alignment_combos=1)
+                db.registry, ConsistencyConfig(require_variable=True)
             ))
         # An equal config object will do, whatever the session's other
         # switches.
@@ -751,16 +724,15 @@ class TestQueryFacts:
         PrivacySession(tree, db.registry,
                        PrivacyConfig(connectivity_filter=False), facts)
 
+    @mock.patch.object(consistency, "MAX_ALIGNMENT_COMBOS", 1)
     def test_threads_sharing_a_holder_match_private_sessions(self):
         """More threads than cores, switching every microsecond, each
         compute through sessions of three trees that share one holder per
-        round; every compute's privacy and cut count must equal a private
-        session's."""
+        round, under an alignment budget of one; every compute's privacy,
+        or its error, must equal a private session's."""
         db, example, tree = _random_instance(0)
         trees = _trees_over(db, tree, 3, 0)
-        config = PrivacyConfig(
-            consistency=ConsistencyConfig(max_alignment_combos=1)
-        )
+        config = PrivacyConfig()
         rng = random.Random(0)
         work = [(index, _random_abstraction(example, t, rng))
                 for index, t in enumerate(trees) for _ in range(3)]
@@ -769,15 +741,18 @@ class TestQueryFacts:
             computer = PrivacyComputer(
                 session.tree, db.registry, config, session=session
             )
-            return (computer.privacy(abstracted),
-                    computer.stats.alignment_combo_truncations)
+            try:
+                return computer.privacy(abstracted)
+            except OptimizationError as exc:
+                return str(exc)
 
         reference = [
             outcome(PrivacySession(trees[index], db.registry, config), item)
             for index, item in work
         ]
-        assert any(privacy for privacy, _ in reference)
-        assert any(cuts for _, cuts in reference)
+        assert any(isinstance(privacy, int) and privacy
+                   for privacy in reference)
+        assert any(isinstance(error, str) for error in reference)
 
         def run(facts, slot, results):
             sessions = [PrivacySession(t, db.registry, config, facts)

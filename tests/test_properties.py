@@ -15,6 +15,7 @@ properties below are the paper's structural invariants:
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,10 +25,11 @@ from repro.abstraction.function import AbstractionFunction
 from repro.core.consistency import ConsistencyConfig, consistent_queries
 from repro.core.loi import loss_of_information
 from repro.core.privacy import (
-    PrivacyComputer, PrivacyConfig, PrivacyStats, _minimal_queries,
+    PrivacyComputer, PrivacyConfig, _minimal_queries,
 )
 from repro.db.database import KDatabase
 from repro.db.schema import Schema
+from repro.errors import OptimizationError
 from repro.provenance.builder import build_kexample
 from repro.provenance.kexample import KExample, KExampleRow
 from repro.query.ast import CQ, Atom, Variable
@@ -203,21 +205,21 @@ class TestConsistencyProperties:
     @given(consistency_instances())
     def test_minimal_only_keeps_the_cim_queries(self, instance):
         """A subset of the connected part of the full set with the same
-        CIM queries and representatives, with the cap charged alike."""
+        CIM queries and representatives; or both abort on the alignment
+        budget."""
         example, config = instance
-        full_stats, minimal_stats = PrivacyStats(), PrivacyStats()
-        connected = frozenset(
-            query for query in consistent_queries(example, config, full_stats)
-            if is_connected(query)
-        )
-        minimal = consistent_queries(
-            example, config, minimal_stats, minimal_only=True
-        )
+        try:
+            full = consistent_queries(example, config)
+        except OptimizationError:
+            with pytest.raises(OptimizationError):
+                consistent_queries(example, config, minimal_only=True)
+            return
+        connected = frozenset(query for query in full if is_connected(query))
+        minimal = consistent_queries(example, config, minimal_only=True)
         assert {q.canonical() for q in minimal} <= {
             q.canonical() for q in connected
         }
         assert _minimal_queries(minimal) == _minimal_queries(connected)
-        assert minimal_stats == full_stats
 
 
 class TestContainmentProperties:
