@@ -422,9 +422,10 @@ def find_optimal_abstraction(
             try:
                 privacy = compute(abstracted, threshold)
             except OptimizationError:
-                # Concretization budget exhausted: the abstraction is too
-                # coarse to evaluate; skip it (its refinements are coarser
-                # still, but siblings may be fine, so keep expanding).
+                # Concretization or alignment budget exhausted: the
+                # abstraction is too coarse to evaluate; skip it (its
+                # refinements are coarser still, but siblings may be
+                # fine, so keep expanding).
                 stats.privacy_budget_exhausted += 1
                 privacy = -1
             if privacy >= threshold and loi < best_loi:
