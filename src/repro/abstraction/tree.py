@@ -13,7 +13,7 @@ counts (the concretization-set factors of Proposition 3.5).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Container, Iterator
 from typing import Optional
 
 from repro.errors import AbstractionError
@@ -207,10 +207,18 @@ class AbstractionTree:
 
     # -- compatibility (Definition 2.6) -------------------------------------
 
-    def is_compatible_with_annotations(self, annotations: Iterable[str]) -> bool:
-        """True iff no inner node label is a tuple annotation."""
-        inner = self.inner_labels()
-        return not any(ann in inner for ann in annotations)
+    def is_compatible_with_annotations(
+        self, annotations: Container[str]
+    ) -> bool:
+        """True iff no inner node label is in ``annotations``.
+
+        Only the inner labels are tested, so a registry of tuple
+        annotations need not be listed.
+        """
+        return not any(
+            label in annotations
+            for label, node in self._nodes.items() if not node.is_leaf
+        )
 
     def _require_frozen(self) -> None:
         if not self._frozen:

@@ -21,6 +21,38 @@ we emit the base query plus its constant-to-variable "flip" variants, since
 a flip can connect an otherwise disconnected join graph and thereby become
 a CIM query.
 
+Generation is a fold over the rows
+----------------------------------
+The first row gives each skeleton one state, the empty combination.  Each
+later row extends every surviving combination by each of its alignments,
+in order, and keeps the extensions that survive two refutations.  Queries
+are built from the last row's survivors alone.  Survivors come out in the
+order of the product of the per-row alignment lists, so the first query
+generated per isomorphism class, its representative, is the one a
+from-scratch product would generate first.
+
+* **Head check.**  An output column whose values differ across rows needs
+  a position whose value vector equals the outputs.  Only positions holding
+  the first row's output value can qualify, and each later row keeps those
+  holding its own.
+* **Connectivity check** (``minimal_only`` only).  The all-flip layout,
+  every class a variable, must connect the atoms.  Only positions whose
+  values coincide across atoms can join them: each row splits these
+  cross-atom groups by its values and drops the parts left inside one atom.
+  Full generation also yields the flip variants of disconnected layouts,
+  so it runs the head check alone.
+
+Both refutations are monotone in the rows.  A later row only splits
+classes: it adds a coordinate to every value vector, so positions with
+equal vectors may come apart but never come together.  Head candidates
+and cross-atom groups therefore only shrink, and a combination refuted
+for a prefix stays refuted for every extension.  A survivor carries its
+head candidates and groups, so an extension refines them instead of
+recomputing them, and the :class:`PrefixFold` of a prefix's call lets a
+call for a longer prefix start where it stopped.  A skeleton's first-row
+state is built only once a later row aligns with it, and calls on
+prefixes that share a first row may share it (:func:`first_row_fold`).
+
 Which queries this counts
 -------------------------
 Every term of a generated query is a whole class of an alignment's layout:
@@ -42,24 +74,32 @@ only in F' back to their constants; Q_F keeps a constant Q_F' lacks), so
 only the minimal connecting flip sets can yield a CIM query, and a dropped
 variant is never the only witness against another query.
 
-Generation enumerates every alignment or none: a skeleton whose product
-of per-row alignment counts exceeds :data:`MAX_ALIGNMENT_COMBOS` raises
-:class:`~repro.errors.OptimizationError` before it builds any layout.
+Generation enumerates every alignment or none.  A row's alignment count
+follows from the relation multisets: distinct permutations per relation,
+or surjections when the semiring drops exponents.  A skeleton whose
+product of per-row counts exceeds :data:`MAX_ALIGNMENT_COMBOS` raises
+:class:`~repro.errors.OptimizationError` before any alignment is
+enumerated or layout built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
+from operator import attrgetter
 from dataclasses import dataclass
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from repro.db.tuples import Tuple
 from repro.errors import OptimizationError
-from repro.provenance.kexample import KExample
+from repro.provenance.kexample import KExample, KExampleRow
 from repro.query.ast import CQ, Atom, Constant, Term, Variable
 from repro.query.join_graph import overlap_connected
 from repro.semirings.base import Semiring, SemiringName, get_semiring
+
+_RELATION = attrgetter("relation")
+_VALUES = attrgetter("values")
 
 #: The most alignment combinations one skeleton may enumerate.  It is in
 #: no content hash, so changing it needs a ``HASH_VERSION`` bump.
@@ -85,12 +125,124 @@ class ConsistencyConfig:
         return get_semiring(self.semiring)
 
 
+class _Skeleton:
+    """One skeleton of a fold: its slot tuples, their relation names
+    (sorted), and the first row's output.
+
+    Most skeletons align with no later row, so the rest is computed on
+    first use: ``slots``, the slot indexes per relation; and ``seed``, the
+    first row's survivors, which is the empty combination with its head
+    candidates and cross-atom groups, or none when the first row's
+    all-flip layout already leaves an atom apart.  Computing the seed also
+    sets the layout survivors use: the first row's ``values`` in (slot,
+    column) order, each slot's relation and position range, each
+    position's atom bit, and the mask of all atoms.
+    """
+
+    __slots__ = ("tuples", "relations", "output", "minimal_only", "values",
+                 "ranges", "bits", "full", "_slots", "_seed")
+
+    def __init__(
+        self, tuples: tuple[Tuple, ...], output: tuple, minimal_only: bool
+    ):
+        self.tuples = tuples
+        self.relations = sorted(map(_RELATION, tuples))
+        self.output = output
+        self.minimal_only = minimal_only
+        self._slots: dict[str, list[int]] | None = None
+        self._seed: list | None = None
+
+    @property
+    def slots(self) -> dict[str, list[int]]:
+        if self._slots is None:
+            self._slots = _slots(self.tuples)
+        return self._slots
+
+    @property
+    def seed(self) -> list:
+        if self._seed is None:
+            self._seed = self._first_row()
+        return self._seed
+
+    def _first_row(self) -> list:
+        ranges: list[tuple[str, int, int]] = []
+        bits: list[int] = []
+        values: tuple = ()
+        for slot, tup in enumerate(self.tuples):
+            row = tup.values
+            ranges.append((tup.relation, len(values), len(values) + len(row)))
+            values += row
+            bits += [1 << slot] * len(row)
+        self.values, self.ranges, self.bits = values, ranges, bits
+        self.full = full = (1 << len(self.tuples)) - 1
+        heads = tuple(
+            [p for p, value in enumerate(values) if value == target]
+            for target in self.output
+        )
+        groups: list = []
+        if self.minimal_only and full > 1:
+            members: dict = {}
+            for position, value in enumerate(values):
+                members.setdefault(value, []).append(position)
+            for positions in members.values():
+                mask = 0
+                for position in positions:
+                    mask |= bits[position]
+                if mask & (mask - 1):  # the value is in two atoms or more
+                    groups.append((mask, positions))
+            if not _connected(groups, full):
+                return []
+        return [((), heads, groups)]
+
+
+class PrefixFold:
+    """The alignment combinations of a prefix of rows that survive both
+    refutations, per skeleton (see the module docs).
+
+    ``skeletons`` holds ``(skeleton, combos, survivors)`` for every
+    skeleton whose rows all have alignments: ``combos`` is its product of
+    per-row alignment counts, and a survivor is ``(later rows' flattened
+    values, head candidates per output column, cross-atom groups)``, each
+    group an atom mask with its positions.  A :func:`first_row_fold`
+    holds every skeleton, with ``survivors`` ``None``: the skeleton's
+    seed.  A fold does not change once built, apart from fields its
+    skeletons compute on first use, which any thread computes alike, so
+    threads may share it.
+    """
+
+    __slots__ = ("rows", "config", "minimal_only", "drops_exponents",
+                 "skeletons")
+
+    def __init__(
+        self,
+        rows: tuple[KExampleRow, ...],
+        config: ConsistencyConfig,
+        minimal_only: bool,
+        drops_exponents: bool,
+        skeletons: list,
+    ):
+        self.rows = rows
+        self.config = config
+        self.minimal_only = minimal_only
+        self.drops_exponents = drops_exponents
+        self.skeletons = skeletons
+
+
+class GeneratedQueries(frozenset):
+    """The queries of one :func:`consistent_queries` call, with ``fold``,
+    the :class:`PrefixFold` of the call's rows."""
+
+    __slots__ = ("fold",)
+    fold: PrefixFold
+
+
 def consistent_queries(
     example: KExample,
     config: ConsistencyConfig | None = None,
     *,
     minimal_only: bool = False,
-) -> frozenset[CQ]:
+    start: PrefixFold | None = None,
+) -> GeneratedQueries:
     """The candidate consistent queries w.r.t. a concrete K-example.
 
     Returns the most-specific consistent query of every alignment together
@@ -102,51 +254,220 @@ def consistent_queries(
     ``minimal_only`` builds only each alignment's minimal connecting flip
     variants: a subset of the connected part with the same CIM queries,
     representatives included.
+
+    ``start``, the ``fold`` of an earlier result for a prefix of the
+    example's rows under the same config and ``minimal_only``, continues
+    that fold from the prefix's last row instead of the first; the
+    queries are the same.
     """
     config = config or ConsistencyConfig()
+    fold = _fold(example, config, minimal_only, start)
+    output = example.rows[0].output
     out: dict[tuple, CQ] = {}
-    for query in _generate(example, config, minimal_only):
-        out.setdefault(query.canonical(), query)
-    return frozenset(out.values())
+    for skeleton, _, survivors in fold.skeletons:
+        for combo, heads, _ in survivors:
+            for query in _queries_from_matrix(
+                skeleton, (skeleton.values, *combo), heads, output, config,
+                minimal_only,
+            ):
+                out.setdefault(query.canonical(), query)
+    result = GeneratedQueries(out.values())
+    result.fold = fold
+    return result
 
 
-def _generate(
+def first_row_fold(
+    example: KExample,
+    config: ConsistencyConfig | None = None,
+    *,
+    minimal_only: bool = False,
+) -> PrefixFold:
+    """The fold of ``example``'s first row: every skeleton, unseeded.
+
+    It generates no query and checks no budget; a call that starts from
+    it does both, and seeds a skeleton only when a later row aligns with
+    it.  Calls on prefixes that share the first row may share it.
+    """
+    config = config or ConsistencyConfig()
+    drops_exponents = config.semiring_ops().drops_exponents()
+    output = example.rows[0].output
+    return PrefixFold(
+        example.rows[:1], config, minimal_only, drops_exponents,
+        [(_Skeleton(tuples, output, minimal_only), 1, None)
+         for tuples in _skeletons(example, config, drops_exponents)],
+    )
+
+
+def _fold(
     example: KExample,
     config: ConsistencyConfig,
     minimal_only: bool,
-) -> Iterator[CQ]:
+    start: PrefixFold | None,
+) -> PrefixFold:
+    """Fold ``example``'s rows after ``start``'s, or after its first row.
+
+    Every skeleton's alignment count is checked against the budget before
+    any alignment is enumerated, and a skeleton with a row that has no
+    alignment is dropped.
+    """
+    if start is None:
+        start = first_row_fold(example, config, minimal_only=minimal_only)
     rows = example.rows
-    drops_exponents = config.semiring_ops().drops_exponents()
+    done = len(start.rows)
+    if (rows[:done] != start.rows
+            or start.config is not config and start.config != config
+            or start.minimal_only != minimal_only):
+        raise ValueError("start folds other rows, config or minimal_only")
+    drops_exponents = start.drops_exponents
+    resolve = example.registry.resolve
+    later = [list(map(resolve, row.occurrences)) for row in rows[done:]]
+    # A skeleton aligns with no row whose relation names differ from its
+    # own, as multisets when exponents are kept.
+    signatures = (
+        [] if drops_exponents
+        else [sorted(map(_RELATION, tuples)) for tuples in later]
+    )
+    entries = [
+        entry for entry in start.skeletons
+        if signatures.count(entry[0].relations) == len(signatures)
+    ]
+    grouped = [_by_relation(tuples) for tuples in later] if entries else []
 
-    for skeleton in _skeletons(example, config, drops_exponents):
-        per_row_alignments: list[list[tuple[Tuple, ...]]] = []
-        feasible = True
-        for row_index in range(1, len(rows)):
-            row_tuples = [
-                example.tuple_of(ann) for ann in rows[row_index].occurrences
-            ]
-            alignments = list(
-                _alignments(skeleton, row_tuples, drops_exponents)
-            )
-            if not alignments:
-                feasible = False
+    counted = []
+    for skeleton, combos, survivors in entries:
+        for row in grouped:
+            if not combos:
                 break
-            per_row_alignments.append(alignments)
-        if not feasible:
-            continue
-
-        combos = math.prod(map(len, per_row_alignments))
+            combos *= _alignment_count(skeleton.slots, row, drops_exponents)
         if combos > MAX_ALIGNMENT_COMBOS:
             raise OptimizationError(
                 f"alignment budget exhausted: {combos} alignment "
                 f"combinations exceed MAX_ALIGNMENT_COMBOS "
                 f"({MAX_ALIGNMENT_COMBOS}); use fewer rows"
             )
-        for combo in itertools.product(*per_row_alignments):
-            matrix = [skeleton, *combo]
-            yield from _queries_from_matrix(
-                example, matrix, config, minimal_only
+        if combos:
+            counted.append((skeleton, combos, survivors))
+    if not counted:
+        return PrefixFold(rows, config, minimal_only, drops_exponents, [])
+
+    # Per later row, the output columns whose values differ so far.
+    varying = [
+        [len(set(values)) > 1 for values in zip(*(
+            row.output for row in rows[:index + 1]
+        ))]
+        for index in range(done, len(rows))
+    ]
+    skeletons = []
+    for skeleton, combos, survivors in counted:
+        if survivors is None:
+            survivors = skeleton.seed
+        for index, row in enumerate(grouped):
+            if not survivors:
+                break
+            survivors = _extend(
+                skeleton, survivors,
+                [sum(map(_VALUES, aligned), ()) for aligned in
+                 _alignments(skeleton.slots, len(skeleton.tuples), row,
+                             drops_exponents)],
+                rows[done + index].output, varying[index], minimal_only,
             )
+        skeletons.append((skeleton, combos, survivors))
+    return PrefixFold(rows, config, minimal_only, drops_exponents, skeletons)
+
+
+def _extend(
+    skeleton: _Skeleton,
+    survivors: list,
+    alignments: list[tuple],
+    output: tuple,
+    varying: list[bool],
+    minimal_only: bool,
+) -> list:
+    """Each survivor extended by each of a row's (flattened) alignments,
+    in product order, keeping the extensions that survive.
+
+    ``varying`` flags the output columns whose values differ across the
+    rows so far: such a column refutes an extension that leaves it no
+    head candidate.
+    """
+    out = []
+    for combo, heads, groups in survivors:
+        for values in alignments:
+            kept_heads = _refine_heads(heads, values, output, varying)
+            if kept_heads is None:
+                continue
+            if minimal_only:
+                kept_groups = _split_groups(groups, values, skeleton)
+                if kept_groups is None:
+                    continue
+            else:
+                kept_groups = groups
+            out.append((combo + (values,), kept_heads, kept_groups))
+    return out
+
+
+def _refine_heads(heads, values: tuple, output: tuple, varying: list[bool]):
+    """Each column's head candidates that hold the row's output value (the
+    column's list itself when all do); ``None`` when a varying column
+    keeps none."""
+    kept_heads = []
+    for candidates, target, required in zip(heads, output, varying):
+        for position in candidates:
+            if values[position] != target:
+                candidates = [p for p in candidates if values[p] == target]
+                break
+        if required and not candidates:
+            return None
+        kept_heads.append(candidates)
+    return kept_heads
+
+
+def _split_groups(groups: list, values: tuple, skeleton: _Skeleton):
+    """Each cross-atom group split by a row's values, keeping the parts
+    that still span two atoms; ``None`` when they no longer connect the
+    atoms."""
+    kept: list | None = None
+    for index, group in enumerate(groups):
+        members = group[1]
+        value = values[members[0]]
+        for position in members:
+            if values[position] != value:
+                break
+        else:
+            if kept is not None:
+                kept.append(group)
+            continue
+        if kept is None:
+            kept = groups[:index]
+        if len(members) == 2:
+            continue  # split into two single positions
+        parts: dict = {}
+        for position in members:
+            parts.setdefault(values[position], []).append(position)
+        bits = skeleton.bits
+        for part in parts.values():
+            mask = 0
+            for position in part:
+                mask |= bits[position]
+            if mask & (mask - 1):
+                kept.append((mask, part))
+    if kept is None:
+        return groups
+    return kept if _connected(kept, skeleton.full) else None
+
+
+def _connected(groups: list, full: int) -> bool:
+    """Whether the groups' atom masks join every atom of ``full``."""
+    reached = full & -full
+    while reached != full:
+        grown = reached
+        for mask, _ in groups:
+            if mask & grown:
+                grown |= mask
+        if grown == reached:
+            return False
+        reached = grown
+    return True
 
 
 def _skeletons(
@@ -175,49 +496,95 @@ def _skeletons(
         yield tuple(expanded)
 
 
+def _slots(skeleton: Sequence[Tuple]) -> dict[str, list[int]]:
+    """A skeleton's slot indexes per relation, in order of first slot."""
+    out: dict[str, list[int]] = {}
+    for index, tup in enumerate(skeleton):
+        out.setdefault(tup.relation, []).append(index)
+    return out
+
+
+def _by_relation(row_tuples: Sequence[Tuple]) -> dict[str, list[Tuple]]:
+    """A row's tuples per relation."""
+    out: dict[str, list[Tuple]] = {}
+    for tup in row_tuples:
+        out.setdefault(tup.relation, []).append(tup)
+    return out
+
+
+def _alignment_count(
+    slots: dict[str, list[int]],
+    row: dict[str, list[Tuple]],
+    drops_exponents: bool,
+) -> int:
+    """How many alignments :func:`_alignments` yields, from the relation
+    multisets alone: the distinct permutations of each relation's tuples
+    or, when the semiring drops exponents, the surjections onto its
+    distinct tuples."""
+    if slots.keys() != row.keys():
+        return 0
+    count = 1
+    for relation, slot_indexes in slots.items():
+        n = len(slot_indexes)
+        tuples = row[relation]
+        if drops_exponents:
+            d = len(set(tuples))
+            count *= sum(
+                (-1) ** j * math.comb(d, j) * (d - j) ** n
+                for j in range(d + 1)
+            )
+        elif len(tuples) != n:
+            return 0
+        elif n > 1:
+            count *= math.factorial(n)
+            distinct = set(tuples)
+            if len(distinct) < n:
+                for tup in distinct:
+                    count //= math.factorial(tuples.count(tup))
+    return count
+
+
 def _alignments(
-    skeleton: tuple[Tuple, ...],
-    row_tuples: list[Tuple],
+    slots: dict[str, list[int]],
+    size: int,
+    row: dict[str, list[Tuple]],
     drops_exponents: bool,
 ) -> Iterator[tuple[Tuple, ...]]:
-    """Assignments of one tuple of the row to every skeleton slot.
+    """Assignments of one of the row's tuples to each of a skeleton's
+    ``size`` slots.
 
     With visible exponents this must be a multiset bijection per relation
     name; without, any relation-respecting surjection onto the row's
-    distinct tuples is allowed.
+    distinct tuples is allowed.  Relations go in order of first slot, and
+    each relation's choices in permutation (or product) order.
     """
-    slots_by_relation: dict[str, list[int]] = {}
-    for index, tup in enumerate(skeleton):
-        slots_by_relation.setdefault(tup.relation, []).append(index)
-    tuples_by_relation: dict[str, list[Tuple]] = {}
-    for tup in row_tuples:
-        tuples_by_relation.setdefault(tup.relation, []).append(tup)
-
-    if set(slots_by_relation) != set(tuples_by_relation):
+    if slots.keys() != row.keys():
         return
-
-    per_relation_choices: list[list[dict[int, Tuple]]] = []
-    for relation, slot_indexes in slots_by_relation.items():
-        candidates = tuples_by_relation[relation]
-        if drops_exponents:
-            distinct = list(dict.fromkeys(candidates))
-            choices = _surjective_assignments(slot_indexes, distinct)
+    per_relation: list[tuple[list[int], list[tuple[Tuple, ...]]]] = []
+    for relation, slot_indexes in slots.items():
+        candidates = row[relation]
+        if len(candidates) == 1 and (
+            drops_exponents or len(slot_indexes) == 1
+        ):
+            choices = [(candidates[0],) * len(slot_indexes)]
+        elif drops_exponents:
+            choices = _surjections(
+                len(slot_indexes), list(dict.fromkeys(candidates))
+            )
+        elif len(candidates) != len(slot_indexes):
+            return
         else:
-            if len(candidates) != len(slot_indexes):
-                return
-            choices = [
-                dict(zip(slot_indexes, perm))
-                for perm in _distinct_permutations(candidates)
-            ]
+            choices = list(_distinct_permutations(candidates))
         if not choices:
             return
-        per_relation_choices.append(choices)
+        per_relation.append((slot_indexes, choices))
 
-    for combo in itertools.product(*per_relation_choices):
-        assignment: dict[int, Tuple] = {}
-        for mapping in combo:
-            assignment.update(mapping)
-        yield tuple(assignment[i] for i in range(len(skeleton)))
+    aligned: list = [None] * size
+    for combo in itertools.product(*[choices for _, choices in per_relation]):
+        for (slot_indexes, _), chosen in zip(per_relation, combo):
+            for slot, tup in zip(slot_indexes, chosen):
+                aligned[slot] = tup
+        yield tuple(aligned)
 
 
 def _distinct_permutations(items: list[Tuple]) -> Iterator[tuple[Tuple, ...]]:
@@ -229,58 +596,68 @@ def _distinct_permutations(items: list[Tuple]) -> Iterator[tuple[Tuple, ...]]:
             yield perm
 
 
-def _surjective_assignments(
-    slot_indexes: list[int], targets: list[Tuple]
-) -> list[dict[int, Tuple]]:
-    """All slot->tuple maps using every target at least once."""
-    if len(targets) > len(slot_indexes):
+def _surjections(n: int, targets: list[Tuple]) -> list[tuple[Tuple, ...]]:
+    """All length-``n`` tuples over ``targets`` using every one of them."""
+    if len(targets) > n:
         return []
-    out = []
-    for combo in itertools.product(targets, repeat=len(slot_indexes)):
-        if set(combo) == set(targets):
-            out.append(dict(zip(slot_indexes, combo)))
-    return out
+    wanted = set(targets)
+    return [
+        combo for combo in itertools.product(targets, repeat=n)
+        if set(combo) == wanted
+    ]
+
+
+#: ``x0``, ``x1``, ...: every layout names class ``i`` by the same object.
+_VARIABLES: list[Variable] = []
+_VARIABLES_LOCK = threading.Lock()
+
+
+def _variables(count: int) -> list[Variable]:
+    """The shared variables, at least ``count`` of them."""
+    if len(_VARIABLES) < count:
+        with _VARIABLES_LOCK:
+            _VARIABLES.extend(
+                Variable(f"x{idx}") for idx in range(len(_VARIABLES), count)
+            )
+    return _VARIABLES
 
 
 def _queries_from_matrix(
-    example: KExample,
-    matrix: list[tuple[Tuple, ...]],
+    skeleton: _Skeleton,
+    matrix: tuple[tuple, ...],
+    heads: Sequence[Sequence[int]],
+    output: tuple,
     config: ConsistencyConfig,
     minimal_only: bool,
 ) -> Iterator[CQ]:
-    """Most-specific query and flip variants for one alignment matrix.
+    """Most-specific query and flip variants for one surviving alignment
+    matrix, one row of flattened values per K-example row.
 
-    The alignment's class layout is computed once: positions (slot, column)
-    with equal cross-row value vectors share a class, numbered by first
-    appearance, and class ``i`` is the term ``x{i}`` or, while a constant
-    class is not flipped, its constant.  Each flip variant only picks the
-    term of every class; under ``require_variable`` a ground base is no
-    flip set.  With ``minimal_only``, only the minimal connecting flip sets
-    are built (see :func:`_minimal_flip_sets`).
+    The alignment's class layout is computed once: positions with equal
+    cross-row value vectors share a class, numbered by first appearance in
+    (slot, column) order, and class ``i`` is the term ``x{i}`` or, while a
+    constant class is not flipped, its constant.  An output column's head
+    term is the class of its head candidates or, with none, its value in
+    the first row's ``output``.  Each flip variant only picks the term of
+    every class; under ``require_variable`` a ground base is no flip set.
+    With ``minimal_only``, only the minimal connecting flip sets are built
+    (see :func:`_minimal_flip_sets`).
     """
     class_of: dict[tuple, int] = {}
-    layout: list[tuple[str, list[int]]] = []
-    for slot, tup in enumerate(matrix[0]):
-        layout.append((tup.relation, [
-            class_of.setdefault(vector, len(class_of))
-            for vector in zip(*(row[slot].values for row in matrix))
-        ]))
+    classes = [
+        class_of.setdefault(vector, len(class_of)) for vector in zip(*matrix)
+    ]
+    layout = [
+        (relation, classes[start:stop])
+        for relation, start, stop in skeleton.ranges
+    ]
+    head_layout: list[int | Constant] = [
+        classes[candidates[0]] if candidates else Constant(output[column])
+        for column, candidates in enumerate(heads)
+    ]
 
-    # Resolve head terms: each output column needs a class with the exact
-    # output vector, or a constant column.
-    head_layout: list[int | Constant] = []
-    outputs = [row.output for row in example.rows]
-    for col in range(len(outputs[0])):
-        out_vector = tuple(output[col] for output in outputs)
-        if out_vector in class_of:
-            head_layout.append(class_of[out_vector])
-        elif len(set(out_vector)) == 1:
-            head_layout.append(Constant(out_vector[0]))
-        else:
-            return  # this alignment cannot produce the outputs
-
-    variables = [Variable(f"x{idx}") for idx in range(len(class_of))]
-    base_terms: list[Term] = list(variables)
+    variables = _variables(len(class_of))
+    base_terms: list[Term] = list(variables[:len(class_of)])
     constant_classes = []
     for idx, vector in enumerate(class_of):
         if len(set(vector)) == 1:
@@ -320,14 +697,12 @@ def _minimal_flip_sets(
     """Inclusion-minimal flip sets of at least ``smallest`` classes whose
     atoms' variable classes overlap into one component.
 
-    Unflipped constants are no variables, so nothing connects if flipping
-    every class does not.  Each class of a minimal set joins two
-    components, so it is shared by two atoms (unless there is one atom),
-    and a set holds at most (atoms - 1) classes.  Sets go by size,
-    skipping supersets of those found.
+    The layout survived the connectivity refutation, so flipping every
+    class connects it.  Each class of a minimal set joins two components,
+    so it is shared by two atoms (unless there is one atom), and a set
+    holds at most (atoms - 1) classes.  Sets go by size, skipping
+    supersets of those found.
     """
-    if not overlap_connected(atom_classes):
-        return
     constant_set = frozenset(constant_classes)
     shared = [idx for idx in constant_classes if len(atom_classes) == 1
               or sum(idx in classes for classes in atom_classes) > 1]

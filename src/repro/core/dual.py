@@ -51,7 +51,7 @@ def find_dual_optimal_abstraction(
 ) -> OptimalAbstractionResult:
     """The maximum-privacy abstraction with ``LOI <= max_loi``."""
     config = config or OptimizerConfig()
-    if not tree.is_compatible_with_annotations(example.registry.annotations()):
+    if not tree.is_compatible_with_annotations(example.registry):
         raise OptimizationError(
             "abstraction tree is incompatible with the K-example"
         )

@@ -314,7 +314,7 @@ def find_optimal_abstraction(
     private session.  Results are bit-identical either way.
     """
     config = config or OptimizerConfig()
-    if not tree.is_compatible_with_annotations(example.registry.annotations()):
+    if not tree.is_compatible_with_annotations(example.registry):
         raise OptimizationError(
             "abstraction tree is incompatible with the K-example "
             "(an inner label collides with a tuple annotation)"

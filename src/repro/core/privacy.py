@@ -8,7 +8,10 @@ optimizations, each independently switchable for the Figure 19 ablation:
 * row-by-row computation with ``GoodConc`` propagation,
 * the connectivity filter: each row enumerates only its connected
   concretizations,
-* caching consistent queries per concretization prefix,
+* caching consistent queries per concretization prefix, and with a
+  prefix that a compute extends, the alignment combinations its
+  extensions start from (generation folds the rows; see
+  :mod:`repro.core.consistency`),
 * caching the per-label value indexes that connected enumeration reads.
 
 All of Algorithm 1's caches are *threshold-independent*: a row's
@@ -35,8 +38,14 @@ from dataclasses import dataclass, field
 
 from repro.abstraction.concretization import ConcretizationEngine
 from repro.abstraction.tree import AbstractionTree
-from repro.core.consistency import ConsistencyConfig, consistent_queries
+from repro.core.consistency import (
+    ConsistencyConfig,
+    PrefixFold,
+    consistent_queries,
+    first_row_fold,
+)
 from repro.db.database import AnnotationRegistry
+from repro.obs import spans
 from repro.provenance.kexample import AbstractedKExample, KExample, KExampleRow
 from repro.query.ast import CQ
 from repro.query.containment import is_strictly_contained_in
@@ -123,6 +132,9 @@ class QueryFacts:
 
     * ``query_cache`` — each concrete prefix's connected consistent
       queries as a canonical key -> query map, keyed by the prefix's rows,
+      with the :class:`~repro.core.consistency.PrefixFold` its one-row
+      extensions start from where a compute extends the prefix (else
+      ``None``),
     * ``containment_cache`` — pairwise strict-containment verdicts (each
       one a homomorphism search, the dominant cost of GetMinimalQueries),
       keyed by the two queries' canonical forms, for the pairs whose
@@ -141,7 +153,9 @@ class QueryFacts:
     ):
         self.registry = registry
         self.consistency = consistency
-        self.query_cache: dict[tuple[KExampleRow, ...], dict[tuple, CQ]] = {}
+        self.query_cache: dict[
+            tuple[KExampleRow, ...], tuple[dict[tuple, CQ], PrefixFold | None]
+        ] = {}
         self.containment_cache: dict[tuple, bool] = {}
         self.minimal_set_cache: dict[frozenset, frozenset] = {}
 
@@ -266,6 +280,21 @@ class PrivacyComputer:
         self._containment_cache = facts.containment_cache
         self._minimal_set_cache = facts.minimal_set_cache
         self.stats = PrivacyStats()
+        # Each first row's fold, which a prefix without its parent's starts
+        # from; kept per computer, since it depends on the row alone.
+        self._first_folds: dict[KExampleRow, PrefixFold] = {}
+        # Algorithm 1's phases, bound once per computer: untraced they are
+        # the bound methods themselves; traced, each accumulates into one
+        # aggregate record.
+        self._row_options = spans.timed(  # type: ignore[method-assign]
+            "row_options", self._row_options
+        )
+        self._generate = spans.timed(  # type: ignore[method-assign]
+            "consistent_queries", self._generate
+        )
+        self._minimal_keys = spans.timed(  # type: ignore[method-assign]
+            "minimality", self._minimal_keys
+        )
 
     @property
     def config(self) -> PrivacyConfig:
@@ -321,7 +350,8 @@ class PrivacyComputer:
             # row's options all pass unchecked.
             good = prefixes if index == 0 else list(dict.fromkeys(
                 prefix for prefix, queries
-                in zip(prefixes, self._prefix_queries(prefixes)) if queries
+                in zip(prefixes, self._prefix_queries(prefixes, keep=True))
+                if queries
             ))
         raise AssertionError("unreachable")
 
@@ -367,31 +397,54 @@ class PrivacyComputer:
         return options
 
     def _prefix_queries(
-        self, prefixes: Iterable[tuple[KExampleRow, ...]]
+        self, prefixes: Iterable[tuple[KExampleRow, ...]], keep: bool = False
     ) -> list[dict[tuple, CQ]]:
         """Each prefix's connected consistent queries, canonical key ->
-        query."""
+        query; ``keep`` keeps the folds of the prefixes generated, for
+        their extensions."""
         if not self._config.cache_queries:
-            return [self._generate(prefix) for prefix in prefixes]
+            return [
+                self._generate(prefix, None, False)[0] for prefix in prefixes
+            ]
         cache, stats = self._query_cache, self.stats
         out = []
         for prefix in prefixes:
-            queries = cache.get(prefix)
-            if queries is None:
-                queries = cache[prefix] = self._generate(prefix)
+            entry = cache.get(prefix)
+            if entry is None:
+                # The parent's fold; looking it up is no cache hit.
+                parent = cache.get(prefix[:-1]) if len(prefix) > 2 else None
+                entry = cache[prefix] = self._generate(
+                    prefix, parent[1] if parent is not None else None, keep
+                )
                 stats.query_cache_misses += 1
             else:
                 stats.query_cache_hits += 1
-            out.append(queries)
+            out.append(entry[0])
         return out
 
-    def _generate(self, prefix: tuple[KExampleRow, ...]) -> dict[tuple, CQ]:
+    def _generate(
+        self,
+        prefix: tuple[KExampleRow, ...],
+        start: PrefixFold | None,
+        keep: bool,
+    ) -> tuple[dict[tuple, CQ], PrefixFold | None]:
+        """A prefix's queries, generated from ``start`` or, without one,
+        from its first row's fold, which the computer builds once per row;
+        with the prefix's fold if ``keep`` and there are queries."""
         self.stats.consistency_calls += 1
+        example = KExample(prefix, self._registry)
+        consistency = self._config.consistency
+        if start is None and len(prefix) > 1:
+            start = self._first_folds.get(prefix[0])
+            if start is None:
+                start = self._first_folds[prefix[0]] = first_row_fold(
+                    example, consistency, minimal_only=True
+                )
         queries = consistent_queries(
-            KExample(prefix, self._registry), self._config.consistency,
-            minimal_only=True,
+            example, consistency, minimal_only=True, start=start
         )
-        return {query.canonical(): query for query in queries}
+        keyed = {query.canonical(): query for query in queries}
+        return keyed, queries.fold if keep and keyed else None
 
     def _gated_cim_count(self, maps: list[dict[tuple, CQ]], threshold: int) -> int:
         """Both gates of Algorithm 1's tail, shared by every compute path:

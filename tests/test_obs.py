@@ -318,7 +318,8 @@ def test_service_metrics_and_traces_on_both_tiers(executor, tmp_path):
         assert phases <= {
             "context_build", "session_build", "search", "store_io",
             "candidate_scoring", "privacy_check", "materialize",
-            "cache_lookup", "engine_evaluate",
+            "cache_lookup", "engine_evaluate", "row_options",
+            "consistent_queries", "minimality",
         }
     finally:
         service.shutdown()

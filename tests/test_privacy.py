@@ -266,6 +266,48 @@ class TestMechanics:
             assert visited and sorted(calls) == visited
             calls.clear()
 
+    def test_only_prefixes_a_compute_extends_keep_their_folds(self):
+        """After a three-row compute, a two-row prefix with queries keeps
+        the fold its extensions start from; the last rows' prefixes and
+        the prefixes without queries keep none."""
+        db, example, tree = _random_instance(1, n_rows=3)
+        computer = PrivacyComputer(tree, db.registry)
+        assert computer.privacy(_abstract(tree, example, {})) > 0
+        cache = computer.session.facts.query_cache
+        assert {len(prefix) for prefix in cache} == {2, 3}
+        for prefix, (queries, fold) in cache.items():
+            kept = len(prefix) == 2 and bool(queries)
+            assert (fold is not None) == kept
+            if kept:
+                assert fold.rows == prefix
+
+    def test_algorithm_1_phases_trace_as_aggregates(
+        self, paper_tree, paper_db, paper_example
+    ):
+        """Traced, a computer accumulates its row options, generations
+        and minimality scans into one aggregate record each, one count per
+        call; untraced, it calls its bound methods."""
+        from repro.obs import spans
+
+        abstracted = _abstract(paper_tree, paper_example, {"i1": "WikiLeaks"})
+        untraced = PrivacyComputer(paper_tree, paper_db.registry)
+        for name in ("_row_options", "_generate", "_minimal_keys"):
+            bound = getattr(untraced, name)
+            assert bound.__func__ is getattr(PrivacyComputer, name)
+        tracer = spans.Tracer()
+        with spans.activate(tracer):
+            computer = PrivacyComputer(paper_tree, paper_db.registry)
+        assert computer.privacy(abstracted) == untraced.privacy(abstracted)
+        counts = {record["name"]: record["count"] for record in tracer.records}
+        stats = computer.stats
+        assert counts == {
+            "row_options": (stats.row_option_cache_hits
+                            + stats.row_option_cache_misses),
+            "consistent_queries": stats.consistency_calls,
+            "minimality": (stats.minimal_set_cache_hits
+                           + stats.minimal_set_cache_misses),
+        }
+
     def test_connectivity_filter_prunes(self, paper_tree, paper_db, paper_example):
         computer = PrivacyComputer(paper_tree, paper_db.registry)
         abstracted = _abstract(paper_tree, paper_example, {"i1": "WikiLeaks"})
@@ -730,58 +772,69 @@ class TestQueryFacts:
         compute through sessions of three trees that share one holder per
         round, under an alignment budget of one; every compute's privacy,
         or its error, must equal a private session's."""
-        db, example, tree = _random_instance(0)
-        trees = _trees_over(db, tree, 3, 0)
-        config = PrivacyConfig()
-        rng = random.Random(0)
-        work = [(index, _random_abstraction(example, t, rng))
-                for index, t in enumerate(trees) for _ in range(3)]
-
-        def outcome(session, abstracted):
-            computer = PrivacyComputer(
-                session.tree, db.registry, config, session=session
-            )
-            try:
-                return computer.privacy(abstracted)
-            except OptimizationError as exc:
-                return str(exc)
-
-        reference = [
-            outcome(PrivacySession(trees[index], db.registry, config), item)
-            for index, item in work
-        ]
-        assert any(isinstance(privacy, int) and privacy
-                   for privacy in reference)
+        reference = _threads_sharing_a_holder(n_rows=2)
         assert any(isinstance(error, str) for error in reference)
 
-        def run(facts, slot, results):
-            sessions = [PrivacySession(t, db.registry, config, facts)
-                        for t in trees]
-            # Each thread starts at another item, so threads miss and
-            # publish prefixes in different orders.
-            order = [(slot + i) % len(work) for i in range(len(work))]
-            got = {i: outcome(sessions[work[i][0]], work[i][1]) for i in order}
-            results[slot] = [got[i] for i in range(len(work))]
+    def test_threads_extending_shared_folds_match_private_sessions(self):
+        """As above over three rows: threads extend two-row prefixes from
+        folds that other threads generated and seeded."""
+        _threads_sharing_a_holder(n_rows=3)
 
-        n_threads = (os.cpu_count() or 1) + 2
-        interval = sys.getswitchinterval()
-        deadline = time.monotonic() + 2.0
-        rounds = 0
-        sys.setswitchinterval(1e-6)
+
+def _threads_sharing_a_holder(n_rows: int) -> list:
+    """Run the holder-sharing stress rounds on ``n_rows``-row examples
+    and return the private sessions' outcomes they matched."""
+    db, example, tree = _random_instance(0, n_rows)
+    trees = _trees_over(db, tree, 3, 0)
+    config = PrivacyConfig()
+    rng = random.Random(0)
+    work = [(index, _random_abstraction(example, t, rng))
+            for index, t in enumerate(trees) for _ in range(3)]
+
+    def outcome(session, abstracted):
+        computer = PrivacyComputer(
+            session.tree, db.registry, config, session=session
+        )
         try:
-            while rounds == 0 or time.monotonic() < deadline:
-                facts = QueryFacts(db.registry, config.consistency)
-                results: list = [None] * n_threads
-                threads = [
-                    threading.Thread(target=run, args=(facts, slot, results))
-                    for slot in range(n_threads)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                assert results == [reference] * n_threads
-                rounds += 1
-        finally:
-            sys.setswitchinterval(interval)
+            return computer.privacy(abstracted)
+        except OptimizationError as exc:
+            return str(exc)
+
+    reference = [
+        outcome(PrivacySession(trees[index], db.registry, config), item)
+        for index, item in work
+    ]
+    assert any(isinstance(privacy, int) and privacy for privacy in reference)
+
+    def run(facts, slot, results):
+        sessions = [PrivacySession(t, db.registry, config, facts)
+                    for t in trees]
+        # Each thread starts at another item, so threads miss and
+        # publish prefixes in different orders.
+        order = [(slot + i) % len(work) for i in range(len(work))]
+        got = {i: outcome(sessions[work[i][0]], work[i][1]) for i in order}
+        results[slot] = [got[i] for i in range(len(work))]
+
+    n_threads = (os.cpu_count() or 1) + 2
+    interval = sys.getswitchinterval()
+    deadline = time.monotonic() + 2.0
+    rounds = 0
+    sys.setswitchinterval(1e-6)
+    try:
+        while rounds == 0 or time.monotonic() < deadline:
+            facts = QueryFacts(db.registry, config.consistency)
+            results: list = [None] * n_threads
+            threads = [
+                threading.Thread(target=run, args=(facts, slot, results))
+                for slot in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [reference] * n_threads
+            rounds += 1
+    finally:
+        sys.setswitchinterval(interval)
+    return reference
