@@ -8,10 +8,11 @@ sweep:
   level) contributions) vs the seed's from-scratch path (build an
   ``AbstractionFunction``, apply it to every row, recompute LOI).  The
   incremental path must be >= 2x faster and bit-identical.
-* *end-to-end search* — ``find_optimal_abstraction`` with
-  ``incremental=True`` vs ``False``; results must be bit-identical.  The
-  end-to-end gain is smaller because privacy computation dominates once
-  candidates pass the LOI gate; the recorded split shows both.
+* *end-to-end search* — ``find_optimal_abstraction`` under the uniform
+  distribution vs under :class:`FromScratchUniform`, which scores every
+  candidate from scratch; results must be bit-identical.  The end-to-end
+  gain is smaller because privacy computation dominates once candidates
+  pass the LOI gate; the recorded split shows both.
 """
 
 import pytest
@@ -33,6 +34,12 @@ from repro.experiments.runner import prepare_context
 #: hundreds to thousands; this keeps one measurement under a second).
 N_CANDIDATES = 4_000
 TIMING_ROUNDS = 3
+
+
+class FromScratchUniform(UniformDistribution):
+    """Uniform LOI scored from scratch for every candidate."""
+
+    supports_incremental = False
 
 
 def _search_inputs(context):
@@ -130,7 +137,7 @@ def test_end_to_end_bit_identical(benchmark, query_name):
     start = perf_counter()
     full = find_optimal_abstraction(
         context.example, context.tree, threshold,
-        config=OptimizerConfig(incremental=False, **budget),
+        config=OptimizerConfig(**budget), distribution=FromScratchUniform(),
     )
     full_seconds = perf_counter() - start
 

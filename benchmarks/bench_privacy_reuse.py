@@ -31,7 +31,7 @@ from repro.core.optimizer import (
     search_space,
 )
 from repro.core.privacy import PrivacyComputer, PrivacySession
-from repro.experiments.runner import prepare_context, privacy_session_for
+from repro.experiments.runner import prepare_context
 
 #: Fig 9-style threshold sweep (the paper sweeps k = 2..20; these points
 #: keep one CI smoke run in seconds while spanning the same shape).
@@ -145,7 +145,7 @@ SWEEP_BUDGET = dict(max_candidates=600, max_seconds=20.0)
 def test_threshold_sweep_results_bit_identical(benchmark, query_name):
     context = prepare_context(query_name, BENCH_SETTINGS)
     config = OptimizerConfig(**SWEEP_BUDGET)
-    session = privacy_session_for(context)
+    session = PrivacySession(context.tree, context.example.registry)
 
     def run_shared():
         return [

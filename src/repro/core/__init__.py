@@ -13,10 +13,10 @@ from repro.core.optimizer import (
     OptimalAbstractionResult,
     OptimizerConfig,
     OptimizerStats,
+    find_dual_optimal_abstraction,
     find_optimal_abstraction,
 )
 from repro.core.brute_force import brute_force_optimal_abstraction
-from repro.core.dual import find_dual_optimal_abstraction
 from repro.core.compression import compression_baseline
 
 __all__ = [

@@ -3,7 +3,9 @@
 Scans every abstraction in arbitrary order, computes privacy for each
 (monolithically, without any of the Section 4.1 optimizations), and keeps
 the minimum-LOI one meeting the threshold.  Exists so the effect of each
-optimization component can be measured against a common reference.
+optimization component can be measured against a common reference.  LOI
+is scored as in every other search (incrementally for additive
+distributions), so the Figure 19 arms differ only in those components.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ def brute_force_config(max_candidates: "int | None" = None) -> OptimizerConfig:
     return OptimizerConfig(
         sort_abstractions=False,
         loi_first=False,
-        prune_dominated=False,
-        incremental=False,
         max_candidates=max_candidates,
         privacy=PrivacyConfig(
             row_by_row=False,

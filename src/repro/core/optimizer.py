@@ -13,19 +13,22 @@ information.  The search realizes the paper's two search-side optimizations
   privacy computation: privacy is only computed when the candidate's LOI
   beats the incumbent.
 
-Additionally, for monotone distributions (uniform), successors of a
-candidate whose LOI already reached the incumbent are pruned: abstracting
-any variable higher can only raise LOI further, so the entire upward cone
-is dominated.
+For monotone distributions (uniform), a sorted LOI-first scan also prunes:
+the successors of a candidate that cannot improve on the incumbent are
+never expanded, since abstracting any variable higher only raises LOI, so
+the entire upward cone is dominated.
 
-Candidate evaluation is *incremental* by default (:class:`IncrementalEvaluator`):
-for the additive distributions (Proposition 3.5) a candidate's LOI is a sum
-of per-occurrence contributions depending only on the target label, so the
+Candidates are scored *incrementally* (:class:`IncrementalEvaluator`)
+whenever the distribution has ``supports_incremental``: for the additive
+distributions (Proposition 3.5) a candidate's LOI is a sum of
+per-occurrence contributions depending only on the target label, so the
 search scores candidates from cached per-(variable, level) contributions
-and only materializes the abstracted K-example for candidates whose LOI
-beats the incumbent — the only ones whose privacy is computed.  Disable
-with ``OptimizerConfig(incremental=False)`` to recover the from-scratch
-evaluation; both paths produce bit-identical results.
+and only materializes the abstracted K-example for candidates whose
+privacy is computed.  Other distributions are scored from scratch; both
+paths produce bit-identical results.
+
+The dual problem (Section 4.2, :func:`find_dual_optimal_abstraction`)
+runs the same scan with a different objective.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.abstraction.function import AbstractionFunction
 from repro.abstraction.tree import AbstractionTree
@@ -51,12 +54,6 @@ class OptimizerConfig:
 
     sort_abstractions: bool = True
     loi_first: bool = True
-    prune_dominated: bool = True
-    # Evaluate candidates from cached per-(variable, level) LOI
-    # contributions instead of re-applying the abstraction to every row;
-    # only takes effect for distributions with additive LOI (uniform and
-    # leaf-weight), and produces bit-identical results either way.
-    incremental: bool = True
     max_candidates: Optional[int] = None
     # Wall-clock budget for one search; the best abstraction found so far
     # is returned when it runs out (None = unbounded, as in the paper).
@@ -83,8 +80,8 @@ class OptimizerStats:
     privacy_computations: int = 0
     privacy_budget_exhausted: int = 0
     elapsed_seconds: float = 0.0
-    # Incremental-evaluation counters (zero when incremental=False or the
-    # distribution is not additive).
+    # Scoring counters: candidates are scored from cached deltas when the
+    # distribution is additive, from scratch otherwise.
     delta_evaluations: int = 0            # candidates scored from cached deltas
     full_evaluations: int = 0             # candidates scored from scratch
     functions_materialized: int = 0       # lazily built abstracted examples
@@ -293,9 +290,19 @@ class _SortedFrontier:
                     )
 
 
-def _unsorted_candidates(variables, chains) -> Iterator[tuple[int, ...]]:
-    ranges = [range(len(chains[v])) for v in variables]
-    yield from itertools.product(*ranges)
+class _UnsortedCandidates:
+    """Every level vector in ``itertools.product`` order; nothing prunes."""
+
+    def __init__(self, variables, chains):
+        self._product = itertools.product(
+            *(range(len(chains[v])) for v in variables)
+        )
+
+    def pop(self) -> Optional[tuple[int, ...]]:
+        return next(self._product, None)
+
+    def expand(self, levels: tuple[int, ...]) -> None:
+        pass
 
 
 def find_optimal_abstraction(
@@ -313,6 +320,50 @@ def find_optimal_abstraction(
     search still pools privacy work across its own candidates through a
     private session.  Results are bit-identical either way.
     """
+    return _search(
+        example, tree, config, distribution, session, threshold=threshold
+    )
+
+
+def find_dual_optimal_abstraction(
+    example: KExample,
+    tree: AbstractionTree,
+    max_loi: float,
+    config: OptimizerConfig | None = None,
+    distribution=None,
+    session: PrivacySession | None = None,
+) -> OptimalAbstractionResult:
+    """The dual problem (Section 4.2): the maximum-privacy abstraction
+    with ``LOI <= max_loi``.
+
+    Algorithm 2 is adjusted exactly as the paper prescribes: track the
+    best privacy instead of the best LOI (ties go to the lower LOI), only
+    compute privacy for abstractions whose LOI does not exceed
+    ``max_loi``, and — because LOI is monotone under abstracting any
+    variable higher (for the uniform distribution) — terminate branches
+    whose LOI exceeds the cap.  The cap makes the dual "more efficiently
+    solvable" than the primal, which the E-DUAL benchmark verifies.
+    Every switch, budget and ``session`` acts as in
+    :func:`find_optimal_abstraction`; the privacy is 0 when no
+    abstraction fits the cap.
+    """
+    return _search(
+        example, tree, config, distribution, session, max_loi=max_loi
+    )
+
+
+def _search(
+    example: KExample,
+    tree: AbstractionTree,
+    config: OptimizerConfig | None,
+    distribution,
+    session: PrivacySession | None,
+    threshold: int = 0,
+    max_loi: Optional[float] = None,
+) -> OptimalAbstractionResult:
+    """Algorithm 2's scan: the primal search, or the dual one when
+    ``max_loi`` is given.  The two differ only in which candidates may
+    improve on the incumbent and which privacy wins."""
     config = config or OptimizerConfig()
     if not tree.is_compatible_with_annotations(example.registry):
         raise OptimizationError(
@@ -325,28 +376,27 @@ def find_optimal_abstraction(
     )
     dist = distribution or UniformDistribution()
     prune = (
-        config.prune_dominated
-        and config.sort_abstractions
+        config.sort_abstractions
+        and config.loi_first
         and isinstance(dist, UniformDistribution)
     )
 
     variables, chains = search_space(example, tree)
-    occurrence_count = _occurrence_counts(example, variables)
+    candidates: _SortedFrontier | _UnsortedCandidates
+    if config.sort_abstractions:
+        candidates = _SortedFrontier(
+            variables, chains, tree, _occurrence_counts(example, variables)
+        )
+    else:
+        candidates = _UnsortedCandidates(variables, chains)
 
     stats = OptimizerStats()
     start_time = clock.perf_counter()
 
     best: Optional[AbstractionFunction] = None
     best_abstracted: Optional[AbstractedKExample] = None
-    best_privacy = -1
+    best_privacy = -1 if max_loi is None else 0
     best_loi = math.inf
-
-    frontier: Optional[_SortedFrontier] = None
-    plain: Optional[Iterator[tuple[int, ...]]] = None
-    if config.sort_abstractions and variables:
-        frontier = _SortedFrontier(variables, chains, tree, occurrence_count)
-    else:
-        plain = _unsorted_candidates(variables, chains)
 
     # The per-candidate calls, wrapped once per search: untraced they are
     # the bare callables, so the loop pays nothing for tracing; traced,
@@ -354,7 +404,7 @@ def find_optimal_abstraction(
     # per candidate.
     compute = spans.timed("privacy_check", computer.compute)
     evaluator: Optional[IncrementalEvaluator] = None
-    if config.incremental and getattr(dist, "supports_incremental", False):
+    if getattr(dist, "supports_incremental", False):
         evaluator = IncrementalEvaluator(example, tree, variables, chains, dist)
         score_delta = spans.timed("candidate_scoring", evaluator.loi)
         materialize = spans.timed("materialize", evaluator.materialize)
@@ -370,15 +420,9 @@ def find_optimal_abstraction(
         score_full = spans.timed("candidate_scoring", score_from_scratch)
 
     while True:
-        if frontier is not None:
-            levels = frontier.pop()
-            if levels is None:
-                break
-        else:
-            assert plain is not None
-            levels = next(plain, None)
-            if levels is None:
-                break
+        levels = candidates.pop()
+        if levels is None:
+            break
 
         # Budgets are checked before the candidate is counted, so
         # ``candidates_scanned`` is exactly the number evaluated (the
@@ -408,42 +452,36 @@ def find_optimal_abstraction(
             loi, function, abstracted = score_full(levels)
             stats.full_evaluations += 1
 
-        dominated = loi >= best_loi
-        if config.loi_first and dominated:
-            if frontier is not None and not prune:
-                frontier.expand(levels)
+        # Only a candidate under the incumbent's LOI (primal) or within
+        # the cap (dual) may replace the incumbent.
+        improves = loi < best_loi if max_loi is None else loi <= max_loi
+        if config.loi_first and not improves:
+            if not prune:
+                candidates.expand(levels)
             continue
 
-        if config.loi_first or not dominated:
-            stats.privacy_computations += 1
-            if function is None:
-                function, abstracted = materialize(levels)
-                stats.functions_materialized += 1
-            try:
-                privacy = compute(abstracted, threshold)
-            except OptimizationError:
-                # Concretization or alignment budget exhausted: the
-                # abstraction is too coarse to evaluate; skip it (its
-                # refinements are coarser still, but siblings may be
-                # fine, so keep expanding).
-                stats.privacy_budget_exhausted += 1
-                privacy = -1
-            if privacy >= threshold and loi < best_loi:
+        # With loi_first disabled, privacy is paid for on every candidate.
+        stats.privacy_computations += 1
+        if abstracted is None:
+            function, abstracted = materialize(levels)
+            stats.functions_materialized += 1
+        try:
+            privacy = compute(abstracted, threshold)
+        except OptimizationError:
+            # Concretization or alignment budget exhausted: the
+            # abstraction is too coarse to evaluate; skip it (its
+            # refinements are coarser still, but siblings may be fine,
+            # so keep expanding).
+            stats.privacy_budget_exhausted += 1
+        else:
+            if improves and (
+                privacy >= threshold if max_loi is None
+                else best is None or privacy > best_privacy
+                or (privacy == best_privacy and loi < best_loi)
+            ):
                 best, best_abstracted = function, abstracted
                 best_privacy, best_loi = privacy, loi
-        else:
-            # loi_first disabled: pay for privacy even on dominated states.
-            stats.privacy_computations += 1
-            if abstracted is None:
-                _, abstracted = materialize(levels)
-                stats.functions_materialized += 1
-            try:
-                compute(abstracted, threshold)
-            except OptimizationError:
-                stats.privacy_budget_exhausted += 1
-
-        if frontier is not None:
-            frontier.expand(levels)
+        candidates.expand(levels)
 
     stats.elapsed_seconds = clock.perf_counter() - start_time
     if evaluator is not None:
@@ -456,7 +494,7 @@ def find_optimal_abstraction(
         function=best,
         abstracted=best_abstracted,
         privacy=best_privacy,
-        loi=best_loi if best is not None else math.inf,
+        loi=best_loi,
         edges_used=edges,
         stats=stats,
     )

@@ -16,9 +16,12 @@ from typing import Optional, Sequence
 from repro.batch import BatchJob
 from repro.core.brute_force import brute_force_config
 from repro.core.compression import compression_baseline
-from repro.core.dual import find_dual_optimal_abstraction
 from repro.core.loi import LeafWeightDistribution
-from repro.core.optimizer import OptimizerConfig, find_optimal_abstraction
+from repro.core.optimizer import (
+    OptimizerConfig,
+    find_dual_optimal_abstraction,
+    find_optimal_abstraction,
+)
 from repro.core.privacy import PrivacyComputer, PrivacyConfig
 from repro.datasets.queries import join_variants, query_stats
 from repro.errors import OptimizationError
@@ -302,35 +305,35 @@ def run_fig18_compression_loi(
 #: search-side components together ("improved performance by over 500x").
 ABLATION_COMPONENTS: dict[str, OptimizerConfig] = {
     "sorting": OptimizerConfig(
-        sort_abstractions=True, loi_first=True, prune_dominated=True,
+        sort_abstractions=True, loi_first=True,
         privacy=PrivacyConfig(
             row_by_row=False, connectivity_filter=False,
             cache_queries=False, cache_connectivity=False,
         ),
     ),
     "loi-first": OptimizerConfig(
-        sort_abstractions=False, loi_first=True, prune_dominated=False,
+        sort_abstractions=False, loi_first=True,
         privacy=PrivacyConfig(
             row_by_row=False, connectivity_filter=False,
             cache_queries=False, cache_connectivity=False,
         ),
     ),
     "row-by-row": OptimizerConfig(
-        sort_abstractions=False, loi_first=False, prune_dominated=False,
+        sort_abstractions=False, loi_first=False,
         privacy=PrivacyConfig(
             row_by_row=True, connectivity_filter=False,
             cache_queries=False, cache_connectivity=False,
         ),
     ),
     "connectivity": OptimizerConfig(
-        sort_abstractions=False, loi_first=False, prune_dominated=False,
+        sort_abstractions=False, loi_first=False,
         privacy=PrivacyConfig(
             row_by_row=False, connectivity_filter=True,
             cache_queries=False, cache_connectivity=False,
         ),
     ),
     "caching": OptimizerConfig(
-        sort_abstractions=False, loi_first=False, prune_dominated=False,
+        sort_abstractions=False, loi_first=False,
         privacy=PrivacyConfig(
             row_by_row=False, connectivity_filter=False,
             cache_queries=True, cache_connectivity=True,

@@ -18,7 +18,7 @@ from repro.core.optimizer import (
     OptimizerConfig,
     find_optimal_abstraction,
 )
-from repro.core.privacy import PrivacyConfig, PrivacySession
+from repro.core.privacy import PrivacySession
 from repro.datasets.imdb import generate_imdb
 from repro.datasets.queries import get_query
 from repro.datasets.tpch import generate_tpch
@@ -116,22 +116,6 @@ def prepare_context(
         example=example,
         tree=tree,
         settings=settings,
-    )
-
-
-def privacy_session_for(
-    context: ExperimentContext,
-    privacy: Optional[PrivacyConfig] = None,
-) -> PrivacySession:
-    """A privacy session over the context, shareable across its searches.
-
-    Algorithm 1's caches are threshold-independent, so one session can
-    back a whole threshold sweep over ``context`` (pass it to each
-    :func:`timed_optimal` call) with bit-identical results and far less
-    recomputed concretization work.
-    """
-    return PrivacySession(
-        context.tree, context.example.registry, privacy or PrivacyConfig()
     )
 
 

@@ -264,7 +264,7 @@ class TestWireCodecs:
     def test_config_round_trip_covers_every_switch(self):
         config = OptimizerConfig(
             sort_abstractions=False,
-            incremental=False,
+            loi_first=False,
             max_candidates=7,
             max_seconds=1.5,
             engine="sqlite",
@@ -276,6 +276,9 @@ class TestWireCodecs:
         payload = config_to_payload(OptimizerConfig())
         with pytest.raises(TypeError, match="bogus"):
             config_from_payload({**payload, "bogus": 1})
+        # A payload from a version that still had the switch.
+        with pytest.raises(TypeError, match="unknown .* incremental"):
+            config_from_payload({**payload, "incremental": False})
         bad_nested = config_to_payload(OptimizerConfig())
         bad_nested["privacy"] = {**bad_nested["privacy"], "bogus": 1}
         with pytest.raises(TypeError, match="PrivacyConfig"):
@@ -288,14 +291,14 @@ class TestWireCodecs:
 
         job = dataclasses.replace(
             example_job(),
-            config=OptimizerConfig(prune_dominated=False, engine="sqlite"),
+            config=OptimizerConfig(loi_first=False, engine="sqlite"),
         )
         backend = RemoteBackend(lease_seconds=5.0)
         box, thread = run_in_thread(backend, job, "job-000001")
         try:
             descriptor = claim_until(backend, "w1")
             rebuilt, settings = rebuild_as_worker(descriptor)
-            assert rebuilt.config.prune_dominated is False
+            assert rebuilt.config.loi_first is False
             assert rebuilt.config.engine == "sqlite"
             assert job_content_hash(rebuilt, settings) == (
                 descriptor["content_hash"]

@@ -13,7 +13,6 @@ import random
 import pytest
 
 from repro.abstraction.builders import balanced_tree, tree_from_categories
-from repro.core.dual import find_dual_optimal_abstraction
 from repro.core.privacy import PrivacySession
 from repro.core.loi import (
     ExplicitDistribution,
@@ -27,12 +26,20 @@ from repro.core.optimizer import (
     _function_for_levels,
     _occurrence_counts,
     _SortedFrontier,
+    find_dual_optimal_abstraction,
     find_optimal_abstraction,
     search_space,
 )
 from repro.db.database import KDatabase
 from repro.db.schema import Schema
 from repro.provenance.kexample import KExample, KExampleRow
+
+
+class FromScratchUniform(UniformDistribution):
+    """Uniform LOI scored from scratch for every candidate: the reference
+    the incremental evaluator must match (it still prunes like uniform)."""
+
+    supports_incremental = False
 
 
 def _random_instance(seed: int):
@@ -131,8 +138,8 @@ class TestEndToEndEquivalence:
             example, tree, threshold=2, config=OptimizerConfig(**budget)
         )
         full = find_optimal_abstraction(
-            example, tree, threshold=2,
-            config=OptimizerConfig(incremental=False, **budget),
+            example, tree, threshold=2, config=OptimizerConfig(**budget),
+            distribution=FromScratchUniform(),
         )
         assert incremental.found == full.found
         assert incremental.loi == full.loi
@@ -147,15 +154,14 @@ class TestEndToEndEquivalence:
     def test_paper_example_identical(self, paper_example, paper_tree):
         incremental = find_optimal_abstraction(paper_example, paper_tree, 2)
         full = find_optimal_abstraction(
-            paper_example, paper_tree, 2,
-            config=OptimizerConfig(incremental=False),
+            paper_example, paper_tree, 2, distribution=FromScratchUniform()
         )
         assert incremental.loi == full.loi == pytest.approx(math.log(15))
         assert incremental.function.assignment == full.function.assignment
 
 
 class TestDualEndToEndEquivalence:
-    """The dual search rides the same evaluator; incremental=True must be
+    """The dual search rides the same evaluator, which must be
     bit-identical to the from-scratch path (function, privacy, LOI)."""
 
     CAPS = (0.0, 1.5, 3.0)
@@ -169,8 +175,8 @@ class TestDualEndToEndEquivalence:
                 example, tree, max_loi, config=OptimizerConfig(**budget)
             )
             full = find_dual_optimal_abstraction(
-                example, tree, max_loi,
-                config=OptimizerConfig(incremental=False, **budget),
+                example, tree, max_loi, config=OptimizerConfig(**budget),
+                distribution=FromScratchUniform(),
             )
             assert incremental.found == full.found
             assert incremental.loi == full.loi
@@ -194,7 +200,7 @@ class TestDualEndToEndEquivalence:
         )
         full = find_dual_optimal_abstraction(
             paper_example, paper_tree, max_loi=math.log(15),
-            config=OptimizerConfig(incremental=False),
+            distribution=FromScratchUniform(),
         )
         assert incremental.privacy == full.privacy
         assert incremental.loi == full.loi
@@ -240,8 +246,7 @@ class TestEvaluatorBookkeeping:
 
     def test_disabled_uses_full_path(self, paper_example, paper_tree):
         result = find_optimal_abstraction(
-            paper_example, paper_tree, 2,
-            config=OptimizerConfig(incremental=False),
+            paper_example, paper_tree, 2, distribution=FromScratchUniform()
         )
         stats = result.stats
         assert stats.full_evaluations == stats.candidates_scanned

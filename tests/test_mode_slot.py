@@ -107,23 +107,23 @@ class TestPinnedHashes:
     in the wild silently lose its cached results.  A deliberate change of
     the hash inputs bumps :data:`repro.store.hashing.HASH_VERSION` and
     re-pins these digests; the job digests were last re-pinned at
-    ``repro-job-v3``, when ``ConsistencyConfig`` lost its alignment-combo
-    cap to a module constant.
+    ``repro-job-v4``, when ``OptimizerConfig`` lost its ``incremental``
+    and ``prune_dominated`` switches.
     """
 
     def test_named_job_hash_is_stable(self):
         job = job_from_spec(NAMED_SPEC, default_rows=PINNED.kexample_rows,
                             base_config=_base_config())
         assert job_content_hash(job, PINNED) == (
-            "68e89df224447decf6dc2ca1ad0b5ceb"
-            "acaba8dbbf7f6c100e19a42c73eec5fd"
+            "b4d8c256f91c839ae7f997eb6e557282"
+            "20950d048842c3060c8a40189e58ee8d"
         )
 
     def test_inline_job_hash_is_stable(self):
         job = job_from_spec(INLINE_SPEC, base_config=_base_config())
         assert job_content_hash(job, PINNED) == (
-            "e1b1db2f3041b27b3587786cc134e255"
-            "0a2d557756c283eb3f2bac0ed3ebf3e2"
+            "a950cd7666601aa0c85cf06104cff776"
+            "25fc4c410181071b7cada4e6c39fe4e1"
         )
 
     def test_inline_context_hash_is_stable(self):

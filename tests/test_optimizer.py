@@ -7,9 +7,12 @@ import pytest
 from repro.abstraction.builders import tree_from_categories
 from repro.core.brute_force import brute_force_optimal_abstraction
 from repro.core.compression import compress_to_size, compression_baseline, provenance_size
-from repro.core.dual import find_dual_optimal_abstraction
 from repro.core.loi import LeafWeightDistribution
-from repro.core.optimizer import OptimizerConfig, find_optimal_abstraction
+from repro.core.optimizer import (
+    OptimizerConfig,
+    find_dual_optimal_abstraction,
+    find_optimal_abstraction,
+)
 from repro.core.privacy import PrivacyComputer
 from repro.db.database import KDatabase
 from repro.db.schema import Schema
@@ -42,8 +45,7 @@ class TestPaperOptimum:
     def test_loi_first_skips_privacy_calls(self, paper_example, paper_tree):
         eager = find_optimal_abstraction(
             paper_example, paper_tree, threshold=2,
-            config=OptimizerConfig(loi_first=False, sort_abstractions=False,
-                                   prune_dominated=False),
+            config=OptimizerConfig(loi_first=False, sort_abstractions=False),
         )
         lazy = find_optimal_abstraction(paper_example, paper_tree, threshold=2)
         assert lazy.stats.privacy_computations < eager.stats.privacy_computations
@@ -62,9 +64,7 @@ class TestAgreementWithBruteForce:
         fast = find_optimal_abstraction(paper_example, paper_tree, threshold)
         exhaustive = find_optimal_abstraction(
             paper_example, paper_tree, threshold,
-            config=OptimizerConfig(
-                sort_abstractions=False, loi_first=True, prune_dominated=False
-            ),
+            config=OptimizerConfig(sort_abstractions=False, loi_first=True),
         )
         assert fast.found == exhaustive.found
         if fast.found:
@@ -94,7 +94,7 @@ class TestAgreementWithBruteForce:
 
 class TestConfigs:
     def test_unsorted_scan_finds_same_optimum(self, paper_example, paper_tree):
-        config = OptimizerConfig(sort_abstractions=False, prune_dominated=False)
+        config = OptimizerConfig(sort_abstractions=False)
         result = find_optimal_abstraction(
             paper_example, paper_tree, threshold=2, config=config
         )
@@ -102,13 +102,13 @@ class TestConfigs:
         assert math.isclose(result.loi, math.log(15))
 
     def test_pruning_preserves_optimum(self, paper_example, paper_tree):
+        # An unsorted scan prunes nothing.
         no_prune = find_optimal_abstraction(
             paper_example, paper_tree, threshold=2,
-            config=OptimizerConfig(prune_dominated=False),
+            config=OptimizerConfig(sort_abstractions=False),
         )
         pruned = find_optimal_abstraction(
             paper_example, paper_tree, threshold=2,
-            config=OptimizerConfig(prune_dominated=True),
         )
         assert math.isclose(no_prune.loi, pruned.loi)
         assert pruned.stats.candidates_scanned <= no_prune.stats.candidates_scanned
@@ -172,6 +172,55 @@ class TestDual:
             paper_example, paper_tree, max_loi=1.5,
         )
         assert narrow.stats.privacy_computations <= wide.stats.privacy_computations
+
+    def test_dual_honors_every_switch(self, paper_example, paper_tree):
+        """At cap ln 15 the sorted LOI-first dual scans 42 of the 192
+        candidates and computes privacy for 15.  Unsorted, it scans all
+        192 and prunes none; without the LOI gate, it computes privacy
+        for all 192.  Each returns privacy 2 at the same LOI."""
+        cap = math.log(15)
+        default = find_dual_optimal_abstraction(paper_example, paper_tree, cap)
+        unsorted = find_dual_optimal_abstraction(
+            paper_example, paper_tree, cap,
+            config=OptimizerConfig(sort_abstractions=False),
+        )
+        eager = find_dual_optimal_abstraction(
+            paper_example, paper_tree, cap,
+            config=OptimizerConfig(loi_first=False),
+        )
+        assert default.stats.candidates_scanned == 42
+        assert default.stats.privacy_computations == 15
+        assert unsorted.stats.candidates_scanned == 192
+        assert eager.stats.candidates_scanned == 192
+        assert eager.stats.privacy_computations == 192
+        for result in (default, unsorted, eager):
+            assert result.privacy == 2
+            assert result.loi == default.loi
+
+    def test_traced_dual_records_its_phases(self, paper_example, paper_tree):
+        from repro.obs import spans
+
+        tracer = spans.Tracer()
+        with spans.activate(tracer):
+            result = find_dual_optimal_abstraction(
+                paper_example, paper_tree, max_loi=math.log(15)
+            )
+        counts = {record["name"]: record["count"] for record in tracer.records}
+        stats = result.stats
+        assert counts["candidate_scoring"] == stats.candidates_scanned
+        assert counts["privacy_check"] == stats.privacy_computations
+        assert counts["materialize"] == stats.functions_materialized
+
+    def test_dual_that_finds_nothing_reports_privacy_zero(
+        self, paper_example, paper_tree
+    ):
+        result = find_dual_optimal_abstraction(
+            paper_example, paper_tree, max_loi=-1.0
+        )
+        assert not result.found
+        assert result.privacy == 0
+        assert math.isinf(result.loi)
+        assert result.stats.privacy_computations == 0
 
 
 class TestCompression:

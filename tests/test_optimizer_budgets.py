@@ -15,10 +15,20 @@ import pytest
 
 from repro.abstraction.function import AbstractionFunction
 from repro.core import consistency
-from repro.core.dual import find_dual_optimal_abstraction
-from repro.core.optimizer import OptimizerConfig, find_optimal_abstraction
+from repro.core.loi import UniformDistribution
+from repro.core.optimizer import (
+    OptimizerConfig,
+    find_dual_optimal_abstraction,
+    find_optimal_abstraction,
+)
 from repro.core.privacy import PrivacyComputer, PrivacyConfig
 from repro.errors import OptimizationError
+
+
+class FromScratchUniform(UniformDistribution):
+    """Uniform LOI scored from scratch for every candidate."""
+
+    supports_incremental = False
 
 
 class TestCandidateBudget:
@@ -51,12 +61,11 @@ class TestCandidateBudget:
     ):
         """When the budget trips, candidates_scanned == max_candidates —
         the popped-but-unevaluated candidate is not reported as effort."""
-        for incremental in (True, False):
+        for distribution in (UniformDistribution(), FromScratchUniform()):
             result = find_optimal_abstraction(
                 paper_example, paper_tree, threshold=2,
-                config=OptimizerConfig(
-                    max_candidates=budget, incremental=incremental
-                ),
+                config=OptimizerConfig(max_candidates=budget),
+                distribution=distribution,
             )
             assert result.stats.candidates_scanned == budget
 
