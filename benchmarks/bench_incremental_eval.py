@@ -4,10 +4,11 @@ Two measurements per (query, tree size) point of the Fig. 12 tree-size
 sweep:
 
 * *candidate throughput* — the same sorted candidate stream Algorithm 2
-  scans, scored by the :class:`IncrementalEvaluator` (cached per-(variable,
-  level) contributions) vs the seed's from-scratch path (build an
-  ``AbstractionFunction``, apply it to every row, recompute LOI).  The
-  incremental path must be >= 2x faster and bit-identical.
+  scans, scored by the :class:`IncrementalEvaluator` (each row's
+  contributions memoized by the levels of the row's variables) vs the
+  seed's from-scratch path (build an ``AbstractionFunction``, apply it to
+  every row, recompute LOI).  The incremental path must be >= 2x faster
+  and bit-identical.
 * *end-to-end search* — ``find_optimal_abstraction`` under the uniform
   distribution vs under :class:`FromScratchUniform`, which scores every
   candidate from scratch; results must be bit-identical.  The end-to-end

@@ -65,7 +65,7 @@ def _sorted_abstracted(context, limit):
         levels = frontier.pop()
         if levels is None:
             break
-        candidates.append(evaluator.materialize(levels)[1])
+        candidates.append(evaluator.abstract(levels))
         frontier.expand(levels)
     return candidates
 

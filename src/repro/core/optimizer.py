@@ -22,10 +22,12 @@ Candidates are scored *incrementally* (:class:`IncrementalEvaluator`)
 whenever the distribution has ``supports_incremental``: for the additive
 distributions (Proposition 3.5) a candidate's LOI is a sum of
 per-occurrence contributions depending only on the target label, so the
-search scores candidates from cached per-(variable, level) contributions
-and only materializes the abstracted K-example for candidates whose
-privacy is computed.  Other distributions are scored from scratch; both
-paths produce bit-identical results.
+search scores each row from a memo keyed by the levels of that row's
+variables, builds the abstracted K-example (from memoized rows) only for
+candidates whose privacy is computed, and builds the
+:class:`AbstractionFunction` only for a candidate that replaces the
+incumbent.  Other distributions are scored from scratch; both paths
+produce bit-identical results.
 
 The dual problem (Section 4.2, :func:`find_dual_optimal_abstraction`)
 runs the same scan with a different objective.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -85,8 +88,8 @@ class OptimizerStats:
     delta_evaluations: int = 0            # candidates scored from cached deltas
     full_evaluations: int = 0             # candidates scored from scratch
     functions_materialized: int = 0       # lazily built abstracted examples
-    contribution_cache_hits: int = 0      # per-(variable, level) cache reuses
-    contribution_cache_misses: int = 0    # per-(variable, level) cache fills
+    contribution_cache_hits: int = 0      # rows scored from the row memo
+    contribution_cache_misses: int = 0    # rows whose contributions were computed
     # Privacy-session reuse during this search (copied from PrivacyStats):
     # row-option sets served from the shared cache vs enumerated fresh.
     row_option_cache_hits: int = 0
@@ -136,109 +139,126 @@ def search_space(
 
 
 class IncrementalEvaluator:
-    """Delta-based candidate evaluation over a shared base example.
+    """Row-memoized candidate evaluation over a shared base example.
 
-    The frontier moves one variable one ancestor level at a time, yet a
-    from-scratch evaluation rebuilds an :class:`AbstractionFunction`,
-    re-applies it to every row, and recomputes LOI over the whole
-    abstracted example for every pop.  For distributions whose LOI is
-    additive per occurrence (Proposition 3.5: uniform and leaf-weight),
-    a candidate's LOI depends only on which (variable, level) pairs it
-    selects, so this evaluator
+    The frontier moves one variable one ancestor level at a time, so a
+    candidate leaves most rows exactly as some earlier candidate had them:
+    a row changes only with the levels of its own variables.  For
+    distributions whose LOI is additive per occurrence (Proposition 3.5:
+    uniform and leaf-weight), each occurrence's contribution depends only
+    on its target label, so this evaluator keeps, per row and per levels
+    of that row's variables,
 
-    * caches each (variable, level) contribution the first time the level
-      is seen and reuses it for every later candidate touching it,
-    * scores candidates without materializing the abstracted example, and
-    * materializes the function/abstracted pair lazily — as a positional
-      delta over the shared base example — only when the caller actually
-      needs it (i.e. when the candidate's privacy must be computed).
+    * the row's LOI contributions, in the order the full recomputation
+      adds them (:meth:`loi`), and
+    * the abstracted row and its abstracted positions (:meth:`abstract`),
+      built the first time a candidate whose privacy is computed needs
+      them.
 
-    Float addition is order-sensitive, so :meth:`loi` replays the cached
-    contributions in exactly the order the full recomputation would visit
-    them (row by row; within a row, in the sorted occurrence order of the
-    abstracted row).  Results are therefore bit-identical to
-    :func:`repro.core.loi.loss_of_information` on the materialized example.
+    A candidate therefore pays one lookup per row, and builds nothing for
+    a row whose variables' levels were seen before.  The search builds
+    the :class:`AbstractionFunction` itself only for a candidate that
+    replaces the incumbent: the abstracted example's mapping is its
+    assignment.
+
+    Float addition is order-sensitive, so :meth:`loi` adds every
+    contribution to the running total one by one, row by row and, within
+    a row, in the sorted occurrence order of the abstracted row; a
+    per-row subtotal would round differently.  Results are therefore
+    bit-identical to :func:`repro.core.loi.loss_of_information` on the
+    abstracted example.  ``cache_misses`` counts the rows whose
+    contributions were computed, ``cache_hits`` the rows scored from the
+    memo.
     """
 
     def __init__(self, example, tree, variables, chains, distribution):
         self._example = example
         self._tree = tree
-        self._variables = tuple(variables)
-        self._chains = chains
         self._distribution = distribution
-        var_index = {v: i for i, v in enumerate(self._variables)}
-        # Per row: each occurrence's variable index (-1 = not abstractable),
-        # and the abstractable occurrences' indexes with multiplicity.
-        self._row_occ_vars: list[tuple[int, ...]] = []
-        self._row_var_entries: list[tuple[int, ...]] = []
-        for row in example.rows:
+        var_index = {v: i for i, v in enumerate(variables)}
+        self._chains = [chains[v] for v in variables]
+        self._label_contributions: dict[str, float] = {}
+        # Per row: the row, its index, each occurrence's variable index
+        # (-1 = not abstractable), the function that reads the levels of
+        # the row's own variables off a candidate (None: it has none), and
+        # the memo of abstracted rows under those levels.
+        self._rows = []
+        for row_index, row in enumerate(example.rows):
             occ_vars = tuple(var_index.get(ann, -1) for ann in row.occurrences)
-            self._row_occ_vars.append(occ_vars)
-            self._row_var_entries.append(tuple(i for i in occ_vars if i >= 0))
-        self._contributions: dict[tuple[int, int], float] = {}
-        self.cache_hits = 0
+            own = sorted({i for i in occ_vars if i >= 0})
+            key = operator.itemgetter(*own) if own else None
+            self._rows.append((row, row_index, occ_vars, key, {}))
+        # The rows with a variable, each with its memo of contributions.
+        self._scored = [
+            (key, {}, occ_vars)
+            for _, _, occ_vars, key, _ in self._rows if key is not None
+        ]
+        self._scores = 0
         self.cache_misses = 0
 
-    def contribution(self, var_index: int, level: int) -> float:
-        """The per-occurrence LOI contribution of one (variable, level)."""
-        key = (var_index, level)
-        value = self._contributions.get(key)
-        if value is None:
-            var = self._variables[var_index]
-            target = self._chains[var][level]
-            value = self._distribution.label_contribution(target, self._tree)
-            self._contributions[key] = value
-            self.cache_misses += 1
-        else:
-            self.cache_hits += 1
-        return value
+    @property
+    def cache_hits(self) -> int:
+        return self._scores * len(self._scored) - self.cache_misses
 
     def loi(self, levels: tuple[int, ...]) -> float:
         """The candidate's LOI, bit-identical to a full recomputation."""
+        self._scores += 1
         total = 0.0
-        chains = self._chains
-        variables = self._variables
-        for entries in self._row_var_entries:
-            touched = []
-            for i in entries:
-                level = levels[i]
-                if level:
-                    touched.append((chains[variables[i]][level], i, level))
-            if not touched:
-                continue
-            # The abstracted row sorts its occurrences; equal labels have
-            # equal cached contributions, so sorting by label reproduces
-            # the full path's addition order exactly.
-            touched.sort()
-            for _, i, level in touched:
-                total += self.contribution(i, level)
+        for key, memo, occ_vars in self._scored:
+            row_key = key(levels)
+            contributions = memo.get(row_key)
+            if contributions is None:
+                contributions = memo[row_key] = self._contributions(
+                    occ_vars, levels
+                )
+            for value in contributions:
+                total += value
         return total
 
-    def materialize(
-        self, levels: tuple[int, ...]
-    ) -> tuple[AbstractionFunction, AbstractedKExample]:
-        """Build (function, abstracted) by patching the shared base rows."""
-        variables = self._variables
+    def _contributions(self, occ_vars, levels) -> tuple[float, ...]:
+        """One row's contributions, in its abstracted row's sorted order."""
+        self.cache_misses += 1
         chains = self._chains
-        targets = [
-            chains[variables[i]][level] if level else None
-            for i, level in enumerate(levels)
-        ]
-        assignment: dict[tuple[int, int], str] = {}
+        targets = sorted(
+            chains[i][levels[i]] for i in occ_vars if i >= 0 and levels[i]
+        )
+        return tuple(self._label_contribution(label) for label in targets)
+
+    def _label_contribution(self, label: str) -> float:
+        value = self._label_contributions.get(label)
+        if value is None:
+            value = self._label_contributions[label] = (
+                self._distribution.label_contribution(label, self._tree)
+            )
+        return value
+
+    def abstract(self, levels: tuple[int, ...]) -> AbstractedKExample:
+        """The candidate's abstracted example, from the memoized rows."""
         rows = []
-        for row_idx, row in enumerate(self._example.rows):
-            occ_vars = self._row_occ_vars[row_idx]
-            values = list(row.occurrences)
-            for occ_idx, var_i in enumerate(occ_vars):
-                if var_i >= 0:
-                    target = targets[var_i]
-                    if target is not None:
-                        values[occ_idx] = target
-                        assignment[(row_idx, occ_idx)] = target
-            rows.append(KExampleRow(row.output, values))
-        function = AbstractionFunction._from_validated(self._tree, assignment)
-        abstracted = AbstractedKExample(rows, self._example, assignment)
-        return function, abstracted
+        mapping: dict[tuple[int, int], str] = {}
+        for row, row_index, occ_vars, key, memo in self._rows:
+            if key is not None:
+                row_key = key(levels)
+                entry = memo.get(row_key)
+                if entry is None:
+                    entry = memo[row_key] = self._abstract_row(
+                        row, row_index, occ_vars, levels
+                    )
+                row, positions = entry
+                mapping.update(positions)
+            rows.append(row)
+        return AbstractedKExample(rows, self._example, mapping)
+
+    def _abstract_row(self, row, row_index, occ_vars, levels):
+        """The abstracted row and its ((row, occurrence), label) pairs."""
+        chains = self._chains
+        values = list(row.occurrences)
+        positions = []
+        for occ_index, i in enumerate(occ_vars):
+            if i >= 0 and levels[i]:
+                values[occ_index] = target = chains[i][levels[i]]
+                positions.append(((row_index, occ_index), target))
+        return KExampleRow(row.output, values), tuple(positions)
 
 
 class _SortedFrontier:
@@ -246,29 +266,34 @@ class _SortedFrontier:
 
     States are vectors assigning each abstractable variable a level in its
     ancestor chain (0 = itself).  Order: total edge count, then a uniform
-    LOI estimate.  ``expand`` pushes a state's successors; the caller skips
-    expanding dominated states to prune their upward cones.
+    LOI estimate, the sum in variable order of each abstracted variable's
+    ``occurrences * ln |L_T(target)|``.  Each (variable, level) term is
+    computed once; ``expand`` pushes a state's successors; the caller
+    skips expanding dominated states to prune their upward cones.
     """
 
     def __init__(self, variables, chains, tree, occurrence_count):
-        self._variables = variables
-        self._chains = chains
-        self._tree = tree
-        self._occurrences = occurrence_count
+        # A variable's term per level; 0.0 at level 0, which leaves the
+        # estimate's sum unchanged (every term is >= +0.0).
+        self._terms = [
+            (0.0,) + tuple(
+                occurrence_count[var] * math.log(tree.leaf_count(target))
+                for target in chains[var][1:]
+            )
+            for var in variables
+        ]
+        # A state's code is the sum of level x stride, so a successor's
+        # code is its parent's plus the raised variable's stride: states
+        # seen before are recognized without building their vectors.
+        self._strides = []
+        stride = 1
+        for terms in self._terms:
+            self._strides.append(stride)
+            stride *= len(terms)
         self._counter = itertools.count()
         start = tuple(0 for _ in variables)
         self._heap = [(0, 0.0, next(self._counter), start)]
-        self._seen = {start}
-
-    def _loi_estimate(self, levels: tuple[int, ...]) -> float:
-        total = 0.0
-        for var, level in zip(self._variables, levels):
-            if level:
-                target = self._chains[var][level]
-                total += self._occurrences[var] * math.log(
-                    self._tree.leaf_count(target)
-                )
-        return total
+        self._seen = {0}
 
     def pop(self) -> Optional[tuple[int, ...]]:
         if not self._heap:
@@ -277,17 +302,28 @@ class _SortedFrontier:
         return levels
 
     def expand(self, levels: tuple[int, ...]) -> None:
-        cost = sum(levels)
-        for index, var in enumerate(self._variables):
-            if levels[index] + 1 < len(self._chains[var]):
-                succ = levels[:index] + (levels[index] + 1,) + levels[index + 1:]
-                if succ not in self._seen:
-                    self._seen.add(succ)
+        cost = sum(levels) + 1
+        code = sum(map(operator.mul, levels, self._strides))
+        seen = self._seen
+        current = list(map(operator.getitem, self._terms, levels))
+        # A successor's estimate adds the terms in variable order: the sum
+        # of the terms before the raised variable (``head``), its new
+        # term, then each term after it.
+        head = 0.0
+        for index, terms in enumerate(self._terms):
+            level = levels[index] + 1
+            if level < len(terms):
+                succ_code = code + self._strides[index]
+                if succ_code not in seen:
+                    seen.add(succ_code)
+                    succ = levels[:index] + (level,) + levels[index + 1:]
+                    total = head + terms[level]
+                    for term in current[index + 1:]:
+                        total += term
                     heapq.heappush(
-                        self._heap,
-                        (cost + 1, self._loi_estimate(succ),
-                         next(self._counter), succ),
+                        self._heap, (cost, total, next(self._counter), succ)
                     )
+            head += current[index]
 
 
 class _UnsortedCandidates:
@@ -407,7 +443,7 @@ def _search(
     if getattr(dist, "supports_incremental", False):
         evaluator = IncrementalEvaluator(example, tree, variables, chains, dist)
         score_delta = spans.timed("candidate_scoring", evaluator.loi)
-        materialize = spans.timed("materialize", evaluator.materialize)
+        materialize = spans.timed("materialize", evaluator.abstract)
     else:
         def score_from_scratch(levels):
             function = _function_for_levels(
@@ -443,8 +479,9 @@ def _search(
         function: Optional[AbstractionFunction]
         abstracted: Optional[AbstractedKExample]
         if evaluator is not None:
-            # Incremental path: score from cached contributions; the
-            # function/abstracted pair is materialized only if needed.
+            # Incremental path: score from memoized rows; the abstracted
+            # example is built only if its privacy is computed, and the
+            # function only for a new incumbent.
             loi = score_delta(levels)
             function = abstracted = None
             stats.delta_evaluations += 1
@@ -463,7 +500,7 @@ def _search(
         # With loi_first disabled, privacy is paid for on every candidate.
         stats.privacy_computations += 1
         if abstracted is None:
-            function, abstracted = materialize(levels)
+            abstracted = materialize(levels)
             stats.functions_materialized += 1
         try:
             privacy = compute(abstracted, threshold)
@@ -479,6 +516,10 @@ def _search(
                 else best is None or privacy > best_privacy
                 or (privacy == best_privacy and loi < best_loi)
             ):
+                if function is None:
+                    function = AbstractionFunction._from_validated(
+                        tree, abstracted.mapping
+                    )
                 best, best_abstracted = function, abstracted
                 best_privacy, best_loi = privacy, loi
         candidates.expand(levels)

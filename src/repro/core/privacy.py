@@ -432,7 +432,9 @@ class PrivacyComputer:
         from its first row's fold, which the computer builds once per row;
         with the prefix's fold if ``keep`` and there are queries."""
         self.stats.consistency_calls += 1
-        example = KExample(prefix, self._registry)
+        # Generation resolves every occurrence through the registry, so
+        # the example's own check would only repeat it.
+        example = KExample._unchecked(prefix, self._registry)
         consistency = self._config.consistency
         if start is None and len(prefix) > 1:
             start = self._first_folds.get(prefix[0])

@@ -109,6 +109,23 @@ class KExample:
                         f"K-example annotation {ann!r} is not in the registry"
                     )
 
+    @classmethod
+    def _unchecked(
+        cls, rows: tuple[KExampleRow, ...], registry: AnnotationRegistry
+    ) -> "KExample":
+        """Wrap non-empty ``rows`` without checking their annotations
+        against ``registry``.
+
+        Internal fast path for Algorithm 1's concrete prefixes, which
+        consistent-query generation reads through ``registry.resolve``
+        occurrence by occurrence: an annotation outside the registry
+        still raises :class:`SchemaError` there.
+        """
+        example = cls.__new__(cls)
+        example._rows = rows
+        example._registry = registry
+        return example
+
     @property
     def rows(self) -> tuple[KExampleRow, ...]:
         return self._rows

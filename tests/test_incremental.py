@@ -4,16 +4,20 @@ The incremental evaluator must be *bit-identical* to the from-scratch
 path — same floats, not merely close — because the optimizer's LOI gate
 compares candidates against the incumbent and an ulp of drift could flip
 which candidate wins.  These tests check that across random trees and
-K-examples, for both additive distributions, per candidate and end to end.
+K-examples, for both additive distributions, per candidate and end to end,
+and pin the frontier's order and the privacy check's inputs to the
+formulas they replace.
 """
 
+import heapq
+import itertools
 import math
 import random
 
 import pytest
 
 from repro.abstraction.builders import balanced_tree, tree_from_categories
-from repro.core.privacy import PrivacySession
+from repro.core.privacy import PrivacyComputer, PrivacySession
 from repro.core.loi import (
     ExplicitDistribution,
     LeafWeightDistribution,
@@ -32,7 +36,9 @@ from repro.core.optimizer import (
 )
 from repro.db.database import KDatabase
 from repro.db.schema import Schema
+from repro.provenance.builder import build_kexample
 from repro.provenance.kexample import KExample, KExampleRow
+from repro.query.parser import parse_cq
 
 
 class FromScratchUniform(UniformDistribution):
@@ -43,7 +49,12 @@ class FromScratchUniform(UniformDistribution):
 
 
 def _random_instance(seed: int):
-    """A random database, K-example, and abstraction tree."""
+    """A random database, K-example, and abstraction tree.
+
+    Each row draws its annotations and its output at random, so no query
+    is consistent with the rows: the instance serves the per-candidate
+    scoring tests, which compute no privacy.
+    """
     rng = random.Random(seed)
     db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["b", "c"]}))
     n_r, n_s = rng.randint(3, 6), rng.randint(3, 6)
@@ -59,6 +70,30 @@ def _random_instance(seed: int):
         rows.append(KExampleRow((rng.randint(0, 9),), rng.sample(annotations, k)))
     example = KExample(rows, db.registry)
 
+    tree = balanced_tree(annotations, height=rng.randint(2, 4), seed=seed)
+    return db, example, tree
+
+
+_JOIN = parse_cq("Q(a) :- R(a, b), S(b, c)")
+
+
+def _joined_instance(seed: int):
+    """A random database, a two- or three-row K-example of ``_JOIN`` over
+    it, and an abstraction tree.  The first rows' ``S`` tuples join the
+    first ``R`` tuples, so the query derives every row and the searches
+    find abstractions with nonzero privacy."""
+    rng = random.Random(seed)
+    n_rows = 2 + seed % 2
+    db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["b", "c"]}))
+    n_r, n_s = rng.randint(3, 6), rng.randint(3, 6)
+    r_bs = [rng.randint(0, 3) for _ in range(n_r)]
+    for i, b in enumerate(r_bs):
+        db.insert("R", (i, b), f"r{i}")
+    for j in range(n_s):
+        b = r_bs[j] if j < n_rows else rng.randint(0, 3)
+        db.insert("S", (b, j), f"s{j}")
+    annotations = [f"r{i}" for i in range(n_r)] + [f"s{j}" for j in range(n_s)]
+    example = build_kexample(_JOIN, db, n_rows=n_rows)
     tree = balanced_tree(annotations, height=rng.randint(2, 4), seed=seed)
     return db, example, tree
 
@@ -114,6 +149,8 @@ class TestPerCandidateEquivalence:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_materialize_matches_apply(self, seed):
+        """The memoized abstracted example equals ``function.apply``'s,
+        and a row is built once per levels of its own variables."""
         _, example, tree = _random_instance(seed)
         variables, chains = _search_inputs(example, tree)
         rng = random.Random(seed + 3000)
@@ -122,17 +159,154 @@ class TestPerCandidateEquivalence:
         )
         for levels in _candidate_sample(example, tree, variables, chains, rng, 40):
             reference = _function_for_levels(tree, example, variables, chains, levels)
-            function, abstracted = evaluator.materialize(levels)
-            assert function.assignment == reference.assignment
-            assert abstracted.rows == reference.apply(example).rows
-            assert abstracted.mapping == reference.apply(example).mapping
-            assert function.edges_used(example) == reference.edges_used(example)
+            applied = reference.apply(example)
+            abstracted = evaluator.abstract(levels)
+            assert abstracted.rows == applied.rows
+            assert abstracted.mapping == applied.mapping == reference.assignment
+            assert abstracted.source is example
+            again = evaluator.abstract(levels)
+            assert all(a is b for a, b in zip(again.rows, abstracted.rows))
+
+
+def _reference_pops(variables, chains, tree, occurrences, limit):
+    """The frontier's pop order with the estimate recomputed per successor
+    from the tree: ``occurrences * ln |L_T(target)|`` per abstracted
+    variable, summed in variable order.  Every state is expanded."""
+
+    def estimate(levels):
+        total = 0.0
+        for var, level in zip(variables, levels):
+            if level:
+                target = chains[var][level]
+                total += occurrences[var] * math.log(tree.leaf_count(target))
+        return total
+
+    counter = itertools.count()
+    start = tuple(0 for _ in variables)
+    heap = [(0, 0.0, next(counter), start)]
+    seen = {start}
+    popped = []
+    while heap and len(popped) < limit:
+        cost, _, _, levels = heapq.heappop(heap)
+        popped.append(levels)
+        for index, var in enumerate(variables):
+            if levels[index] + 1 < len(chains[var]):
+                succ = levels[:index] + (levels[index] + 1,) + levels[index + 1:]
+                if succ not in seen:
+                    seen.add(succ)
+                    heapq.heappush(
+                        heap, (cost + 1, estimate(succ), next(counter), succ)
+                    )
+    return popped
+
+
+def _wide_instance(seed: int):
+    """A K-example of 5-8 variables, each occurring one to three times,
+    over a tree of height 2-4: many candidates share an edge count, so
+    their order rests on the estimate's bits."""
+    rng = random.Random(seed)
+    annotations = [f"t{i}" for i in range(rng.randint(10, 16))]
+    db = KDatabase(Schema.from_dict({"R": ["a"]}))
+    for i, ann in enumerate(annotations):
+        db.insert("R", (i,), ann)
+    chosen = rng.sample(annotations, rng.randint(5, 8))
+    occurrences = [ann for ann in chosen for _ in range(rng.randint(1, 3))]
+    rng.shuffle(occurrences)
+    half = len(occurrences) // 2
+    example = KExample(
+        [KExampleRow((0,), occurrences[:half]),
+         KExampleRow((1,), occurrences[half:])],
+        db.registry,
+    )
+    tree = balanced_tree(annotations, height=rng.randint(2, 4), seed=seed)
+    return example, tree
+
+
+class TestFrontierOrder:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pops_match_the_recomputed_estimate(self, seed):
+        """The frontier pops the same level vectors in the same order as a
+        heap keyed by the estimate recomputed from the tree, ties
+        included."""
+        example, tree = _wide_instance(seed)
+        variables, chains = search_space(example, tree)
+        occurrences = _occurrence_counts(example, variables)
+        limit = 1500
+        expected = _reference_pops(variables, chains, tree, occurrences, limit)
+        frontier = _SortedFrontier(variables, chains, tree, occurrences)
+        popped = []
+        while len(popped) < limit:
+            levels = frontier.pop()
+            if levels is None:
+                break
+            popped.append(levels)
+            frontier.expand(levels)
+        assert popped == expected
+
+
+class TestPrivacyInputs:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_compute_receives_the_applied_example(
+        self, seed, dual, monkeypatch
+    ):
+        """Every candidate whose privacy is computed hands Algorithm 1 the
+        rows and mapping of ``function.apply(example)``."""
+        _, example, tree = _joined_instance(seed)
+        variables, chains = search_space(example, tree)
+        popped, received = [], []
+        pop, compute = _SortedFrontier.pop, PrivacyComputer.compute
+
+        def recording_pop(self):
+            levels = pop(self)
+            popped.append(levels)
+            return levels
+
+        def recording_compute(self, abstracted, threshold):
+            received.append((popped[-1], abstracted))
+            return compute(self, abstracted, threshold)
+
+        monkeypatch.setattr(_SortedFrontier, "pop", recording_pop)
+        monkeypatch.setattr(PrivacyComputer, "compute", recording_compute)
+        config = OptimizerConfig(max_candidates=120)
+        if dual:
+            result = find_dual_optimal_abstraction(
+                example, tree, 3.0, config=config
+            )
+        else:
+            result = find_optimal_abstraction(example, tree, 2, config=config)
+        assert len(received) == result.stats.privacy_computations > 0
+        for levels, abstracted in received:
+            applied = _function_for_levels(
+                tree, example, variables, chains, levels
+            ).apply(example)
+            assert abstracted.rows == applied.rows
+            assert abstracted.mapping == applied.mapping
+            assert abstracted.source is example
+
+
+def _assert_same_result(incremental, full):
+    """The two paths' answers (function, abstracted example, privacy,
+    LOI, edges) and their candidate and privacy counts agree."""
+    assert incremental.found == full.found
+    assert incremental.loi == full.loi
+    assert incremental.privacy == full.privacy
+    assert incremental.edges_used == full.edges_used
+    assert incremental.stats.candidates_scanned == full.stats.candidates_scanned
+    assert incremental.stats.privacy_computations == (
+        full.stats.privacy_computations
+    )
+    assert incremental.function == full.function
+    if incremental.found:
+        assert incremental.function.assignment == full.function.assignment
+        assert incremental.abstracted.rows == full.abstracted.rows
+        assert incremental.abstracted.mapping == full.abstracted.mapping
 
 
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_search_results_identical(self, seed):
-        _, example, tree = _random_instance(seed)
+        _, example, tree = _joined_instance(seed)
         budget = dict(max_candidates=300)
         incremental = find_optimal_abstraction(
             example, tree, threshold=2, config=OptimizerConfig(**budget)
@@ -141,15 +315,26 @@ class TestEndToEndEquivalence:
             example, tree, threshold=2, config=OptimizerConfig(**budget),
             distribution=FromScratchUniform(),
         )
-        assert incremental.found == full.found
-        assert incremental.loi == full.loi
-        assert incremental.privacy == full.privacy
-        assert incremental.edges_used == full.edges_used
-        assert incremental.stats.candidates_scanned == full.stats.candidates_scanned
-        assert incremental.stats.privacy_computations == full.stats.privacy_computations
-        if incremental.found:
-            assert incremental.function.assignment == full.function.assignment
-            assert incremental.abstracted.rows == full.abstracted.rows
+        _assert_same_result(incremental, full)
+
+    def test_random_instances_find_abstractions(self):
+        """The instances above are not vacuous: most primal searches find
+        an abstraction with privacy >= 2, and every dual one at the
+        largest cap finds privacy >= 1."""
+        found = 0
+        for seed in range(5):
+            _, example, tree = _joined_instance(seed)
+            primal = find_optimal_abstraction(
+                example, tree, threshold=2,
+                config=OptimizerConfig(max_candidates=300),
+            )
+            found += primal.found and primal.privacy >= 2
+            dual = find_dual_optimal_abstraction(
+                example, tree, max(TestDualEndToEndEquivalence.CAPS),
+                config=OptimizerConfig(max_candidates=120),
+            )
+            assert dual.found and dual.privacy >= 1
+        assert found >= 4
 
     def test_paper_example_identical(self, paper_example, paper_tree):
         incremental = find_optimal_abstraction(paper_example, paper_tree, 2)
@@ -168,7 +353,7 @@ class TestDualEndToEndEquivalence:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_dual_results_identical(self, seed):
-        _, example, tree = _random_instance(seed)
+        _, example, tree = _joined_instance(seed)
         budget = dict(max_candidates=120)
         for max_loi in self.CAPS:
             incremental = find_dual_optimal_abstraction(
@@ -178,21 +363,7 @@ class TestDualEndToEndEquivalence:
                 example, tree, max_loi, config=OptimizerConfig(**budget),
                 distribution=FromScratchUniform(),
             )
-            assert incremental.found == full.found
-            assert incremental.loi == full.loi
-            assert incremental.privacy == full.privacy
-            assert incremental.edges_used == full.edges_used
-            assert incremental.stats.candidates_scanned == (
-                full.stats.candidates_scanned
-            )
-            assert incremental.stats.privacy_computations == (
-                full.stats.privacy_computations
-            )
-            if incremental.found:
-                assert incremental.function.assignment == (
-                    full.function.assignment
-                )
-                assert incremental.abstracted.rows == full.abstracted.rows
+            _assert_same_result(incremental, full)
 
     def test_paper_dual_identical(self, paper_example, paper_tree):
         incremental = find_dual_optimal_abstraction(
@@ -259,6 +430,9 @@ class TestEvaluatorBookkeeping:
         assert not getattr(ExplicitDistribution([1.0]), "supports_incremental", False)
 
     def test_contribution_cache_reuse(self, paper_example, paper_tree):
+        """The contribution cache is the per-row memo: the first pass
+        computes each row's contributions, the second scores every row
+        from the memo."""
         variables, chains = _search_inputs(paper_example, paper_tree)
         evaluator = IncrementalEvaluator(
             paper_example, paper_tree, variables, chains, UniformDistribution()
@@ -266,9 +440,11 @@ class TestEvaluatorBookkeeping:
         levels = tuple(1 if len(chains[v]) > 1 else 0 for v in variables)
         first = evaluator.loi(levels)
         misses = evaluator.cache_misses
+        assert misses == len(paper_example.rows)
+        assert evaluator.cache_hits == 0
         assert evaluator.loi(levels) == first
         assert evaluator.cache_misses == misses  # second pass is all hits
-        assert evaluator.cache_hits > 0
+        assert evaluator.cache_hits == misses
 
 
 class TestTreeMemoization:

@@ -26,7 +26,7 @@ from repro.core.privacy import (
 )
 from repro.db.database import KDatabase
 from repro.db.schema import Schema
-from repro.errors import OptimizationError
+from repro.errors import OptimizationError, SchemaError
 from repro.provenance.builder import build_kexample
 from repro.provenance.kexample import KExample, KExampleRow
 from repro.query.containment import is_equivalent
@@ -156,6 +156,23 @@ class TestMechanics:
         computer.privacy(abstracted)
         assert computer.stats.query_cache_hits > 0
         assert computer.stats.query_cache_misses == misses_after_first
+
+    @pytest.mark.parametrize("connectivity_filter", [True, False])
+    def test_leaf_outside_the_registry_raises(
+        self, connectivity_filter, paper_db, paper_example
+    ):
+        """A tree leaf that tags no tuple fails the compute with a
+        SchemaError, whether connected enumeration or generation meets
+        it first."""
+        annotations = sorted(paper_db.registry.annotations())
+        tree = balanced_tree(annotations + ["ghost"], height=1, seed=0)
+        abstracted = _abstract(tree, paper_example, {"i1": "*"})
+        computer = PrivacyComputer(
+            tree, paper_db.registry,
+            PrivacyConfig(connectivity_filter=connectivity_filter),
+        )
+        with pytest.raises(SchemaError, match="ghost"):
+            computer.compute(abstracted, threshold=1)
 
     def test_cap_counters_zero_at_defaults(
         self, paper_tree, paper_db, paper_example, monkeypatch
