@@ -1,11 +1,13 @@
 """Warm-hit latency of the persistent result cache vs recomputing.
 
-PR 4's tentpole: the optimizer is pure, so a content-addressed store
-(:mod:`repro.store`) can answer a repeated job without running Algorithm
-2 at all.  This guard measures exactly that economy, stacked *on top of*
-the in-process amortizations of PRs 1-3: the recompute baseline runs
-``run_job`` with the context and privacy-session caches already warm, so
-the measured ratio is pure search-vs-lookup, not data-generation noise.
+The optimizer is pure, so a content-addressed store (:mod:`repro.store`)
+can answer a repeated job without running Algorithm 2 at all.  This
+guard measures exactly that economy, stacked *on top of* the in-process
+context and privacy-session caches: the recompute baseline runs
+``run_job`` with those caches already warm, and the cached side runs
+:meth:`ResultCache.lookup`, the call the job service makes before it
+dispatches a job, so the measured ratio is pure search-vs-lookup, not
+data-generation noise.
 
 Two assertions:
 
@@ -20,6 +22,7 @@ from _common import BENCH_SETTINGS, perf_counter
 from repro.batch import job_from_spec, run_job
 from repro.examples_data import running_example_db, running_example_tree
 from repro.io.json_io import database_to_json, tree_to_json
+from repro.store import JobStore, ResultCache
 
 QUERY = (
     "Q(id) :- Person(id, name, age), Hobbies(id, 'Dance', s1),"
@@ -49,9 +52,15 @@ def _jobs():
     return [job_from_spec(spec) for spec in specs]
 
 
-def _run_all(jobs, store_path=None):
+def _run_all(jobs):
     start = perf_counter()
-    results = [run_job(job, BENCH_SETTINGS, store_path) for job in jobs]
+    results = [run_job(job, BENCH_SETTINGS) for job in jobs]
+    return results, perf_counter() - start
+
+
+def _lookup_all(cache, jobs):
+    start = perf_counter()
+    results = [cache.lookup(job, BENCH_SETTINGS) for job in jobs]
     return results, perf_counter() - start
 
 
@@ -62,14 +71,15 @@ def _payload(result):
 
 
 def test_result_cache_warm_hit_latency(benchmark, tmp_path):
-    store_path = str(tmp_path / "results.db")
+    cache = ResultCache(JobStore(str(tmp_path / "results.db")))
     jobs = _jobs()
 
     # Warm the in-process context/session caches AND populate the store,
     # so both sides of the comparison start from the same warm state.
-    fresh, _ = _run_all(jobs, store_path)
+    fresh, _ = _run_all(jobs)
     assert all(r.ok for r in fresh), [r.error for r in fresh]
-    assert not any(r.cache_hit for r in fresh)
+    for job, result in zip(jobs, fresh):
+        assert cache.store_result(job, BENCH_SETTINGS, result)
 
     # The sides alternate round by round, so a slow stretch hits both,
     # and each keeps its best round.  A round times its side's second
@@ -77,13 +87,16 @@ def test_result_cache_warm_hit_latency(benchmark, tmp_path):
     # cold, which slows a lookup pass by a quarter or more.
     recompute_seconds = cached_seconds = float("inf")
     for _ in range(TIMING_ROUNDS):
-        _run_all(jobs)  # no store: full search
+        _run_all(jobs)  # full search
         recompute_seconds = min(recompute_seconds, _run_all(jobs)[1])
-        _run_all(jobs, store_path)
-        cached, seconds = _run_all(jobs, store_path)
+        _lookup_all(cache, jobs)
+        cached, seconds = _lookup_all(cache, jobs)
         cached_seconds = min(cached_seconds, seconds)
+    cache.store.close()
 
-    assert all(r.cache_hit for r in cached), "store should answer every job"
+    assert all(r is not None and r.cache_hit for r in cached), (
+        "store should answer every job"
+    )
     for fresh_result, cached_result in zip(fresh, cached):
         assert _payload(cached_result) == _payload(fresh_result), (
             "cached payload differs from the freshly computed one"

@@ -11,7 +11,7 @@ An :class:`InlineJob` is the user-supplied counterpart: instead of a
 workload name it carries an :class:`InlineContext` — the ``optimize``
 subcommand's inputs (database, tree, query or K-example) serialized to
 canonical JSON text — so arbitrary jobs stay picklable and are cached by
-workers under a content hash exactly like the named contexts.
+workers under that context exactly like the named contexts.
 
 :func:`job_from_spec` turns one JSON job spec (named or inline) into the
 matching job object, validating every key; it is the single parser behind
@@ -70,12 +70,6 @@ class BatchJob:
     def context_key(self) -> tuple:
         """The part of the spec that determines the (db, example, tree)."""
         return (self.query_name, self.n_rows, self.n_leaves, self.height)
-
-
-#: First element of an inline job's ``context_key`` — lets the worker
-#: context cache route it to the registered payload instead of the
-#: named-workload generator.
-INLINE_CONTEXT_TAG = "__inline__"
 
 
 class CanonicalJSON:
@@ -290,10 +284,11 @@ class InlineContext:
     """A user-supplied (database, tree, query/K-example) job context.
 
     The fields are canonical JSON *text* (plus the query's datalog text),
-    so the spec is hashable, picklable, and content-addressable:
-    :meth:`content_hash` keys the per-worker context and privacy-session
+    so the spec is hashable, picklable, and content-addressable: the
+    context itself keys the per-worker context and privacy-session
     caches, meaning a stream of jobs over the same user data shares one
-    warm context exactly like the named workloads do.  Exactly one of
+    warm context exactly like the named workloads do, and
+    :meth:`content_hash` keys the result cache.  Exactly one of
     ``query`` / ``kexample_json`` must be set; :meth:`build` rebuilds the
     live objects the same way ``repro optimize`` loads them.
     """
@@ -303,14 +298,10 @@ class InlineContext:
     query: Optional[str] = None
     kexample_json: Optional[str] = None
     n_rows: int = 2
-    # The evaluation engine :meth:`build` uses when it must construct the
-    # K-example from ``query``.  Execution detail: not part of
-    # :meth:`content_hash` (every engine builds a bit-identical example).
-    engine: str = "naive"
 
     @classmethod
     def from_objects(cls, database, tree, query=None, kexample=None,
-                     n_rows: int = 2, engine: str = "naive") -> "InlineContext":
+                     n_rows: int = 2) -> "InlineContext":
         """Serialize live objects into a spec (inverse of :meth:`build`)."""
         from repro.io.json_io import (
             database_to_json, kexample_to_json, tree_to_json,
@@ -325,7 +316,6 @@ class InlineContext:
                 if kexample is not None else None
             ),
             n_rows=n_rows,
-            engine=engine,
         )
 
     def content_hash(self) -> str:
@@ -346,16 +336,16 @@ class InlineContext:
             object.__setattr__(self, "_content_hash", digest)
         return digest
 
-    def build(self, settings, engine: Optional[str] = None):
+    def build(self, settings, engine: str = "naive"):
         """Rebuild the live context exactly as ``repro optimize`` does.
 
         The database comes from a per-process cache keyed by
-        ``database_json``: contexts that differ only in tree, query,
-        rows or engine share one ``KDatabase`` object, built once.  The
-        tree and example are built fresh.  ``engine`` overrides the
-        spec's engine for this build (the job runner passes the
-        effective config's engine through); either way the resulting
-        context is bit-identical.
+        ``database_json``: contexts that differ only in tree, query or
+        rows, and builds on different engines, share one ``KDatabase``
+        object, built once.  The tree and example are built fresh.
+        ``engine`` evaluates ``query`` when the K-example must be built
+        (the job runner passes the effective config's engine); every
+        engine builds a bit-identical context.
         """
         from repro.experiments.runner import ExperimentContext
         from repro.io.json_io import kexample_from_json, tree_from_json
@@ -369,8 +359,7 @@ class InlineContext:
             example = kexample_from_json(json.loads(self.kexample_json), database)
         else:
             example = build_kexample(
-                query, database, n_rows=self.n_rows,
-                engine=engine if engine is not None else self.engine,
+                query, database, n_rows=self.n_rows, engine=engine,
             )
         return ExperimentContext(
             query_name=f"inline:{self.content_hash()[:12]}",
@@ -401,8 +390,10 @@ class InlineJob:
         """A stable label standing in for the workload name."""
         return f"inline:{self.context.content_hash()[:12]}"
 
-    def context_key(self) -> tuple:
-        return (INLINE_CONTEXT_TAG, self.context.content_hash())
+    def context_key(self) -> InlineContext:
+        """The context itself: frozen and hashable, it keys the worker
+        caches and builds the live context on a miss."""
+        return self.context
 
 
 #: Every key a named-workload job spec may carry.

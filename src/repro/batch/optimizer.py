@@ -7,7 +7,8 @@ worker, the process tier otherwise), folds the per-job effort counters
 into :class:`BatchStats` and returns results in job order.
 
 Each process keeps a context cache keyed by the job's
-``(query_name, n_rows, n_leaves, height)``: the generated database, the
+``(query_name, n_rows, n_leaves, height)``, or by an inline job's frozen
+:class:`~repro.batch.jobs.InlineContext` itself: the database, the
 K-example, and the frozen abstraction tree — whose memoized ancestor
 chains and leaf counts are exactly the tree-level caches the incremental
 evaluator hits — are built once per process and shared by every job it
@@ -32,14 +33,12 @@ from __future__ import annotations
 import dataclasses
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from repro.batch.jobs import (
     _DATABASE_TEXTS,
-    INLINE_CONTEXT_TAG,
     BatchJob,
     BatchJobResult,
     InlineContext,
@@ -47,12 +46,12 @@ from repro.batch.jobs import (
     _database_from_text,
 )
 from repro.core.consistency import ConsistencyConfig
-from repro.core.optimizer import OptimizerConfig, find_optimal_abstraction
+from repro.core.optimizer import find_optimal_abstraction
 from repro.core.privacy import PrivacyConfig, PrivacySession, QueryFacts
 from repro.db.database import AnnotationRegistry
-from repro.errors import ReproError
 from repro.experiments.settings import DEFAULT_SETTINGS, ExperimentSettings
 from repro.obs import clock, metrics, spans
+from repro.store.hashing import effective_config
 
 
 @dataclass
@@ -152,38 +151,23 @@ class BatchResult:
 # the session compatibility check.  Cache hits stay cheap.
 _cache_lock = threading.Lock()
 
-# Inline-context payloads by content hash.  ``context_key`` must stay a
-# small hashable tuple for the lru caches, so inline jobs register their
-# payload here (in whatever process runs them — the job object carries
-# it across pool boundaries) before the cache lookup resolves the hash.
-# Bounded: ``run_job`` re-registers the payload from the job object on
-# every call, so evicted entries reappear exactly when needed and a
-# long-lived service does not retain every database ever submitted.
-_inline_contexts: "OrderedDict[str, InlineContext]" = OrderedDict()
-_INLINE_REGISTRY_LIMIT = 64  # >= the lru maxsize below
-
-
-def _register_inline(context: InlineContext) -> None:
-    key = context.content_hash()
-    _inline_contexts[key] = _inline_contexts.pop(key, context)
-    while len(_inline_contexts) > _INLINE_REGISTRY_LIMIT:
-        _inline_contexts.popitem(last=False)
-
 
 @lru_cache(maxsize=32)
 def _cached_context(
-    context_key: tuple, settings: ExperimentSettings, engine: str = "naive"
+    context_key: "tuple | InlineContext",
+    settings: ExperimentSettings,
+    engine: str = "naive",
 ):
     """Process-local (db, example, tree) cache shared across a worker's jobs.
 
     Keyed by :meth:`BatchJob.context_key` so the job spec stays the single
-    definition of what identifies a context.  Inline jobs key by content
-    hash; their payload is resolved through the registry above.  The
-    engine joins the key for simplicity — per-engine contexts are
-    bit-identical by contract, the cache entries are merely separate.
+    definition of what identifies a context; an inline job's key is its
+    context, which builds itself.  The engine joins the key for
+    simplicity — per-engine contexts are bit-identical by contract, the
+    cache entries are merely separate.
     """
-    if context_key[0] == INLINE_CONTEXT_TAG:
-        return _inline_contexts[context_key[1]].build(settings, engine=engine)
+    if isinstance(context_key, InlineContext):
+        return context_key.build(settings, engine=engine)
 
     from repro.experiments.runner import prepare_context
 
@@ -219,7 +203,7 @@ def _query_facts(
 
 @lru_cache(maxsize=32)
 def _cached_session(
-    context_key: tuple,
+    context_key: "tuple | InlineContext",
     privacy: PrivacyConfig,
     settings: ExperimentSettings,
     engine: str = "naive",
@@ -240,7 +224,7 @@ def _cached_session(
 
 
 def _session_for(
-    context_key: tuple,
+    context_key: "tuple | InlineContext",
     privacy: PrivacyConfig,
     settings: ExperimentSettings,
     engine: str = "naive",
@@ -256,78 +240,37 @@ def clear_worker_caches() -> None:
 
     Sessions hold unbounded caches for up to 32 contexts, and the
     query-fact holders they share unbounded query-level caches for up
-    to 8 databases; the inline-database cache holds up to 8 databases,
-    and the job-spec decoder the texts of up to 8 more.  A long-lived
-    process interleaving many large serial sweeps can call this between
-    batches to cap memory (worker processes die with their pool, so
-    they never need it).
+    to 8 databases; the context and session caches' keys hold the text
+    of each inline context they cache, the inline-database cache up to
+    8 databases, and the job-spec decoder the texts of up to 8 more.  A
+    long-lived process interleaving many large serial sweeps can call
+    this between batches to cap memory (worker processes die with their
+    pool, so they never need it).
     """
     with _cache_lock:
         _cached_session.cache_clear()
         _query_facts.cache_clear()
         _cached_context.cache_clear()
-        _inline_contexts.clear()
         _database_from_text.cache_clear()
         _DATABASE_TEXTS.clear()
-        _result_cache_for.cache_clear()
-
-
-@lru_cache(maxsize=8)
-def _result_cache_for(pid: int, store_path: str):
-    """One :class:`ResultCache` connection per (process, store path).
-
-    Each process opens its own SQLite connection on first use; WAL
-    journaling in :class:`~repro.store.jobstore.JobStore` lets several
-    append results concurrently.  The pid in the key matters under the
-    ``fork`` start method: a child inherits the parent's populated
-    cache, and reusing a connection across fork is corruption-prone per
-    SQLite — a fresh pid forces a fresh connection instead.
-    """
-    from repro.store import JobStore, ResultCache
-
-    return ResultCache(JobStore(store_path))
 
 
 def run_job(
-    job: "BatchJob | InlineJob",
-    settings: ExperimentSettings,
-    store_path: "str | None" = None,
+    job: "BatchJob | InlineJob", settings: ExperimentSettings
 ) -> BatchJobResult:
-    """Execute one job; never raises (failures land in ``result.error``).
+    """Run one job's search; never raises (failures land in
+    ``result.error``).
 
-    With ``store_path`` (for callers that own no job service, such as
-    ``repro worker --store``), the persistent result cache is consulted
-    first: a hit skips the search entirely (``result.cache_hit``), a
-    miss runs it and persists the payload for every later identical
-    job.  An unopenable store degrades to running uncached.
+    Only the search: the job service that dispatches the job consults
+    and fills the result cache around it, on every tier.  A traced job
+    (``config.trace``, an execution detail stripped from content hashes)
+    carries the spans of this run.
     """
-    cache = None
-    if store_path:
-        try:
-            cache = _result_cache_for(os.getpid(), store_path)
-        except ReproError:
-            cache = None
-    config = job.config or OptimizerConfig(
-        max_candidates=settings.max_candidates,
-        max_seconds=settings.max_seconds,
-    )
-    # The tracer activates before the cache consult, so even a cache hit
-    # records its lookup span; ``config.trace`` is an execution detail
-    # (stripped from content hashes), so traced and untraced jobs share
-    # cache entries — the stored payload never carries a trace.
+    config = effective_config(job, settings)
     tracer = spans.Tracer() if config.trace else None
     with spans.activate(tracer):
-        if cache is not None:
-            hit = cache.lookup(job, settings)
-            if hit is not None:
-                if tracer is not None:
-                    hit.trace = tracer.to_payload()
-                return hit
         try:
             with _cache_lock:
-                inline = getattr(job, "context", None)
-                if inline is not None:
-                    _register_inline(inline)
                 with spans.span("context_build", engine=config.engine):
                     context = _cached_context(
                         job.context_key(), settings, config.engine
@@ -350,7 +293,7 @@ def run_job(
                 for (row_idx, occ_idx), target in result.function.assignment.items():
                     source = context.example.rows[row_idx].occurrences[occ_idx]
                     targets[source] = target
-            outcome = BatchJobResult(
+            return BatchJobResult(
                 job=job,
                 found=result.found,
                 loi=result.loi,
@@ -362,9 +305,6 @@ def run_job(
                 session_reused=session_reused,
                 trace=tracer.to_payload() if tracer is not None else None,
             )
-            if cache is not None:
-                cache.store_result(job, settings, outcome)
-            return outcome
         except Exception as exc:  # noqa: BLE001 - report, don't kill the pool
             failed = BatchJobResult.from_error(job, exc)
             if tracer is not None:
@@ -373,9 +313,7 @@ def run_job(
 
 
 def run_job_payload(
-    job: "BatchJob | InlineJob",
-    settings: ExperimentSettings,
-    store_path: "str | None" = None,
+    job: "BatchJob | InlineJob", settings: ExperimentSettings
 ) -> dict:
     """:func:`run_job`, returning the JSON payload instead of the object.
 
@@ -390,7 +328,7 @@ def run_job_payload(
     worker would otherwise surface as an opaque pickled traceback.
     """
     try:
-        return run_job(job, settings, store_path).to_payload()
+        return run_job(job, settings).to_payload()
     except BaseException as exc:  # noqa: BLE001 - must cross the pool as data
         return BatchJobResult.from_error(job, exc).to_payload()
 

@@ -316,14 +316,11 @@ def cmd_batch_optimize(args) -> int:
     from repro.batch import BatchJob, job_from_spec, run_batch
 
     settings = _settings_for(args)
-    # Matches run_job's config fallback exactly (budgets from settings),
-    # so stamping it is content-hash-neutral; it only carries --engine
-    # and --trace (both hash-stripped execution details).
-    base_config = OptimizerConfig(
-        max_candidates=settings.max_candidates,
-        max_seconds=settings.max_seconds,
-        engine=args.engine,
-        trace=_tracing_requested(args),
+    # The settings' search config is a config-less job's fallback too,
+    # so stamping it is content-hash-neutral; it only adds --engine and
+    # --trace (both hash-stripped execution details).
+    base_config = settings.search_config(
+        engine=args.engine, trace=_tracing_requested(args),
     )
     if args.jobs:
         jobs = []
@@ -516,7 +513,6 @@ def cmd_worker(args) -> int:
     worker = FleetWorker(
         args.server,
         worker_id=args.id,
-        store_path=args.store,
         poll_seconds=args.poll_interval,
         idle_exit=args.idle_exit,
         max_jobs=args.max_jobs,
@@ -983,10 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--id", default=None,
                           help="worker id (default: hostname-pid); shows "
                                "up in /v1/stats and per-worker metrics")
-    p_worker.add_argument("--store", default=None,
-                          help="shared result-cache file reachable from "
-                               "THIS host (consulted before searching, "
-                               "fresh results persisted)")
     p_worker.add_argument("--poll-interval", type=float, default=0.5,
                           help="seconds between claim attempts while idle")
     p_worker.add_argument("--max-jobs", type=int, default=None,

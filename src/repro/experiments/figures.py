@@ -437,10 +437,7 @@ def run_distribution_sensitivity(
         start = clock.perf_counter()
         find_optimal_abstraction(
             context.example, context.tree, settings.privacy_threshold,
-            config=OptimizerConfig(
-                max_candidates=settings.max_candidates,
-                max_seconds=settings.max_seconds,
-            ),
+            config=settings.search_config(),
             distribution=LeafWeightDistribution(weights),
         )
         weighted_seconds = clock.perf_counter() - start
@@ -462,10 +459,7 @@ def run_dual_problem(
         start = clock.perf_counter()
         dual = find_dual_optimal_abstraction(
             context.example, context.tree, max_loi=cap,
-            config=OptimizerConfig(
-                max_candidates=settings.max_candidates,
-                max_seconds=settings.max_seconds,
-            ),
+            config=settings.search_config(),
         )
         dual_seconds = clock.perf_counter() - start
         out[name] = [

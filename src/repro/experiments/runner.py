@@ -126,10 +126,7 @@ def timed_optimal(
     session: Optional[PrivacySession] = None,
 ) -> tuple[OptimalAbstractionResult, float]:
     """Run the optimizer and return (result, wall seconds)."""
-    config = config or OptimizerConfig(
-        max_candidates=context.settings.max_candidates,
-        max_seconds=context.settings.max_seconds,
-    )
+    config = config or context.settings.search_config()
     start = clock.perf_counter()
     result = find_optimal_abstraction(
         context.example, context.tree, threshold, config=config,

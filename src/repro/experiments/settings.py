@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.seeding import DEFAULT_SEED
+
+if TYPE_CHECKING:
+    from repro.core.optimizer import OptimizerConfig
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,22 @@ class ExperimentSettings:
     # 0/negative = one per CPU core).  Sweeps fan out per-(query, point)
     # jobs through repro.batch regardless; this only sets the pool size.
     batch_workers: int = 1
+
+    def search_config(self, **fields) -> "OptimizerConfig":
+        """The search config these settings give a job without its own.
+
+        Their ``max_candidates``/``max_seconds`` budgets, every other
+        switch at its default; ``fields`` (an ``engine`` or ``trace``)
+        apply on top.  The one definition behind a config-less job's
+        content hash and every runner that searches under the settings.
+        """
+        from repro.core.optimizer import OptimizerConfig
+
+        return OptimizerConfig(
+            max_candidates=self.max_candidates,
+            max_seconds=self.max_seconds,
+            **fields,
+        )
 
     def to_payload(self) -> dict:
         """A JSON-ready dict of every field (tuples become lists).

@@ -358,7 +358,6 @@ def materialize(
             )
             contexts[key] = InlineContext.from_objects(
                 database, tree, kexample=example, n_rows=cell.rows,
-                engine=engine,
             )
         return contexts[key]
 

@@ -17,11 +17,12 @@ and are backend-independent; an :class:`ExecutorBackend` only decides
     count — the one process pool in the package: ``repro serve
     --executor process`` and multi-worker batches
     (:func:`repro.batch.run_batch`) both run on it.  Each worker
-    *process* owns its warm context/privacy-session caches (content-hash
-    keyed), so search parallelism scales to the cores.
+    *process* owns its warm context/privacy-session caches (keyed by
+    each job's context), so search parallelism scales to the cores.
 
-No backend touches the result cache: the service consults it before
-``run`` and fills it after, on every tier.
+No backend touches the result cache, and neither does a fleet worker:
+the service consults it before ``run`` (so a hit never reaches a pool
+or a lease) and fills it after, on every tier.
 
 Results cross the pool as :meth:`BatchJobResult.to_payload` dictionaries
 (the PR-4 lossless JSON round trip), never as pickled result objects:

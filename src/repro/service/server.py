@@ -583,11 +583,8 @@ class JobService:
             raise JobSpecError(f"job {index}: {exc}") from None
 
     def _base_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            max_candidates=self._settings.max_candidates,
-            max_seconds=self._settings.max_seconds,
-            engine=self._engine,
-            trace=self._trace,
+        return self._settings.search_config(
+            engine=self._engine, trace=self._trace
         )
 
     # -- queries -----------------------------------------------------------

@@ -4,11 +4,12 @@ A :class:`FleetWorker` is the *other host* side of the remote executor
 (:mod:`repro.service.fleet`): a loop that claims leased jobs from a
 ``--executor remote`` service over the v1 protocol, rebuilds each job
 from its claim descriptor, runs the search with
-:func:`repro.batch.optimizer.run_job_payload` (consulting and
-persisting a shared result cache when ``store_path`` points at one
-this host can reach), and delivers the lossless payload back with
-``complete`` — exactly the representation that crosses process pools
-and the store, so results are bit-identical to the thread tier.
+:func:`repro.batch.optimizer.run_job_payload`, and delivers the
+lossless payload back with ``complete`` — exactly the representation
+that crosses process pools and the store, so results are bit-identical
+to the thread tier.  The worker keeps no result cache: the service
+looked the job up in its own before offering the lease, and stores the
+delivered result.
 
 Faithfulness is verified, not assumed: the claim carries the service's
 ``job_content_hash`` and the worker recomputes it over the rebuilt
@@ -66,16 +67,13 @@ class FleetWorker:
     (optional) ends the loop after that many consecutive idle seconds,
     and ``max_jobs`` after that many completed jobs — both for bounded
     smoke runs and drain-then-exit deployments; a worker with neither
-    runs until killed.  ``store_path`` attaches the shared result cache
-    (a path *this host* can reach; workers on other machines need the
-    store on a shared filesystem or their own replica).
+    runs until killed.
     """
 
     def __init__(
         self,
         server: str,
         worker_id: Optional[str] = None,
-        store_path: Optional[str] = None,
         poll_seconds: float = 0.5,
         idle_exit: Optional[float] = None,
         max_jobs: Optional[int] = None,
@@ -84,7 +82,6 @@ class FleetWorker:
     ):
         self._client = ServiceClient(server)
         self._worker_id = worker_id or default_worker_id()
-        self._store_path = store_path
         self._poll_seconds = max(0.05, float(poll_seconds))
         self._idle_exit = idle_exit
         self._max_jobs = max_jobs
@@ -213,7 +210,7 @@ class FleetWorker:
         )
         heartbeat.start()
         try:
-            payload = run_job_payload(job, settings, self._store_path)
+            payload = run_job_payload(job, settings)
         finally:
             stop.set()
             heartbeat.join(timeout=5.0)

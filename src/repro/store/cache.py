@@ -1,10 +1,8 @@
 """The content-addressed result cache over a :class:`JobStore`.
 
-This is the API consulted *before* running the optimizer: the job
-service's run loop asks :meth:`ResultCache.lookup` first on every
-executor tier, as does :func:`repro.batch.optimizer.run_job` when a
-caller that owns no service hands it a store path (``repro worker
---store``) — a hit rebuilds the stored
+This is the API consulted *before* running the optimizer, by the job
+service alone: its run loop asks :meth:`ResultCache.lookup` first on
+every executor tier, the fleet's included — a hit rebuilds the stored
 :class:`~repro.batch.jobs.BatchJobResult` instantly, marked
 ``cache_hit=True``; a miss runs the search and
 :meth:`ResultCache.store_result` persists the payload for every later
@@ -72,7 +70,7 @@ class ResultCache:
         # Everything a damaged store row can throw — sqlite errors, a
         # truncated JSON payload (json errors are ValueErrors), or a
         # payload whose shape from_payload cannot digest — must degrade
-        # to a miss: run_job's "never raises" contract sits on top.
+        # to a miss: the service then runs the job, as for any miss.
         try:
             with spans.aggregate("cache_lookup"):
                 payload = self._store.load_result(self.key(job, settings))

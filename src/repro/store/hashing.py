@@ -4,10 +4,10 @@ The optimizer is pure: the optimal abstraction for a given (context,
 threshold, optimizer config, search mode) never changes.  This module
 defines the *one* canonical content hash the whole codebase keys that
 purity on — the inline-context hash in :mod:`repro.batch.jobs`, the
-result cache consulted by batch workers and the job service, and the
-persistent :class:`~repro.store.jobstore.JobStore` all derive from the
-helpers here, so a hash computed in any process (or on any machine with
-the same code) addresses the same work.
+result cache the job service consults, and the persistent
+:class:`~repro.store.jobstore.JobStore` all derive from the helpers
+here, so a hash computed in any process (or on any machine with the
+same code) addresses the same work.
 
 What goes into :func:`job_content_hash`:
 
@@ -21,9 +21,9 @@ What goes into :func:`job_content_hash`:
   into data/tree generation; pool sizes and sweep lists cannot change a
   single job's result and stay out),
 * the **threshold**,
-* the **effective optimizer config** — the job's own config, or the
-  settings-level budgets exactly as ``run_job`` would apply them, every
-  switch included (privacy and consistency knobs change results),
+* the **effective optimizer config** (:func:`effective_config`) — the
+  job's own config, or the settings-level budgets, every switch
+  included (privacy and consistency knobs change results),
 * the **search mode** (``"primal"`` today; jobs that grow a ``mode``
   attribute — e.g. a dual search — hash differently automatically once
   the mode is registered in :data:`KNOWN_MODES`; an unregistered mode is
@@ -168,19 +168,15 @@ def context_settings(settings) -> dict:
 
 
 def effective_config(job, settings):
-    """The config ``run_job`` would actually search with.
+    """The config a job searches with: its own, or the settings'.
 
-    ``job.config is None`` means "use the settings-level budgets"; two
-    jobs that resolve to the same effective config must hash equally, so
-    the resolution happens *before* hashing, mirroring
-    :func:`repro.batch.optimizer.run_job` exactly.
+    ``job.config is None`` means "use the settings-level budgets"
+    (:meth:`~repro.experiments.settings.ExperimentSettings.search_config`);
+    two jobs that resolve to the same effective config must hash equally,
+    so the resolution happens *before* hashing, and
+    :func:`repro.batch.optimizer.run_job` resolves through here too.
     """
-    from repro.core.optimizer import OptimizerConfig
-
-    return job.config or OptimizerConfig(
-        max_candidates=settings.max_candidates,
-        max_seconds=settings.max_seconds,
-    )
+    return job.config or settings.search_config()
 
 
 #: ``OptimizerConfig`` fields that choose *how* a job executes, never
@@ -243,14 +239,8 @@ def spec_content_hash(
     job hashes can never diverge.
     """
     from repro.batch.jobs import job_from_spec
-    from repro.core.optimizer import OptimizerConfig
 
     job = job_from_spec(
-        spec,
-        default_rows=default_rows,
-        base_config=OptimizerConfig(
-            max_candidates=settings.max_candidates,
-            max_seconds=settings.max_seconds,
-        ),
+        spec, default_rows=default_rows, base_config=settings.search_config(),
     )
     return job_content_hash(job, settings)

@@ -175,9 +175,7 @@ class TestHashAndPayloadParity:
 
     def _job(self, parts, engine):
         db, tree, query = parts
-        context = InlineContext.from_objects(
-            db, tree, query=query, n_rows=2, engine=engine
-        )
+        context = InlineContext.from_objects(db, tree, query=query, n_rows=2)
         config = OptimizerConfig(
             max_candidates=200, max_seconds=None, engine=engine
         )

@@ -121,7 +121,7 @@ class TestLeaseStateMachine:
             )
             beat = backend.heartbeat("w1", "job-000001")
             assert beat["ok"] is True
-            payload = run_job_payload(job, settings, None)
+            payload = run_job_payload(job, settings)
             assert backend.complete("w1", "job-000001", payload) == {
                 "ok": True
             }
@@ -175,7 +175,7 @@ class TestLeaseStateMachine:
             with pytest.raises(LeaseLostError):
                 backend.complete("w1", "job-000001", {"error": "late"})
             job, settings = rebuild_as_worker(second)
-            payload = run_job_payload(job, settings, None)
+            payload = run_job_payload(job, settings)
             # w2's lease may also have expired while the search ran
             # (0.2 s window): heartbeat-or-requeue is timing, but the
             # terminal result must come from *some* live claimant.
@@ -305,7 +305,7 @@ class TestWireCodecs:
             )
             backend.complete(
                 "w1", "job-000001",
-                run_job_payload(rebuilt, settings, None),
+                run_job_payload(rebuilt, settings),
             )
             thread.join(timeout=10)
             assert box["result"].error is None

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -569,40 +570,21 @@ class TestResultCache:
         assert complete.stats.stopped_by_wall_clock is False
 
     def test_corrupt_stored_payload_degrades_to_a_miss(self, tmp_path):
-        # run_job's "never raises" contract sits on top of lookup(): a
-        # damaged row must recompute, not crash the batch.
-        path = str(tmp_path / "store.db")
+        # The service runs a job whose lookup misses: a damaged row must
+        # read as a miss, not crash the run loop.
         job = job_from_spec(inline_spec())
-        fresh = run_job(job, FAST_SETTINGS, path)
-        store = JobStore(path)
-        store._conn.execute("UPDATE results SET payload = '{truncated'")
-        store._conn.commit()
-        store.close()
-        recomputed = run_job(job, FAST_SETTINGS, path)
-        assert recomputed.ok
-        assert recomputed.cache_hit is False
-        # Two *fresh* runs agree on the search outcome (timing and
-        # warm-session audit fields legitimately differ).
-        for key in ("found", "privacy", "loi", "edges_used",
-                    "variable_targets"):
-            assert recomputed.to_payload()[key] == fresh.to_payload()[key]
-
-    def test_run_job_consults_the_store(self, tmp_path):
-        path = str(tmp_path / "store.db")
-        job = job_from_spec(inline_spec())
-        cold = run_job(job, FAST_SETTINGS, path)
-        assert cold.cache_hit is False
-        warm = run_job(job, FAST_SETTINGS, path)
-        assert warm.cache_hit is True
-        assert payload_modulo_cache_hit(warm.to_payload()) == \
-            payload_modulo_cache_hit(cold.to_payload())
-
-    def test_run_job_degrades_when_store_cannot_open(self):
-        # run_job never raises: an unopenable store means "run uncached".
-        job = job_from_spec(inline_spec())
-        result = run_job(job, FAST_SETTINGS, "/nonexistent-dir/x.db")
-        assert result.ok and result.found
-        assert result.cache_hit is False
+        cache = ResultCache(JobStore(str(tmp_path / "store.db")))
+        try:
+            assert cache.store_result(
+                job, FAST_SETTINGS, run_job(job, FAST_SETTINGS)
+            )
+            assert cache.lookup(job, FAST_SETTINGS).cache_hit
+            cache.store._conn.execute(
+                "UPDATE results SET payload = '{truncated'"
+            )
+            assert cache.lookup(job, FAST_SETTINGS) is None
+        finally:
+            cache.store.close()
 
     def test_batch_optimizer_rejects_bad_store_path_up_front(self):
         from repro.errors import ServiceError
@@ -716,6 +698,35 @@ class TestResultCache:
         assert again.stats.workers == 2
         assert again.stats.cache_hits == 2
         assert dispatched == []
+
+    def test_remote_hits_never_offer_a_lease(self, tmp_path):
+        # A fleet caches only through its coordinator: the service
+        # answers a hit before it offers the job, so no worker is needed
+        # and none ever holds a lease on it.
+        path = str(tmp_path / "store.db")
+        job = job_from_spec(inline_spec())
+        cache = ResultCache(JobStore(path))
+        try:
+            cache.store_result(job, FAST_SETTINGS, run_job(job, FAST_SETTINGS))
+        finally:
+            cache.store.close()
+        service = JobService(FAST_SETTINGS, worker_threads=0,
+                             executor="remote", cache_path=path)
+        # A miss would wait on the fleet for ever: run it on a thread.
+        runner = threading.Thread(target=service.run_next, daemon=True)
+        try:
+            job_id = service.submit(job)
+            runner.start()
+            runner.join(timeout=30)
+            fleet = service.stats_payload()["fleet"]
+            assert not runner.is_alive(), f"offered to the fleet: {fleet}"
+            assert service.record(job_id).result.cache_hit
+            assert fleet["jobs_pending"] == 0
+            assert fleet["leases_active"] == 0
+            assert fleet["workers"] == {}
+        finally:
+            service.shutdown()
+            runner.join(timeout=5)
 
 
 @pytest.fixture(params=("thread", "process"))
