@@ -11,7 +11,9 @@ Two measurements per workload of the Fig 9-style sweep:
   every threshold of the sweep, with one shared session vs a fresh
   computer per threshold (the status quo before sessions).  The returned
   privacy values must be identical and the aggregate throughput across
-  the workloads must be >= 2x.
+  the workloads must be >= 2x.  On the shared session every threshold
+  after the first must answer some computes from the session's
+  per-example counts, so the guard fails if that memo stops being used.
 * *end-to-end sweep equality* — ``find_optimal_abstraction`` per
   threshold with and without a shared session; found/privacy/LOI and the
   chosen abstraction's assignment must be bit-identical (session caching
@@ -71,25 +73,27 @@ def _sorted_abstracted(context, limit):
 
 
 def _sweep_computations(context, candidates, shared):
-    """Evaluate every candidate at every threshold; one session or none."""
+    """Evaluate every candidate at every threshold; one session or none.
+    Returns the values, the seconds and each threshold's computes served
+    from the session's per-example counts."""
     tree, registry = context.tree, context.example.registry
     session = PrivacySession(tree, registry) if shared else None
-    values = []
+    values, memo_hits = [], []
     start = perf_counter()
     for threshold in THRESHOLDS:
         computer = PrivacyComputer(tree, registry, session=session)
         for abstracted in candidates:
             values.append(computer.compute(abstracted, threshold))
-    return values, perf_counter() - start
+        memo_hits.append(computer.stats.privacy_cache_hits)
+    return values, perf_counter() - start, memo_hits
 
 
 def _best_of(rounds, run):
-    best_seconds, values = float("inf"), None
+    best_seconds, values, memo_hits = float("inf"), None, None
     for _ in range(rounds):
-        new_values, seconds = run()
+        values, seconds, memo_hits = run()
         best_seconds = min(best_seconds, seconds)
-        values = new_values
-    return values, best_seconds
+    return values, best_seconds, memo_hits
 
 
 def test_privacy_session_throughput(benchmark):
@@ -99,14 +103,19 @@ def test_privacy_session_throughput(benchmark):
     for query_name, n_candidates in WORKLOADS:
         context = prepare_context(query_name, BENCH_SETTINGS)
         candidates = _sorted_abstracted(context, n_candidates)
-        cold_values, cold_seconds = _best_of(
+        cold_values, cold_seconds, _ = _best_of(
             TIMING_ROUNDS, lambda: _sweep_computations(context, candidates, False)
         )
-        warm_values, warm_seconds = _best_of(
+        warm_values, warm_seconds, memo_hits = _best_of(
             TIMING_ROUNDS, lambda: _sweep_computations(context, candidates, True)
         )
         assert cold_values == warm_values, (
             f"{query_name}: session caching changed privacy values"
+        )
+        # Every threshold after the first re-checks candidates the session
+        # has counted, so some of its computes must come from the memo.
+        assert all(memo_hits[1:]), (
+            f"{query_name}: per-threshold memo hits {memo_hits}"
         )
         speedup = cold_seconds / warm_seconds
         computations = len(THRESHOLDS) * len(candidates)
@@ -115,6 +124,7 @@ def test_privacy_session_throughput(benchmark):
             "cold_seconds": cold_seconds,
             "warm_seconds": warm_seconds,
             "speedup": speedup,
+            "memo_hits": memo_hits,
         }
         total_cold += cold_seconds
         total_warm += warm_seconds

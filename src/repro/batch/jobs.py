@@ -409,13 +409,30 @@ INLINE_SPEC_KEYS = frozenset({
 })
 
 
-def _as_int(value, key: str) -> int:
+def exact_int(value) -> int:
+    """``int(value)``, refusing what ``int`` would truncate or misread:
+    ``2.7``, ``True``, ``"2"``.  ``2.0`` passes, as some JSON writers
+    spell integers that way.  Raises :class:`TypeError` or
+    :class:`ValueError` as ``int`` does, and for infinity too."""
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):  # 1e400 reads as inf
-        raise JobSpecError(
-            f"{key!r} must be an integer, got {value!r}"
-        ) from None
+        number = int(value)
+    except OverflowError:  # 1e400 reads as inf
+        raise ValueError(f"not an integer: {value!r}") from None
+    if isinstance(value, bool) or number != value:
+        raise ValueError(f"not an integer: {value!r}")
+    return number
+
+
+def _as_int(value, key: str, positive: bool = False) -> int:
+    number: Optional[int]
+    try:
+        number = exact_int(value)
+    except (TypeError, ValueError):
+        number = None
+    if number is None or positive and number < 1:
+        kind = "a positive integer" if positive else "an integer"
+        raise JobSpecError(f"{key!r} must be {kind}, got {value!r}")
+    return number
 
 
 def _as_positive_int(value, key: str) -> Optional[int]:
@@ -424,17 +441,7 @@ def _as_positive_int(value, key: str) -> Optional[int]:
     Zero is rejected too: it would run the default shape under another
     content hash, so the result cache would store a duplicate.
     """
-    if value is None:
-        return None
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = 0
-    if number < 1:
-        raise JobSpecError(
-            f"{key!r} must be a positive integer, got {value!r}"
-        )
-    return number
+    return None if value is None else _as_int(value, key, positive=True)
 
 
 def _is_text(value) -> bool:
@@ -463,17 +470,21 @@ def _config_from_spec(
         return None
     overrides: dict = {}
     if "max_candidates" in spec:
-        overrides["max_candidates"] = _as_int(spec["max_candidates"], "max_candidates")
+        overrides["max_candidates"] = _as_int(
+            spec["max_candidates"], "max_candidates", positive=True
+        )
     if "max_seconds" in spec:
         try:
             max_seconds = float(spec["max_seconds"])
         except (TypeError, ValueError):
             max_seconds = math.nan
         # A NaN budget compares false with every elapsed time, so the
-        # search would never stop, whatever --job-timeout says.
-        if math.isnan(max_seconds):
+        # search would never stop, whatever --job-timeout says; one of
+        # zero or less stops it before its first candidate.
+        if not max_seconds > 0:
             raise JobSpecError(
-                f"'max_seconds' must be a number, got {spec['max_seconds']!r}"
+                f"'max_seconds' must be a number > 0, "
+                f"got {spec['max_seconds']!r}"
             )
         overrides["max_seconds"] = max_seconds
     return dataclasses.replace(base_config or OptimizerConfig(), **overrides)

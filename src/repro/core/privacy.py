@@ -23,10 +23,13 @@ them in one shareable object so every ``compute()`` call over the same
 context reuses them: across the candidates of one search (candidates
 popped from the frontier differ in one variable level, so untouched rows'
 option sets are reusable verbatim), and across the searches of a
-threshold sweep or batch job group.  The caches that do not depend on
-the tree — a concrete prefix's queries, containment verdicts and minimal
-sets — live in a :class:`QueryFacts` holder that sessions over other
-trees of the same database may share.
+threshold sweep or batch job group.  The two counts Algorithm 1 compares
+with ``k`` are threshold-independent too, so the session keeps them per
+abstracted example: a later compute of the same example answers any
+threshold they decide without walking its concretizations again.  The
+caches that do not depend on the tree — a concrete prefix's queries,
+containment verdicts and minimal sets — live in a :class:`QueryFacts`
+holder that sessions over other trees of the same database may share.
 """
 
 from __future__ import annotations
@@ -117,6 +120,10 @@ class PrivacyStats:
     containment_cache_misses: int = 0
     minimal_set_cache_hits: int = 0
     minimal_set_cache_misses: int = 0
+    # Row-by-row computes answered from the session's per-example counts
+    # vs run through Algorithm 1 (counted only where the memo is read).
+    privacy_cache_hits: int = 0
+    privacy_cache_misses: int = 0
 
 
 class QueryFacts:
@@ -173,6 +180,12 @@ class PrivacySession:
     * ``engine`` — the :class:`ConcretizationEngine` with its memoized
       per-label value indexes (each choice's value set and, per value, a
       bitmask of the choices holding it),
+    * ``privacy_cache`` — an abstracted example's connected-query count
+      and, once computed, its CIM count (else ``None``), keyed by its
+      rows.  It is per tree, as the rows name the tree's labels.  Only
+      computers that run row by row with the prefix cache read or write
+      it: the monolithic fan-out check may abort where row by row does
+      not, and the uncached arm must pay for what it measures,
 
     and ``facts``, the :class:`QueryFacts` holder of the caches that do
     not.  ``facts`` omitted, the session builds a private holder; a given
@@ -208,6 +221,9 @@ class PrivacySession:
             tree, registry, use_connectivity_cache=config.cache_connectivity
         )
         self.row_option_cache: dict[KExampleRow, list[KExampleRow]] = {}
+        self.privacy_cache: dict[
+            tuple[KExampleRow, ...], tuple[int, int | None]
+        ] = {}
         self.facts = facts
         #: How many computers have attached; > 1 means the session was reused.
         self.computers_attached = 0
@@ -234,11 +250,13 @@ class PrivacySession:
         )
 
     def cache_sizes(self) -> dict[str, int]:
-        """Current entry counts, for diagnostics and tests; the last three
-        count the holder's entries, which sessions sharing it share."""
+        """Current entry counts, for diagnostics and tests; the holder's
+        entries (prefix queries, containments, minimal sets) are shared by
+        the sessions sharing it."""
         facts = self.facts
         return {
             "row_options": len(self.row_option_cache),
+            "privacies": len(self.privacy_cache),
             "prefix_queries": len(facts.query_cache),
             "connectivity": self.engine.connectivity_cache_size,
             "containments": len(facts.containment_cache),
@@ -275,6 +293,9 @@ class PrivacyComputer:
         session.computers_attached += 1
         self._engine = session.engine
         self._row_option_cache = session.row_option_cache
+        self._privacy_cache = (
+            session.privacy_cache if self._config.cache_queries else None
+        )
         facts = session.facts
         self._query_cache = facts.query_cache
         self._containment_cache = facts.containment_cache
@@ -312,7 +333,10 @@ class PrivacyComputer:
         """Algorithm 1: the privacy of ``abstracted`` or -1 if below ``threshold``."""
         if self._config.row_by_row:
             return self._compute_row_by_row(abstracted, threshold)
-        return self._gated_cim_count(self._product_queries(abstracted), threshold)
+        return _gate(
+            self._counts(self._product_queries(abstracted), threshold),
+            threshold,
+        )
 
     def privacy(self, abstracted: AbstractedKExample) -> int:
         """The exact privacy (no threshold early-exit)."""
@@ -330,21 +354,37 @@ class PrivacyComputer:
     def _compute_row_by_row(
         self, abstracted: AbstractedKExample, threshold: int
     ) -> int:
-        rows = abstracted.rows
+        memo, rows = self._privacy_cache, abstracted.rows
+        if memo is None:
+            return _gate(self._row_by_row_counts(rows, threshold), threshold)
+        counts = memo.get(rows)
+        if counts is not None and (counts[0] < threshold
+                                   or counts[1] is not None):
+            self.stats.privacy_cache_hits += 1
+        else:
+            # Unseen, or seen only under a threshold above its connected
+            # count.  A compute that aborts stores nothing, so a warm
+            # session aborts where a cold one does.
+            self.stats.privacy_cache_misses += 1
+            counts = memo[rows] = self._row_by_row_counts(rows, threshold)
+        return _gate(counts, threshold)
+
+    def _row_by_row_counts(
+        self, rows: tuple[KExampleRow, ...], threshold: int
+    ) -> tuple[int, int | None]:
         good: list[tuple[KExampleRow, ...]] = [()]
         for index, row in enumerate(rows):
             options = self._row_options(row)
             if not options:
-                return -1 if threshold > 0 else 0
+                # A row without options admits no query at all.
+                return 0, 0
             self._check_fan_out(len(good) * len(options))
             prefixes = [p + (option,) for p in good for option in options]
             if index == len(rows) - 1:
                 # Neither count is monotone in the rows (a later row can
                 # split a class, or kill a query that dominated others),
                 # so both gates fire only on the complete example.
-                return self._gated_cim_count(
-                    self._prefix_queries(prefixes), threshold
-                )
+                return self._counts(self._prefix_queries(prefixes), threshold)
             # GoodConc: the distinct concrete prefixes that admit a
             # consistent connected query, in product order.  The first
             # row's options all pass unchecked.
@@ -448,16 +488,18 @@ class PrivacyComputer:
         keyed = {query.canonical(): query for query in queries}
         return keyed, queries.fold if keep and keyed else None
 
-    def _gated_cim_count(self, maps: list[dict[tuple, CQ]], threshold: int) -> int:
-        """Both gates of Algorithm 1's tail, shared by every compute path:
-        connected count first (cheap), CIM count second (homomorphisms)."""
+    def _counts(
+        self, maps: list[dict[tuple, CQ]], threshold: int
+    ) -> tuple[int, int | None]:
+        """The connected-query count of ``maps`` and, unless it is below
+        ``threshold``, the CIM count (homomorphisms); shared by every
+        compute path."""
         keys: set[tuple] = set()
         for queries in maps:
             keys.update(queries)
         if len(keys) < threshold:
-            return -1
-        cim = len(self._minimal_keys(frozenset(keys), maps))
-        return cim if cim >= threshold else -1
+            return len(keys), None
+        return len(keys), len(self._minimal_keys(frozenset(keys), maps))
 
     # -- session-cached query-level facts -----------------------------------
     #
@@ -504,6 +546,16 @@ class PrivacyComputer:
         result = frozenset(query.canonical() for query in minimal)
         self._minimal_set_cache[keys] = result
         return result
+
+
+def _gate(counts: tuple[int, int | None], threshold: int) -> int:
+    """Both gates of Algorithm 1's tail: the connected count first, the
+    CIM count second; the CIM count, or -1 if either is below
+    ``threshold``."""
+    connected, cim = counts
+    if connected < threshold or cim is None or cim < threshold:
+        return -1
+    return cim
 
 
 def _representatives(maps: list[dict[tuple, CQ]]) -> dict[tuple, CQ]:

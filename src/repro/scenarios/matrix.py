@@ -137,6 +137,10 @@ class ScenarioMatrix:
                     f"unknown scenario-matrix key {key!r} "
                     f"(known keys: {', '.join(sorted(_MATRIX_KEYS))})"
                 )
+        # Integers are taken only exactly: int() would run a threshold of
+        # 2.7 as 2, or true as 1.
+        from repro.batch.jobs import exact_int
+
         kwargs: dict = {}
         for key, as_int in (
             ("queries", False), ("scales", False), ("tree_leaves", True),
@@ -151,7 +155,7 @@ class ScenarioMatrix:
                 )
             try:
                 kwargs[key] = tuple(
-                    int(v) if as_int else str(v) for v in values
+                    exact_int(v) if as_int else str(v) for v in values
                 )
             except (TypeError, ValueError):
                 raise ScenarioError(
@@ -160,7 +164,7 @@ class ScenarioMatrix:
                 ) from None
         if "max_candidates" in data:
             try:
-                kwargs["max_candidates"] = int(data["max_candidates"])
+                kwargs["max_candidates"] = exact_int(data["max_candidates"])
             except (TypeError, ValueError):
                 raise ScenarioError(
                     f"scenario-matrix 'max_candidates' must be an integer, "
@@ -184,10 +188,10 @@ class ScenarioMatrix:
                     cells.append(ScenarioCell(
                         query=str(raw["query"]),
                         scale=str(raw["scale"]),
-                        tree_leaves=int(raw["tree_leaves"]),
-                        tree_height=int(raw["tree_height"]),
-                        rows=int(raw["rows"]),
-                        threshold=int(raw["threshold"]),
+                        tree_leaves=exact_int(raw["tree_leaves"]),
+                        tree_height=exact_int(raw["tree_height"]),
+                        rows=exact_int(raw["rows"]),
+                        threshold=exact_int(raw["threshold"]),
                     ))
                 except (TypeError, ValueError):
                     raise ScenarioError(

@@ -1,5 +1,6 @@
 """Tests for Algorithm 1: privacy computation."""
 
+import dataclasses
 import os
 import random
 import sys
@@ -22,6 +23,7 @@ from repro.core.privacy import (
     PrivacyComputer,
     PrivacyConfig,
     PrivacySession,
+    PrivacyStats,
     QueryFacts,
 )
 from repro.db.database import KDatabase
@@ -149,13 +151,33 @@ class TestConfigEquivalence:
 
 class TestMechanics:
     def test_caching_hits_on_repeat(self, paper_tree, paper_db, paper_example):
+        """An identical repeat is answered from the session's counts alone;
+        an example sharing one of its rows reuses that row's options and
+        the concrete prefixes both examples reach."""
         computer = PrivacyComputer(paper_tree, paper_db.registry)
         abstracted = _abstract(paper_tree, paper_example, {"i1": "WikiLeaks"})
         computer.privacy(abstracted)
-        misses_after_first = computer.stats.query_cache_misses
-        computer.privacy(abstracted)
-        assert computer.stats.query_cache_hits > 0
-        assert computer.stats.query_cache_misses == misses_after_first
+        first = dataclasses.replace(computer.stats)
+        assert (first.privacy_cache_hits, first.privacy_cache_misses) == (0, 1)
+        assert computer.privacy(abstracted) == 1
+        assert computer.stats == dataclasses.replace(
+            first, privacy_cache_hits=1
+        )
+
+        # Row 1 is shared; row 2's abstraction covers the first example's
+        # concrete row 2, so its two prefixes are reached again.
+        sharing = _abstract(
+            paper_tree, paper_example, {"i1": "WikiLeaks", "h2": "LinkedIn"}
+        )
+        assert sharing.rows[0] == abstracted.rows[0]
+        assert sharing.rows[1] != abstracted.rows[1]
+        computer.privacy(sharing)
+        stats = computer.stats
+        assert stats.privacy_cache_misses == 2
+        assert stats.query_cache_hits == first.query_cache_misses == 2
+        assert stats.query_cache_misses > first.query_cache_misses
+        assert stats.row_option_cache_hits == 1
+        assert stats.row_option_cache_misses == first.row_option_cache_misses + 1
 
     @pytest.mark.parametrize("connectivity_filter", [True, False])
     def test_leaf_outside_the_registry_raises(
@@ -584,11 +606,25 @@ class TestPrivacySession:
         second = PrivacyComputer(paper_tree, paper_db.registry, session=session)
         assert session.computers_attached == 2
         assert second.privacy(abstracted) == warm_value
-        # Every row option and prefix query is served from the warm caches.
-        assert second.stats.row_option_cache_misses == 0
-        assert second.stats.row_option_cache_hits > 0
+        # The identical example is answered from the session's counts,
+        # without looking up a row or a prefix.
+        assert second.stats == PrivacyStats(privacy_cache_hits=1)
+
+        # An example sharing the first row: its options are served from
+        # the warm cache, and every prefix it reaches (the first row's
+        # options with the concrete second row, an option of LinkedIn's)
+        # was generated by the first computer.
+        sharing = _abstract(paper_tree, paper_example, {"h1": "Facebook"})
+        assert sharing.rows[0] == abstracted.rows[0]
+        assert sharing.rows[1] != abstracted.rows[1]
+        second.privacy(sharing)
+        assert second.stats.row_option_cache_hits == 1
+        assert second.stats.row_option_cache_misses == 1
+        assert second.stats.query_cache_hits > 0
+        assert second.stats.query_cache_misses == 0
         assert second.stats.consistency_calls == 0
-        assert second.stats.concretizations_seen == 0
+        # Only the new second row is enumerated: one concrete option.
+        assert second.stats.concretizations_seen == 1
 
     def test_shared_session_is_bit_identical(
         self, paper_tree, paper_db, paper_example
@@ -643,6 +679,7 @@ class TestPrivacySession:
         )
         sizes = session.cache_sizes()
         assert sizes["row_options"] > 0
+        assert sizes["privacies"] == 1
         assert sizes["prefix_queries"] > 0
         assert sizes["connectivity"] > 0
         assert sizes["minimal_sets"] > 0
@@ -701,6 +738,140 @@ class TestPrivacySession:
             abstracted = _random_abstraction(example, tree, rng)
             fresh = PrivacyComputer(tree, db.registry)
             assert shared.privacy(abstracted) == fresh.privacy(abstracted)
+
+
+def _answer(computer, abstracted, threshold):
+    """One compute's answer, or its budget error."""
+    try:
+        return computer.compute(abstracted, threshold)
+    except OptimizationError as exc:
+        return str(exc)
+
+
+class TestPrivacyMemo:
+    """A session's per-example counts answer a later compute of the same
+    example exactly as Algorithm 1 would."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_rows=st.sampled_from([2, 3]),
+        order=st.sampled_from(["ascending", "descending", "random"]),
+        budget=st.sampled_from([None, "concretizations", "alignments"]),
+    )
+    @hypothesis.example(seed=0, n_rows=3, order="descending", budget=None)
+    @hypothesis.example(seed=1, n_rows=2, order="descending",
+                        budget="concretizations")
+    @hypothesis.example(seed=0, n_rows=2, order="random", budget="alignments")
+    def test_shared_session_matches_fresh_computers(
+        self, seed, n_rows, order, budget
+    ):
+        """One computer per threshold on one shared session, as a sweep
+        runs them; every answer, or budget error, equals a fresh
+        computer's.  Descending thresholds store connected counts alone
+        that a lower threshold then completes with the CIM count."""
+        db, example, tree = _random_instance(seed, n_rows)
+        config = PrivacyConfig(
+            max_concretizations=3 if budget == "concretizations" else 200_000
+        )
+        cap = 1 if budget == "alignments" else consistency.MAX_ALIGNMENT_COMBOS
+        rng = random.Random(seed)
+        abstractions = [_random_abstraction(example, tree, rng)
+                        for _ in range(3)]
+        thresholds = list(range(6))
+        if order == "descending":
+            thresholds.reverse()
+        elif order == "random":
+            rng.shuffle(thresholds)
+        session = PrivacySession(tree, db.registry, config)
+        hits = 0
+        with mock.patch.object(consistency, "MAX_ALIGNMENT_COMBOS", cap):
+            for threshold in thresholds:
+                shared = PrivacyComputer(
+                    tree, db.registry, config, session=session
+                )
+                for abstracted in abstractions:
+                    assert _answer(shared, abstracted, threshold) == _answer(
+                        PrivacyComputer(tree, db.registry, config),
+                        abstracted, threshold,
+                    ), threshold
+                hits += shared.stats.privacy_cache_hits
+        if budget is None:
+            assert hits > 0
+
+    def test_lower_threshold_completes_a_connected_only_entry(
+        self, paper_tree, paper_db, paper_example
+    ):
+        """A threshold above the connected count stores that count alone;
+        a threshold it does not decide runs Algorithm 1 again and adds the
+        CIM count, which then decides every threshold."""
+        session = PrivacySession(paper_tree, paper_db.registry)
+        abstracted = _abstract(
+            paper_tree, paper_example, {"h1": "Facebook", "h2": "LinkedIn"}
+        )
+
+        def compute(threshold):
+            computer = PrivacyComputer(
+                paper_tree, paper_db.registry, session=session
+            )
+            answer = computer.compute(abstracted, threshold)
+            stats = computer.stats
+            return answer, stats.privacy_cache_hits, stats.consistency_calls
+
+        assert compute(10)[0] == -1
+        ((connected, cim),) = session.privacy_cache.values()
+        assert cim is None and 2 <= connected < 10
+        assert compute(connected + 1) == (-1, 1, 0)
+        assert compute(2) == (2, 0, 0)
+        assert session.privacy_cache[abstracted.rows] == (connected, 2)
+        assert [compute(k) for k in (0, 2, 3, 10)] == [
+            (2, 1, 0), (2, 1, 0), (-1, 1, 0), (-1, 1, 0)
+        ]
+
+    def test_aborted_compute_stores_nothing(
+        self, paper_tree, paper_db, paper_example
+    ):
+        computer = PrivacyComputer(
+            paper_tree, paper_db.registry,
+            PrivacyConfig(max_concretizations=2),
+        )
+        abstracted = _abstract(
+            paper_tree, paper_example,
+            {v: "*" for v in ("h1", "h2", "i1", "i2")},
+        )
+        for _ in range(2):
+            with pytest.raises(OptimizationError):
+                computer.compute(abstracted, 1)
+        assert computer.session.privacy_cache == {}
+        assert computer.stats.privacy_cache_misses == 2
+
+    @pytest.mark.parametrize("config", [
+        PrivacyConfig(row_by_row=False),
+        PrivacyConfig(cache_queries=False),
+    ], ids=["monolithic", "uncached"])
+    def test_other_arms_neither_read_nor_write_the_memo(
+        self, config, paper_tree, paper_db, paper_example
+    ):
+        """The monolithic and uncached arms share the session's other
+        caches but leave its counts alone: a planted entry changes the
+        answer of a computer that reads it, and not theirs."""
+        session = PrivacySession(paper_tree, paper_db.registry)
+        abstracted = _abstract(
+            paper_tree, paper_example, {"h1": "Facebook", "h2": "LinkedIn"}
+        )
+        arm = PrivacyComputer(
+            paper_tree, paper_db.registry, config, session=session
+        )
+        assert arm.privacy(abstracted) == 2
+        assert session.privacy_cache == {}
+        session.privacy_cache[abstracted.rows] = (7, 7)
+        reader = PrivacyComputer(paper_tree, paper_db.registry, session=session)
+        assert reader.compute(abstracted, 3) == 7
+        assert arm.compute(abstracted, 3) == -1
+        assert arm.privacy(abstracted) == 2
+        assert session.privacy_cache == {abstracted.rows: (7, 7)}
+        assert arm.stats.privacy_cache_hits == 0
+        assert arm.stats.privacy_cache_misses == 0
 
 
 def _outcome(computer, abstracted):
@@ -797,39 +968,48 @@ class TestQueryFacts:
         folds that other threads generated and seeded."""
         _threads_sharing_a_holder(n_rows=3)
 
+    def test_threads_sharing_sessions_match_private_sessions(self):
+        """As above with each tree's session shared by every thread, so
+        row options and per-example counts race too, at thresholds that
+        store a connected count alone and at ones that complete it."""
+        _threads_sharing_a_holder(n_rows=3, share_sessions=True)
 
-def _threads_sharing_a_holder(n_rows: int) -> list:
-    """Run the holder-sharing stress rounds on ``n_rows``-row examples
-    and return the private sessions' outcomes they matched."""
+
+def _threads_sharing_a_holder(
+    n_rows: int, share_sessions: bool = False
+) -> list:
+    """Run the holder-sharing stress rounds on ``n_rows``-row examples,
+    each thread with its own sessions or all sharing one per tree, and
+    return the private sessions' outcomes they matched."""
     db, example, tree = _random_instance(0, n_rows)
     trees = _trees_over(db, tree, 3, 0)
     config = PrivacyConfig()
     rng = random.Random(0)
-    work = [(index, _random_abstraction(example, t, rng))
-            for index, t in enumerate(trees) for _ in range(3)]
+    thresholds = (4, 0, 2) if share_sessions else (0,)
+    work = [(index, _random_abstraction(example, t, rng), threshold)
+            for index, t in enumerate(trees) for _ in range(3)
+            for threshold in thresholds]
 
-    def outcome(session, abstracted):
+    def outcome(session, abstracted, threshold):
         computer = PrivacyComputer(
             session.tree, db.registry, config, session=session
         )
-        try:
-            return computer.privacy(abstracted)
-        except OptimizationError as exc:
-            return str(exc)
+        return _answer(computer, abstracted, threshold)
 
     reference = [
-        outcome(PrivacySession(trees[index], db.registry, config), item)
-        for index, item in work
+        outcome(PrivacySession(trees[index], db.registry, config), *item)
+        for index, *item in work
     ]
-    assert any(isinstance(privacy, int) and privacy for privacy in reference)
+    assert any(isinstance(privacy, int) and privacy > 0
+               for privacy in reference)
 
-    def run(facts, slot, results):
-        sessions = [PrivacySession(t, db.registry, config, facts)
-                    for t in trees]
+    def run(facts, shared, slot, results):
+        sessions = shared or [PrivacySession(t, db.registry, config, facts)
+                              for t in trees]
         # Each thread starts at another item, so threads miss and
         # publish prefixes in different orders.
         order = [(slot + i) % len(work) for i in range(len(work))]
-        got = {i: outcome(sessions[work[i][0]], work[i][1]) for i in order}
+        got = {i: outcome(sessions[work[i][0]], *work[i][1:]) for i in order}
         results[slot] = [got[i] for i in range(len(work))]
 
     n_threads = (os.cpu_count() or 1) + 2
@@ -840,9 +1020,14 @@ def _threads_sharing_a_holder(n_rows: int) -> list:
     try:
         while rounds == 0 or time.monotonic() < deadline:
             facts = QueryFacts(db.registry, config.consistency)
+            shared = share_sessions and [
+                PrivacySession(t, db.registry, config, facts) for t in trees
+            ]
             results: list = [None] * n_threads
             threads = [
-                threading.Thread(target=run, args=(facts, slot, results))
+                threading.Thread(
+                    target=run, args=(facts, shared, slot, results)
+                )
                 for slot in range(n_threads)
             ]
             for thread in threads:

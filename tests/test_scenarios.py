@@ -73,10 +73,26 @@ class TestScenarioMatrix:
         ({"thresholds": [0]}, "must be >= 1"),
         ({"max_candidates": 0}, "must be >= 1"),
         ("not a dict", "must be a JSON object"),
+        # int() would run these as 2, 1 and 12, or overflow on inf.
+        ({"thresholds": [2.7]}, "non-integer"),
+        ({"thresholds": [True]}, "non-integer"),
+        ({"rows": ["2"]}, "non-integer"),
+        ({"max_candidates": 12.9}, "must be an integer"),
+        ({"max_candidates": 1e400}, "must be an integer"),
+        ({"extra_cells": [{"query": "TPCH-Q3", "scale": "xs",
+                           "tree_leaves": 24, "tree_height": 3,
+                           "rows": 2, "threshold": 2.5}]},
+         "non-integer axis value"),
     ])
     def test_from_dict_rejects_bad_axes(self, data, fragment):
         with pytest.raises(ScenarioError, match=fragment):
             ScenarioMatrix.from_dict(data)
+
+    def test_integral_floats_read_as_integers(self):
+        data = SHAPE.to_dict()
+        data["thresholds"] = [float(k) for k in data["thresholds"]]
+        data["max_candidates"] = float(data["max_candidates"])
+        assert ScenarioMatrix.from_dict(data) == SHAPE
 
 
 class TestMaterialize:

@@ -246,16 +246,50 @@ class TestSpecValidation:
                 job_from_spec({**spec, "max_seconds": value})
 
     def test_mistyped_threshold(self):
-        with pytest.raises(JobSpecError, match="integer"):
-            job_from_spec({"query_name": "TPCH-Q3", "threshold": "high"})
-        # JSON's 1e400 reads as inf, which int() cannot convert.
-        with pytest.raises(JobSpecError, match="integer"):
-            job_from_spec({"query_name": "TPCH-Q3", "threshold": 1e400})
+        # JSON's 1e400 reads as inf, which int() cannot convert; int()
+        # would run 2.7 as k = 2 and true as k = 1, and hash and cache
+        # them so.
+        for value in ("high", 1e400, 2.7, True, "2"):
+            for spec in ({"query_name": "TPCH-Q3"}, inline_spec()):
+                with pytest.raises(JobSpecError,
+                                   match="'threshold' must be an integer"):
+                    job_from_spec({**spec, "threshold": value})
+
+    def test_integral_floats_are_the_same_job(self):
+        """``2.0`` is 2: the same job under the same content hash."""
+        from repro.experiments.settings import DEFAULT_SETTINGS
+        from repro.store.hashing import job_content_hash
+
+        keys = {"threshold": 2, "n_leaves": 12, "height": 3,
+                "max_candidates": 40}
+        exact = job_from_spec({"query_name": "TPCH-Q3", **keys})
+        floats = job_from_spec({
+            "query_name": "TPCH-Q3",
+            **{key: float(value) for key, value in keys.items()},
+        })
+        assert floats == exact and type(floats.threshold) is int
+        assert job_content_hash(floats, DEFAULT_SETTINGS) == (
+            job_content_hash(exact, DEFAULT_SETTINGS)
+        )
+
+    @pytest.mark.parametrize("key,value", [
+        ("max_candidates", 12.9), ("max_candidates", 0),
+        ("max_candidates", -5), ("max_candidates", True),
+        ("max_candidates", None), ("max_seconds", 0), ("max_seconds", -1),
+    ])
+    def test_budget_keys_must_be_positive(self, key, value):
+        """A budget of zero or less would stop the search before its
+        first candidate; ``max_candidates`` must be an exact integer."""
+        for spec in ({"query_name": "TPCH-Q3", "threshold": 2},
+                     inline_spec()):
+            with pytest.raises(JobSpecError, match=f"{key!r} must be"):
+                job_from_spec({**spec, key: value})
 
     @pytest.mark.parametrize("key,value", [
         ("n_leaves", "many"), ("height", [1]), ("n_leaves", -3),
         ("n_rows", -1), ("height", -2), ("n_leaves", 0), ("height", 0),
-        ("n_rows", 0), ("n_leaves", 1e400),
+        ("n_rows", 0), ("n_leaves", 1e400), ("n_leaves", 2.5),
+        ("height", True), ("n_rows", 2.5), ("n_leaves", "12"),
     ])
     def test_shape_keys_must_be_positive_integers(self, key, value):
         named = {"query_name": "TPCH-Q3", "threshold": 2, key: value}
@@ -450,9 +484,16 @@ class TestHTTPService:
     def test_bad_spec_is_400_naming_the_key(self, http_service):
         # The wire error comes back as the same typed exception the
         # in-process submit raises, not a generic ServiceError.
-        client, _ = http_service
+        client, service = http_service
         with pytest.raises(JobSpecError, match="treshold"):
             client.submit_many([{"query_name": "TPCH-Q3", "treshold": 2}])
+        named = {"query_name": "TPCH-Q3", "threshold": 2}
+        for key, value in (("threshold", 2.7), ("max_candidates", 0),
+                           ("n_leaves", 2.5), ("max_seconds", -1)):
+            with pytest.raises(JobSpecError,
+                               match=f"400 invalid_job_spec.*{key!r}"):
+                client.submit_many([named, {**named, key: value}])
+        assert service.stats_payload()["jobs_submitted"] == 0
 
     def test_cancel_endpoint_on_finished_job(self, http_service):
         client, _ = http_service
