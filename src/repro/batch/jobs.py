@@ -474,10 +474,11 @@ def _config_from_spec(
             spec["max_candidates"], "max_candidates", positive=True
         )
     if "max_seconds" in spec:
-        try:
-            max_seconds = float(spec["max_seconds"])
-        except (TypeError, ValueError):
-            max_seconds = math.nan
+        value = spec["max_seconds"]
+        # ``float`` would read ``true`` as 1 s and ``"5"`` as 5 s.
+        number = (isinstance(value, (int, float))
+                  and not isinstance(value, bool))
+        max_seconds = float(value) if number else math.nan
         # A NaN budget compares false with every elapsed time, so the
         # search would never stop, whatever --job-timeout says; one of
         # zero or less stops it before its first candidate.

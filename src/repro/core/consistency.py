@@ -42,6 +42,17 @@ from-scratch product would generate first.
   Full generation also yields the flip variants of disconnected layouts,
   so it runs the head check alone.
 
+Before any of that, a later row must share the first row's *alignment
+signature* (:func:`alignment_signature`): its relation names as a
+multiset or, when the semiring drops exponents, as a set.  Every
+skeleton holds the first row's relation names (each as often as the row
+does, or at least once under tuple reuse), and an alignment maps slots
+onto a row's tuples relation by relation, bijectively or, without
+exponents, surjectively.  So a row of another signature aligns with no
+skeleton, and the prefix admits no query.  Algorithm 1 partitions each
+row's concretizations by the same signature and never forms such a
+prefix.
+
 Both refutations are monotone in the rows.  A later row only splits
 classes: it adds a coordinate to every value vector, so positions with
 equal vectors may come apart but never come together.  Head candidates
@@ -52,6 +63,20 @@ recomputing them, and the :class:`PrefixFold` of a prefix's call lets a
 call for a longer prefix start where it stopped.  A skeleton's first-row
 state is built only once a later row aligns with it, and calls on
 prefixes that share a first row may share it (:func:`first_row_fold`).
+
+Keys before queries
+-------------------
+A layout's flip variants are keyed before any is built: the canonical
+key (:func:`~repro.query.ast.canonical_key`, the routine
+:meth:`CQ.canonical` calls too) is read off the class layout, each
+variable class spelled by its number and each constant class by its
+constant's repr.  Only the first layout of each key keeps a
+:class:`QueryRecipe`, and a query is built only where one is read: when a
+caller iterates a :class:`GeneratedQueries`, or from
+:meth:`QueryRecipe.build` with its key preset.  Each concrete row is
+resolved, grouped by relation and aligned once per :class:`ConcreteRows`
+holder, so a fold extension pays only for the head and connectivity
+refinements.
 
 Which queries this counts
 -------------------------
@@ -89,12 +114,13 @@ import math
 import threading
 from operator import attrgetter
 from dataclasses import dataclass
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence, Set
 
+from repro.db.database import AnnotationRegistry
 from repro.db.tuples import Tuple
 from repro.errors import OptimizationError
 from repro.provenance.kexample import KExample, KExampleRow
-from repro.query.ast import CQ, Atom, Constant, Term, Variable
+from repro.query.ast import CQ, Atom, Constant, Term, Variable, canonical_key
 from repro.query.join_graph import overlap_connected
 from repro.semirings.base import Semiring, SemiringName, get_semiring
 
@@ -125,9 +151,19 @@ class ConsistencyConfig:
         return get_semiring(self.semiring)
 
 
+def alignment_signature(relations: Iterable[str], drops_exponents: bool):
+    """A row's alignment signature: its relation names as a multiset or,
+    when the semiring drops exponents, as a set.  A later row aligns with
+    a skeleton only if its signature is the first row's (see the module
+    docs)."""
+    if drops_exponents:
+        return frozenset(relations)
+    return tuple(sorted(relations))
+
+
 class _Skeleton:
-    """One skeleton of a fold: its slot tuples, their relation names
-    (sorted), and the first row's output.
+    """One skeleton of a fold: its slot tuples, their relation names in
+    slot order (its ``shape``), and the first row's output.
 
     Most skeletons align with no later row, so the rest is computed on
     first use: ``slots``, the slot indexes per relation; and ``seed``, the
@@ -139,14 +175,14 @@ class _Skeleton:
     position's atom bit, and the mask of all atoms.
     """
 
-    __slots__ = ("tuples", "relations", "output", "minimal_only", "values",
+    __slots__ = ("tuples", "shape", "output", "minimal_only", "values",
                  "ranges", "bits", "full", "_slots", "_seed")
 
     def __init__(
         self, tuples: tuple[Tuple, ...], output: tuple, minimal_only: bool
     ):
         self.tuples = tuples
-        self.relations = sorted(map(_RELATION, tuples))
+        self.shape = tuple(map(_RELATION, tuples))
         self.output = output
         self.minimal_only = minimal_only
         self._slots: dict[str, list[int]] | None = None
@@ -228,12 +264,146 @@ class PrefixFold:
         self.skeletons = skeletons
 
 
-class GeneratedQueries(frozenset):
-    """The queries of one :func:`consistent_queries` call, with ``fold``,
-    the :class:`PrefixFold` of the call's rows."""
+class RowFacts:
+    """What generation reads of one concrete row, resolved once: its
+    tuples per relation (``groups``), its :func:`alignment_signature`,
+    and its flattened alignments per skeleton shape."""
 
-    __slots__ = ("fold",)
-    fold: PrefixFold
+    __slots__ = ("groups", "signature", "drops_exponents", "_alignments")
+
+    def __init__(self, tuples: tuple[Tuple, ...], drops_exponents: bool):
+        self.groups = _by_relation(tuples)
+        self.signature = alignment_signature(
+            map(_RELATION, tuples), drops_exponents
+        )
+        self.drops_exponents = drops_exponents
+        self._alignments: dict[tuple[str, ...], list[tuple]] = {}
+
+    def alignments(self, skeleton: _Skeleton) -> list[tuple]:
+        """The row's alignments with ``skeleton``, each flattened to its
+        values in (slot, column) order.  They depend on the skeleton's
+        shape alone, so each shape's are enumerated once."""
+        found = self._alignments.get(skeleton.shape)
+        if found is None:
+            found = self._alignments[skeleton.shape] = [
+                sum(map(_VALUES, aligned), ()) for aligned in _alignments(
+                    skeleton.slots, len(skeleton.tuples), self.groups,
+                    self.drops_exponents,
+                )
+            ]
+        return found
+
+
+class ConcreteRows(dict):
+    """Each concrete row's :class:`RowFacts` under one registry and
+    semiring kind, computed on first lookup.
+
+    Calls of :func:`consistent_queries` that share one (their
+    ``concrete_rows``) resolve, group and align each row once.  Every
+    entry holds what recomputation yields, so threads may share it.
+    """
+
+    def __init__(self, registry: AnnotationRegistry, drops_exponents: bool):
+        super().__init__()
+        self.registry = registry
+        self.drops_exponents = drops_exponents
+
+    def __missing__(self, row: KExampleRow) -> RowFacts:
+        facts = self[row] = RowFacts(
+            tuple(map(self.registry.resolve, row.occurrences)),
+            self.drops_exponents,
+        )
+        return facts
+
+
+class _Layout:
+    """One surviving alignment's class layout: each atom's relation and
+    class per column, each head column's class or constant, and each
+    constant class with its value."""
+
+    __slots__ = ("head_name", "atoms", "head", "constants", "count")
+
+    def __init__(self, head_name: str, atoms: list, head: list,
+                 constants: list[tuple[int, object]], count: int):
+        self.head_name = head_name
+        self.atoms = atoms
+        self.head = head
+        self.constants = constants
+        self.count = count
+
+
+class QueryRecipe:
+    """One generated query, unbuilt: its alignment's class layout and the
+    constant classes flipped to variables."""
+
+    __slots__ = ("layout", "flips")
+
+    def __init__(self, layout: _Layout, flips: tuple[int, ...]):
+        self.layout = layout
+        self.flips = flips
+
+    def build(self, key: tuple) -> CQ:
+        """The query, with ``key``, its canonical key, preset.  Class ``i``
+        is the term ``x{i}`` or, while a constant class is not flipped,
+        its constant."""
+        layout, flips = self.layout, self.flips
+        terms: list[Term] = list(_variables(layout.count)[:layout.count])
+        for idx, value in layout.constants:
+            if idx not in flips:
+                terms[idx] = Constant(value)
+        return CQ(
+            Atom(layout.head_name, [
+                terms[spec] if spec.__class__ is int else spec
+                for spec in layout.head
+            ]),
+            [Atom(relation, map(terms.__getitem__, columns))
+             for relation, columns in layout.atoms],
+            canonical=key,
+        )
+
+
+class GeneratedQueries(Set):
+    """The queries of one :func:`consistent_queries` call: a set of
+    :class:`~repro.query.ast.CQ`, one per isomorphism class.
+
+    ``recipes`` maps each query's canonical key to the
+    :class:`QueryRecipe` of its representative (the first generated), in
+    generation order, and ``fold`` is the :class:`PrefixFold` of the
+    call's rows.  The length counts the keys; the queries are built when
+    first read.
+    """
+
+    __slots__ = ("recipes", "fold", "_queries")
+
+    def __init__(self, recipes: dict[tuple, QueryRecipe], fold: PrefixFold):
+        self.recipes = recipes
+        self.fold = fold
+        self._queries: frozenset[CQ] | None = None
+
+    def _built(self) -> frozenset[CQ]:
+        if self._queries is None:
+            self._queries = frozenset(
+                recipe.build(key) for key, recipe in self.recipes.items()
+            )
+        return self._queries
+
+    def __len__(self) -> int:
+        return len(self.recipes)
+
+    def __iter__(self) -> Iterator[CQ]:
+        return iter(self._built())
+
+    def __contains__(self, query: object) -> bool:
+        return query in self._built()
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    @classmethod
+    def _from_iterable(cls, queries: Iterable[CQ]) -> frozenset[CQ]:
+        """Set operations return a plain frozenset, as they did when the
+        result was one."""
+        return frozenset(queries)
 
 
 def consistent_queries(
@@ -242,6 +412,7 @@ def consistent_queries(
     *,
     minimal_only: bool = False,
     start: PrefixFold | None = None,
+    concrete_rows: ConcreteRows | None = None,
 ) -> GeneratedQueries:
     """The candidate consistent queries w.r.t. a concrete K-example.
 
@@ -258,22 +429,21 @@ def consistent_queries(
     ``start``, the ``fold`` of an earlier result for a prefix of the
     example's rows under the same config and ``minimal_only``, continues
     that fold from the prefix's last row instead of the first; the
-    queries are the same.
+    queries are the same.  ``concrete_rows``, a :class:`ConcreteRows`
+    over the example's registry and the config's semiring kind, lends
+    each row's resolved facts across calls.
     """
     config = config or ConsistencyConfig()
-    fold = _fold(example, config, minimal_only, start)
+    fold = _fold(example, config, minimal_only, start, concrete_rows)
     output = example.rows[0].output
-    out: dict[tuple, CQ] = {}
+    recipes: dict[tuple, QueryRecipe] = {}
     for skeleton, _, survivors in fold.skeletons:
         for combo, heads, _ in survivors:
-            for query in _queries_from_matrix(
-                skeleton, (skeleton.values, *combo), heads, output, config,
-                minimal_only,
-            ):
-                out.setdefault(query.canonical(), query)
-    result = GeneratedQueries(out.values())
-    result.fold = fold
-    return result
+            _add_recipes(
+                recipes, skeleton, (skeleton.values, *combo), heads, output,
+                config, minimal_only,
+            )
+    return GeneratedQueries(recipes, fold)
 
 
 def first_row_fold(
@@ -303,6 +473,7 @@ def _fold(
     config: ConsistencyConfig,
     minimal_only: bool,
     start: PrefixFold | None,
+    concrete_rows: ConcreteRows | None,
 ) -> PrefixFold:
     """Fold ``example``'s rows after ``start``'s, or after its first row.
 
@@ -319,26 +490,29 @@ def _fold(
             or start.minimal_only != minimal_only):
         raise ValueError("start folds other rows, config or minimal_only")
     drops_exponents = start.drops_exponents
-    resolve = example.registry.resolve
-    later = [list(map(resolve, row.occurrences)) for row in rows[done:]]
-    # A skeleton aligns with no row whose relation names differ from its
-    # own, as multisets when exponents are kept.
-    signatures = (
-        [] if drops_exponents
-        else [sorted(map(_RELATION, tuples)) for tuples in later]
-    )
-    entries = [
-        entry for entry in start.skeletons
-        if signatures.count(entry[0].relations) == len(signatures)
-    ]
-    grouped = [_by_relation(tuples) for tuples in later] if entries else []
+    concrete = concrete_rows
+    if concrete is None:
+        concrete = ConcreteRows(example.registry, drops_exponents)
+    elif (concrete.registry is not example.registry
+          or concrete.drops_exponents != drops_exponents):
+        raise ValueError("concrete_rows resolve another registry or "
+                         "semiring kind")
+    later = [concrete[row] for row in rows[done:]]
+    entries = start.skeletons
+    if entries and later:
+        # No skeleton aligns with a row of another signature.
+        signature = concrete[rows[0]].signature
+        if any(facts.signature != signature for facts in later):
+            entries = []
 
     counted = []
     for skeleton, combos, survivors in entries:
-        for row in grouped:
+        for facts in later:
             if not combos:
                 break
-            combos *= _alignment_count(skeleton.slots, row, drops_exponents)
+            combos *= _alignment_count(
+                skeleton.slots, facts.groups, drops_exponents
+            )
         if combos > MAX_ALIGNMENT_COMBOS:
             raise OptimizationError(
                 f"alignment budget exhausted: {combos} alignment "
@@ -361,14 +535,11 @@ def _fold(
     for skeleton, combos, survivors in counted:
         if survivors is None:
             survivors = skeleton.seed
-        for index, row in enumerate(grouped):
+        for index, facts in enumerate(later):
             if not survivors:
                 break
             survivors = _extend(
-                skeleton, survivors,
-                [sum(map(_VALUES, aligned), ()) for aligned in
-                 _alignments(skeleton.slots, len(skeleton.tuples), row,
-                             drops_exponents)],
+                skeleton, survivors, facts.alignments(skeleton),
                 rows[done + index].output, varying[index], minimal_only,
             )
         skeletons.append((skeleton, combos, survivors))
@@ -622,53 +793,57 @@ def _variables(count: int) -> list[Variable]:
     return _VARIABLES
 
 
-def _queries_from_matrix(
+def _add_recipes(
+    recipes: dict[tuple, QueryRecipe],
     skeleton: _Skeleton,
     matrix: tuple[tuple, ...],
     heads: Sequence[Sequence[int]],
     output: tuple,
     config: ConsistencyConfig,
     minimal_only: bool,
-) -> Iterator[CQ]:
-    """Most-specific query and flip variants for one surviving alignment
-    matrix, one row of flattened values per K-example row.
+) -> None:
+    """Key the most-specific query and flip variants of one surviving
+    alignment matrix, one row of flattened values per K-example row, and
+    keep a recipe under each key ``recipes`` lacks.
 
     The alignment's class layout is computed once: positions with equal
     cross-row value vectors share a class, numbered by first appearance in
-    (slot, column) order, and class ``i`` is the term ``x{i}`` or, while a
+    (slot, column) order, and class ``i`` is a variable or, while a
     constant class is not flipped, its constant.  An output column's head
     term is the class of its head candidates or, with none, its value in
     the first row's ``output``.  Each flip variant only picks the term of
-    every class; under ``require_variable`` a ground base is no flip set.
-    With ``minimal_only``, only the minimal connecting flip sets are built
-    (see :func:`_minimal_flip_sets`).
+    every class, and is keyed from the layout, each variable class spelled
+    by its number and each constant by its repr, without building it;
+    under ``require_variable`` a ground base is no flip set.  With
+    ``minimal_only``, only the minimal connecting flip sets are keyed (see
+    :func:`_minimal_flip_sets`).
     """
     class_of: dict[tuple, int] = {}
     classes = [
         class_of.setdefault(vector, len(class_of)) for vector in zip(*matrix)
     ]
-    layout = [
+    atoms = [
         (relation, classes[start:stop])
         for relation, start, stop in skeleton.ranges
     ]
-    head_layout: list[int | Constant] = [
+    head: list[int | Constant] = [
         classes[candidates[0]] if candidates else Constant(output[column])
         for column, candidates in enumerate(heads)
     ]
 
-    variables = _variables(len(class_of))
-    base_terms: list[Term] = list(variables[:len(class_of)])
-    constant_classes = []
+    spelled: list = list(range(len(class_of)))
+    constants = []
     for idx, vector in enumerate(class_of):
         if len(set(vector)) == 1:
-            constant_classes.append(idx)
-            base_terms[idx] = Constant(vector[0])
+            constants.append((idx, vector[0]))
+            spelled[idx] = repr(vector[0])
+    constant_classes = [idx for idx, _ in constants]
     smallest = int(
         config.require_variable and len(constant_classes) == len(class_of)
     )
     if minimal_only:
         flip_sets = _minimal_flip_sets(
-            [set(columns) for _, columns in layout], constant_classes, smallest
+            [set(columns) for _, columns in atoms], constant_classes, smallest
         )
     else:
         flip_sets = itertools.chain.from_iterable(
@@ -676,19 +851,28 @@ def _queries_from_matrix(
             for size in range(smallest, len(constant_classes) + 1)
         )
 
+    head_spelled = [
+        spec if spec.__class__ is int else repr(spec) for spec in head
+    ]
+    layout = None
     for flips in flip_sets:
-        terms = base_terms.copy()
+        terms = spelled.copy()
         for idx in flips:
-            terms[idx] = variables[idx]
-        body = [
-            Atom(relation, map(terms.__getitem__, columns))
-            for relation, columns in layout
-        ]
-        head_terms = [
-            terms[spec] if isinstance(spec, int) else spec
-            for spec in head_layout
-        ]
-        yield CQ(Atom(config.head_name, head_terms), body)
+            terms[idx] = idx
+        key = canonical_key(
+            (config.head_name, [
+                terms[spec] if spec.__class__ is int else spec
+                for spec in head_spelled
+            ]),
+            [(relation, [terms[c] for c in columns])
+             for relation, columns in atoms],
+        )
+        if key not in recipes:
+            if layout is None:
+                layout = _Layout(
+                    config.head_name, atoms, head, constants, len(class_of)
+                )
+            recipes[key] = QueryRecipe(layout, flips)
 
 
 def _minimal_flip_sets(

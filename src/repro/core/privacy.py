@@ -5,7 +5,9 @@ connected, inclusion-minimal — across all concretizations (Definition
 3.12).  :class:`PrivacyComputer` implements Algorithm 1 with its four
 optimizations, each independently switchable for the Figure 19 ablation:
 
-* row-by-row computation with ``GoodConc`` propagation,
+* row-by-row computation with ``GoodConc`` propagation, refined so a
+  prefix extends only with the concretizations of a later row that share
+  its first row's alignment signature (no other can admit a query),
 * the connectivity filter: each row enumerates only its connected
   concretizations,
 * caching consistent queries per concretization prefix, and with a
@@ -42,8 +44,10 @@ from dataclasses import dataclass, field
 from repro.abstraction.concretization import ConcretizationEngine
 from repro.abstraction.tree import AbstractionTree
 from repro.core.consistency import (
+    ConcreteRows,
     ConsistencyConfig,
     PrefixFold,
+    QueryRecipe,
     consistent_queries,
     first_row_fold,
 )
@@ -124,6 +128,9 @@ class PrivacyStats:
     # vs run through Algorithm 1 (counted only where the memo is read).
     privacy_cache_hits: int = 0
     privacy_cache_misses: int = 0
+    # Prefixes the row-by-row scan never formed because the added row's
+    # alignment signature differs from the prefix's first row's.
+    prefixes_pruned_unaligned: int = 0
 
 
 class QueryFacts:
@@ -138,10 +145,16 @@ class QueryFacts:
     and homomorphism work an earlier tree already paid for.  It holds:
 
     * ``query_cache`` — each concrete prefix's connected consistent
-      queries as a canonical key -> query map, keyed by the prefix's rows,
-      with the :class:`~repro.core.consistency.PrefixFold` its one-row
-      extensions start from where a compute extends the prefix (else
-      ``None``),
+      queries as a canonical key ->
+      :class:`~repro.core.consistency.QueryRecipe` map (a query is built
+      from its recipe only where one is read), keyed by the prefix's
+      rows, with the :class:`~repro.core.consistency.PrefixFold` its
+      one-row extensions start from where a compute extends the prefix
+      (else ``None``),
+    * ``concrete_rows`` — each concrete row's resolved tuples grouped by
+      relation, its alignment signature and its flattened alignments
+      (:class:`~repro.core.consistency.ConcreteRows`), which generation
+      and the row-by-row partition read,
     * ``containment_cache`` — pairwise strict-containment verdicts (each
       one a homomorphism search, the dominant cost of GetMinimalQueries),
       keyed by the two queries' canonical forms, for the pairs whose
@@ -161,8 +174,12 @@ class QueryFacts:
         self.registry = registry
         self.consistency = consistency
         self.query_cache: dict[
-            tuple[KExampleRow, ...], tuple[dict[tuple, CQ], PrefixFold | None]
+            tuple[KExampleRow, ...],
+            tuple[dict[tuple, QueryRecipe], PrefixFold | None],
         ] = {}
+        self.concrete_rows = ConcreteRows(
+            registry, consistency.semiring_ops().drops_exponents()
+        )
         self.containment_cache: dict[tuple, bool] = {}
         self.minimal_set_cache: dict[frozenset, frozenset] = {}
 
@@ -251,13 +268,14 @@ class PrivacySession:
 
     def cache_sizes(self) -> dict[str, int]:
         """Current entry counts, for diagnostics and tests; the holder's
-        entries (prefix queries, containments, minimal sets) are shared by
-        the sessions sharing it."""
+        entries (prefix queries, concrete rows, containments, minimal
+        sets) are shared by the sessions sharing it."""
         facts = self.facts
         return {
             "row_options": len(self.row_option_cache),
             "privacies": len(self.privacy_cache),
             "prefix_queries": len(facts.query_cache),
+            "concrete_rows": len(facts.concrete_rows),
             "connectivity": self.engine.connectivity_cache_size,
             "containments": len(facts.containment_cache),
             "minimal_sets": len(facts.minimal_set_cache),
@@ -298,6 +316,7 @@ class PrivacyComputer:
         )
         facts = session.facts
         self._query_cache = facts.query_cache
+        self._concrete_rows = facts.concrete_rows
         self._containment_cache = facts.containment_cache
         self._minimal_set_cache = facts.minimal_set_cache
         self.stats = PrivacyStats()
@@ -347,7 +366,7 @@ class PrivacyComputer:
         """The CIM queries w.r.t. ``abstracted`` (Definition 3.10)."""
         connected = self._connected_queries_full(abstracted)
         keys = self._minimal_keys(frozenset(connected), [connected])
-        return frozenset(connected[k] for k in keys)
+        return frozenset(connected[k].build(k) for k in keys)
 
     # -- Algorithm 1 proper -------------------------------------------------
 
@@ -379,7 +398,11 @@ class PrivacyComputer:
                 # A row without options admits no query at all.
                 return 0, 0
             self._check_fan_out(len(good) * len(options))
-            prefixes = [p + (option,) for p in good for option in options]
+            prefixes: list[tuple[KExampleRow, ...]]
+            if index == 0:
+                prefixes = [(option,) for option in options]
+            else:
+                prefixes = self._aligned_extensions(good, options)
             if index == len(rows) - 1:
                 # Neither count is monotone in the rows (a later row can
                 # split a class, or kill a query that dominated others),
@@ -395,15 +418,41 @@ class PrivacyComputer:
             ))
         raise AssertionError("unreachable")
 
+    def _aligned_extensions(
+        self, good: list[tuple[KExampleRow, ...]], options: list[KExampleRow]
+    ) -> list[tuple[KExampleRow, ...]]:
+        """Each prefix extended by the options that share its first row's
+        alignment signature, in product order.  Generation finds no query
+        for a prefix with any other option (no skeleton aligns with it),
+        so those prefixes are counted, not formed."""
+        if not good:
+            # Resolving the options could raise for a leaf outside the
+            # registry, which an empty product never meets.
+            return []
+        concrete = self._concrete_rows
+        by_signature: dict = {}
+        for option in options:
+            by_signature.setdefault(
+                concrete[option].signature, []
+            ).append(option)
+        prefixes = [
+            prefix + (option,) for prefix in good
+            for option in by_signature.get(concrete[prefix[0]].signature, ())
+        ]
+        self.stats.prefixes_pruned_unaligned += (
+            len(good) * len(options) - len(prefixes)
+        )
+        return prefixes
+
     def _connected_queries_full(
         self, abstracted: AbstractedKExample
-    ) -> dict[tuple, CQ]:
-        """The minimal-only consistent queries, keyed by canonical form."""
+    ) -> dict[tuple, QueryRecipe]:
+        """The minimal-only consistent queries, canonical key -> recipe."""
         return _representatives(self._product_queries(abstracted))
 
     def _product_queries(
         self, abstracted: AbstractedKExample
-    ) -> list[dict[tuple, CQ]]:
+    ) -> list[dict[tuple, QueryRecipe]]:
         """Each concretization's queries, in product order."""
         per_row_options = [self._row_options(row) for row in abstracted.rows]
         self._check_fan_out(math.prod(map(len, per_row_options)))
@@ -438,9 +487,9 @@ class PrivacyComputer:
 
     def _prefix_queries(
         self, prefixes: Iterable[tuple[KExampleRow, ...]], keep: bool = False
-    ) -> list[dict[tuple, CQ]]:
+    ) -> list[dict[tuple, QueryRecipe]]:
         """Each prefix's connected consistent queries, canonical key ->
-        query; ``keep`` keeps the folds of the prefixes generated, for
+        recipe; ``keep`` keeps the folds of the prefixes generated, for
         their extensions."""
         if not self._config.cache_queries:
             return [
@@ -467,7 +516,7 @@ class PrivacyComputer:
         prefix: tuple[KExampleRow, ...],
         start: PrefixFold | None,
         keep: bool,
-    ) -> tuple[dict[tuple, CQ], PrefixFold | None]:
+    ) -> tuple[dict[tuple, QueryRecipe], PrefixFold | None]:
         """A prefix's queries, generated from ``start`` or, without one,
         from its first row's fold, which the computer builds once per row;
         with the prefix's fold if ``keep`` and there are queries."""
@@ -483,13 +532,14 @@ class PrivacyComputer:
                     example, consistency, minimal_only=True
                 )
         queries = consistent_queries(
-            example, consistency, minimal_only=True, start=start
+            example, consistency, minimal_only=True, start=start,
+            concrete_rows=self._concrete_rows,
         )
-        keyed = {query.canonical(): query for query in queries}
-        return keyed, queries.fold if keep and keyed else None
+        recipes = queries.recipes
+        return recipes, queries.fold if keep and recipes else None
 
     def _counts(
-        self, maps: list[dict[tuple, CQ]], threshold: int
+        self, maps: list[dict[tuple, QueryRecipe]], threshold: int
     ) -> tuple[int, int | None]:
         """The connected-query count of ``maps`` and, unless it is below
         ``threshold``, the CIM count (homomorphisms); shared by every
@@ -520,10 +570,10 @@ class PrivacyComputer:
         return cached
 
     def _minimal_keys(
-        self, keys: frozenset, maps: list[dict[tuple, CQ]]
+        self, keys: frozenset, maps: list[dict[tuple, QueryRecipe]]
     ) -> frozenset:
         """The inclusion-minimal ones of ``keys``, the canonical keys of the
-        queries in ``maps``, whose representatives are gathered on a miss.
+        queries in ``maps``, whose representatives are built on a miss.
 
         Count-equivalent to :func:`_minimal_queries` — one query per key,
         so they are pairwise non-equal and the minimality scan visits the
@@ -535,8 +585,11 @@ class PrivacyComputer:
             self.stats.minimal_set_cache_hits += 1
             return cached
         self.stats.minimal_set_cache_misses += 1
-        ordered = sorted(_representatives(maps).values(),
-                         key=lambda q: (len(q.body), repr(q)))
+        ordered = sorted(
+            (recipe.build(key)
+             for key, recipe in _representatives(maps).items()),
+            key=lambda q: (len(q.body), repr(q)),
+        )
         minimal = [
             query for query in ordered
             if not any(self._strictly_contained(other, query)
@@ -558,9 +611,11 @@ def _gate(counts: tuple[int, int | None], threshold: int) -> int:
     return cim
 
 
-def _representatives(maps: list[dict[tuple, CQ]]) -> dict[tuple, CQ]:
-    """Each canonical key's query from the first map that holds it."""
-    out: dict[tuple, CQ] = {}
+def _representatives(
+    maps: list[dict[tuple, QueryRecipe]]
+) -> dict[tuple, QueryRecipe]:
+    """Each canonical key's recipe from the first map that holds it."""
+    out: dict[tuple, QueryRecipe] = {}
     for queries in reversed(maps):
         out.update(queries)
     return out

@@ -14,7 +14,7 @@ persist or hash them into results, since their layout may change.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from typing import Any, Union
 
 from repro.errors import ParseError
@@ -129,12 +129,16 @@ class CQ:
     The body is kept as a tuple in construction order but equality and
     hashing use the *sorted* body so syntactically reordered queries
     coincide.  Full isomorphism-invariant identity is provided by
-    :meth:`canonical`.
+    :meth:`canonical`.  ``canonical``, when given, must be the query's
+    :func:`canonical_key`; it is trusted, not recomputed.
     """
 
     __slots__ = ("_head", "_body", "_hash", "_constants", "_canonical_cache")
 
-    def __init__(self, head: Atom, body: Iterable[Atom]):
+    def __init__(
+        self, head: Atom, body: Iterable[Atom], *,
+        canonical: "tuple | None" = None,
+    ):
         self._head = head
         self._body = tuple(body)
         if not self._body:
@@ -151,12 +155,12 @@ class CQ:
             raise ParseError(
                 f"head variables not bound in body: {sorted(missing)}"
             )
-        # Hash, constants and canonical key are computed on first use, so
-        # the queries consistent-query generation drops as canonical
-        # duplicates are never hashed.
+        # Hash, constants and canonical key are computed on first use.  A
+        # caller that already holds the key from :func:`canonical_key` (as
+        # consistent-query generation does) passes it as ``canonical``.
         self._hash: "int | None" = None
         self._constants: "frozenset[Constant] | None" = None
-        self._canonical_cache: "tuple | None" = None
+        self._canonical_cache = canonical
 
     @property
     def head(self) -> Atom:
@@ -203,53 +207,16 @@ class CQ:
         """An isomorphism-invariant key: two CQs get the same key iff they
         are equal up to variable renaming and body reordering.
 
-        The key is an opaque flat tuple.  For the head and then each body
-        atom it holds the relation, the arity, and per term the variable's
-        number (an int) or the constant's repr (a str).  Use it only for
-        equality and as a dict key: its layout is not a stable format.
-
-        Trying every body order would be factorial; instead atoms are
-        sorted by a renaming-invariant signature, variables are numbered
-        by first appearance over the head and then the atoms, and only
-        atoms with identical signatures are permuted (bounded in practice
-        by self-join multiplicity), keeping the least key.  Permuted atoms
-        share a signature, so every candidate key holds an int or a str at
-        the same places and candidates compare without type errors.
+        The key is :func:`canonical_key` of the query's atoms, each
+        constant spelled by its repr.  Use it only for equality and as a
+        dict key: its layout is not a stable format.
         """
         key = self._canonical_cache
-        if key is not None:
-            return key
-
-        atoms = self._body
-        occurrences: dict[str, int] = {}
-        for atom in atoms:
-            for term in atom._terms:
-                if isinstance(term, Variable):
-                    name = term._name
-                    occurrences[name] = occurrences.get(name, 0) + 1
-        head_names = {
-            term._name for term in self._head._terms
-            if isinstance(term, Variable)
-        }
-        signatures = [
-            _atom_signature(atom, occurrences, head_names) for atom in atoms
-        ]
-        order = sorted(range(len(atoms)), key=signatures.__getitem__)
-        groups: list[list[int]] = []
-        for idx in order:
-            if groups and signatures[groups[-1][-1]] == signatures[idx]:
-                groups[-1].append(idx)
-            else:
-                groups.append([idx])
-
-        best: "tuple | None" = None
-        for arrangement in _group_permutations(groups):
-            key = _numbered_key(self._head, [atoms[i] for i in arrangement])
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        self._canonical_cache = best
-        return best
+        if key is None:
+            key = self._canonical_cache = canonical_key(
+                _spelling(self._head), [_spelling(atom) for atom in self._body]
+            )
+        return key
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -313,27 +280,84 @@ def _atom_key(atom: Atom) -> tuple:
     )
 
 
+def _spelling(atom: Atom) -> tuple[str, list]:
+    """``atom`` as :func:`canonical_key` reads it."""
+    return atom._relation, [
+        term._repr if isinstance(term, Constant) else term
+        for term in atom._terms
+    ]
+
+
+def canonical_key(head: tuple, body: Sequence[tuple]) -> tuple:
+    """The isomorphism-invariant key of a query spelled as atoms.
+
+    ``head`` and each atom of ``body`` are ``(relation, terms)``.  A term
+    is a constant's repr (a ``str``) or names a variable (any other
+    hashable: a :class:`Variable`, or a class number).  Two spellings get
+    the same key iff their queries are equal up to variable renaming and
+    body reordering.  :meth:`CQ.canonical` and consistent-query
+    generation, which keys a query before building it, both call it.
+
+    The key is an opaque flat tuple.  For the head and then each body
+    atom it holds the relation, the arity, and per term the variable's
+    number (an int) or the constant's repr (a str).
+
+    Trying every body order would be factorial; instead atoms are sorted
+    by a renaming-invariant signature, variables are numbered by first
+    appearance over the head and then the atoms, and only atoms with
+    identical signatures are permuted (bounded in practice by self-join
+    multiplicity), keeping the least key.  Permuted atoms share a
+    signature, so every candidate key holds an int or a str at the same
+    places and candidates compare without type errors.
+    """
+    occurrences: dict = {}
+    for _, terms in body:
+        for term in terms:
+            if term.__class__ is not str:
+                occurrences[term] = occurrences.get(term, 0) + 1
+    head_variables = {term for term in head[1] if term.__class__ is not str}
+    signatures = [
+        _atom_signature(atom, occurrences, head_variables) for atom in body
+    ]
+    order = sorted(range(len(body)), key=signatures.__getitem__)
+    groups: list[list[int]] = []
+    for idx in order:
+        if groups and signatures[groups[-1][-1]] == signatures[idx]:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+
+    best: "tuple | None" = None
+    for arrangement in _group_permutations(groups):
+        key = _numbered_key(head, [body[i] for i in arrangement])
+        if best is None or key < best:
+            best = key
+    assert best is not None
+    return best
+
+
 def _atom_signature(
-    atom: Atom,
-    occurrences: Mapping[str, int],
-    head_names: set[str],
+    atom: tuple,
+    occurrences: Mapping,
+    head_variables: set,
 ) -> tuple:
-    """A renaming-invariant signature for sorting atoms before numbering.
+    """A renaming-invariant signature of a spelled atom, for sorting atoms
+    before numbering.
 
     ``occurrences`` counts each variable's occurrences over the whole body
-    and ``head_names`` names the head's variables, both by variable name
-    and per query, so the caller computes them once for all of its atoms.
-    Each term adds a kind tag, then the constant's repr or the variable's
-    occurrence count and head membership: signatures that agree up to a
-    tag hold values of one type after it, so any two compare.
+    and ``head_variables`` holds the head's variables, so the caller
+    computes them once for all of its atoms.  Each term adds a kind tag,
+    then the constant's repr or the variable's occurrence count and head
+    membership: signatures that agree up to a tag hold values of one type
+    after it, so any two compare.
     """
-    signature: list = [atom._relation]
-    for term in atom._terms:
-        if isinstance(term, Variable):
-            name = term._name
-            signature += (1, occurrences[name], name in head_names)
+    relation, terms = atom
+    signature: list = [relation]
+    for term in terms:
+        if term.__class__ is str:
+            signature += (0, term)
         else:
-            signature += (0, term._repr)
+            signature += (1, occurrences[term], term in head_variables)
     return tuple(signature)
 
 
@@ -347,17 +371,17 @@ def _group_permutations(groups: list[list[int]]):
         yield flat
 
 
-def _numbered_key(head: Atom, ordered_atoms: list[Atom]) -> tuple:
-    """The flat key of one arrangement: variables numbered by first
-    appearance over the head, then the atoms in the given order."""
-    numbering: dict[str, int] = {}
+def _numbered_key(head: tuple, ordered_atoms: list[tuple]) -> tuple:
+    """The flat key of one arrangement of spelled atoms: variables
+    numbered by first appearance over the head, then the atoms in the
+    given order."""
+    numbering: dict = {}
     key: list = []
-    for atom in (head, *ordered_atoms):
-        terms = atom._terms
-        key += (atom._relation, len(terms))
+    for relation, terms in (head, *ordered_atoms):
+        key += (relation, len(terms))
         for term in terms:
-            if isinstance(term, Variable):
-                key.append(numbering.setdefault(term._name, len(numbering)))
+            if term.__class__ is str:
+                key.append(term)
             else:
-                key.append(term._repr)
+                key.append(numbering.setdefault(term, len(numbering)))
     return tuple(key)

@@ -266,7 +266,7 @@ class TestCapCounters:
             layouts.append(args)
             return iter(())
 
-        monkeypatch.setattr(consistency, "_queries_from_matrix", record)
+        monkeypatch.setattr(consistency, "_add_recipes", record)
         monkeypatch.setattr(consistency, "MAX_ALIGNMENT_COMBOS", 1)
         with pytest.raises(OptimizationError, match="MAX_ALIGNMENT_COMBOS"):
             consistent_queries(example)

@@ -357,6 +357,98 @@ def _extensions(example, skeleton, matrix, size, drops):
         yield [*matrix, aligned]
 
 
+@st.composite
+def signature_instances(draw):
+    """A 2- or 3-row K-example over R(a, b) and S(x, y) with values in
+    {0, 1, 2} whose rows mix alignment signatures: each row takes one of
+    R·S, R·R·S and R·S·S, which share a relation set but not a multiset,
+    or R·R and S, which differ in the set too.  NX, or WHY with tuple
+    reuse 2; ``require_variable`` on or off."""
+    db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["x", "y"]}))
+    value = st.integers(min_value=0, max_value=2)
+    pool = {"R": [], "S": []}
+    for relation, names in pool.items():
+        for i in range(draw(st.integers(min_value=1, max_value=3))):
+            names.append(f"{relation.lower()}{i}")
+            db.insert(relation, (draw(value), draw(value)), names[-1])
+    rows = []
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        shape = draw(st.sampled_from(["RS", "RRS", "RSS", "RR", "S"]))
+        occurrences = [draw(st.sampled_from(pool[r])) for r in shape]
+        output = (db.resolve(occurrences[0]).values[0],)
+        rows.append(KExampleRow(output, occurrences))
+    semiring, reuse = draw(st.sampled_from(
+        [(SemiringName.NX, 1), (SemiringName.WHY, 2)]
+    ))
+    config = ConsistencyConfig(
+        semiring=semiring, max_tuple_reuse=reuse,
+        require_variable=draw(st.booleans()),
+    )
+    return KExample(rows, db.registry), config
+
+
+class TestKeysBeforeQueries:
+    """Generation keys each query from its class layout and builds only a
+    recipe: the keys must be the canonical keys of the queries the
+    reference builds, and each recipe must build the reference's
+    representative."""
+
+    @staticmethod
+    def _check(example, config, minimal_only):
+        reference = reference_queries(example, config, minimal_only)
+        try:
+            generated = consistent_queries(
+                example, config, minimal_only=minimal_only
+            )
+        except OptimizationError as error:
+            assert str(error) == reference
+            return
+        assert not isinstance(reference, str), reference
+        assert generated.recipes.keys() == reference.keys()
+        assert len(generated) == len(reference)
+        for key, recipe in generated.recipes.items():
+            query = recipe.build(key)
+            assert repr(query) == repr(reference[key])
+            assert CQ(query.head, query.body).canonical() == key
+
+    @settings(max_examples=150, deadline=None)
+    @given(signature_instances(), st.booleans())
+    def test_keys_and_recipes_match_the_reference(
+        self, instance, minimal_only
+    ):
+        self._check(*instance, minimal_only)
+
+    def test_a_multiset_signature_under_why_fails(self, monkeypatch):
+        """Without exponents, a row of R·S aligns with a first row of
+        R·R·S (both R slots onto its one R tuple).  A fold that compared
+        relation multisets would drop that row's queries."""
+        db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["x", "y"]}))
+        for name, relation, values in [
+            ("r0", "R", (1, 2)), ("r1", "R", (1, 5)), ("r2", "R", (4, 5)),
+            ("s0", "S", (2, 3)), ("s1", "S", (5, 3)),
+        ]:
+            db.insert(relation, values, name)
+        example = KExample(
+            [KExampleRow((1,), ["r0", "r1", "s0"]),
+             KExampleRow((4,), ["r2", "s1"])],
+            db.registry,
+        )
+        config = ConsistencyConfig(
+            semiring=SemiringName.WHY, max_tuple_reuse=2
+        )
+        for minimal_only in (False, True):
+            self._check(example, config, minimal_only)
+            assert consistent_queries(
+                example, config, minimal_only=minimal_only
+            )
+        monkeypatch.setattr(
+            consistency, "alignment_signature",
+            lambda relations, drops_exponents: tuple(sorted(relations)),
+        )
+        with pytest.raises(AssertionError):
+            self._check(example, config, minimal_only=True)
+
+
 class TestRefutations:
     """The head check keeps only the alignments whose positions can carry
     the outputs.  CIM generation also refutes a combination whose all-flip

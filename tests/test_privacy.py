@@ -34,6 +34,7 @@ from repro.provenance.kexample import KExample, KExampleRow
 from repro.query.containment import is_equivalent
 from repro.query.parser import parse_cq
 from repro.render import render_query
+from repro.semirings.base import SemiringName
 from repro.examples_data import Q_FALSE_1, Q_FALSE_2, Q_REAL
 
 
@@ -585,6 +586,124 @@ class TestRowByRowEquivalence:
             )
 
 
+@st.composite
+def mixed_signature_instances(draw):
+    """A 2- or 3-row K-example over R(a, b) and S(x, y) with values in
+    {0, 1, 2}, abstracted over a shuffled tree whose labels cover R and S
+    leaves alike, so a row's concretizations mix alignment signatures; a
+    row has one to three occurrences, so rows may share a relation set
+    with different multisets.  NX, or WHY with tuple reuse 2;
+    ``require_variable`` on or off."""
+    db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["x", "y"]}))
+    value = st.integers(min_value=0, max_value=2)
+    names = []
+    for relation in ("R", "S"):
+        for i in range(draw(st.integers(min_value=2, max_value=3))):
+            names.append(f"{relation.lower()}{i}")
+            db.insert(relation, (draw(value), draw(value)), names[-1])
+    rows = []
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        occurrences = draw(st.lists(
+            st.sampled_from(names), min_size=1, max_size=3
+        ))
+        output = (db.resolve(occurrences[0]).values[0],)
+        rows.append(KExampleRow(output, occurrences))
+    example = KExample(rows, db.registry)
+    tree = balanced_tree(
+        names, height=draw(st.integers(min_value=1, max_value=2)),
+        seed=draw(st.integers(min_value=0, max_value=999)),
+    )
+    targets = {
+        var: draw(st.sampled_from(tree.ancestors(var)))
+        for var in sorted(example.variables())
+    }
+    semiring, reuse = draw(st.sampled_from(
+        [(SemiringName.NX, 1), (SemiringName.WHY, 2)]
+    ))
+    config = ConsistencyConfig(
+        semiring=semiring, max_tuple_reuse=reuse,
+        require_variable=draw(st.booleans()),
+    )
+    return db, tree, _abstract(tree, example, targets), config
+
+
+def _partitioned_counts_match(db, tree, abstracted, config):
+    """Asserts that the row-by-row counts, whose prefixes extend only by
+    the concretizations of their first row's alignment signature, equal
+    the monolithic arm's over the full product; returns the prefixes the
+    partition pruned, or ``None`` when the monolithic arm aborts."""
+    monolithic = PrivacyComputer(tree, db.registry, PrivacyConfig(
+        row_by_row=False, consistency=config,
+    ))
+    try:
+        expected = monolithic._counts(
+            monolithic._product_queries(abstracted), 0
+        )
+    except OptimizationError:
+        return None
+    row_by_row = PrivacyComputer(
+        tree, db.registry, PrivacyConfig(consistency=config)
+    )
+    assert row_by_row._row_by_row_counts(abstracted.rows, 0) == expected
+    return row_by_row.stats.prefixes_pruned_unaligned
+
+
+class TestAlignmentPartition:
+    """Row by row, a prefix extends only with the concretizations that
+    share its first row's alignment signature: no other admits a query,
+    so the counts must be the monolithic arm's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_signature_instances())
+    def test_partitioned_counts_match_the_monolithic_arm(self, instance):
+        db, tree, abstracted, config = instance
+        if ConcretizationEngine(tree, db.registry).count(abstracted) > 400:
+            return  # keep the monolithic reference cheap
+        _partitioned_counts_match(db, tree, abstracted, config)
+
+    def test_a_multiset_partition_under_why_fails(self, monkeypatch):
+        """Without exponents a second row of R·S aligns with a first row
+        of R·R·S, and its R·R concretizations align with none.  The
+        partition by relation set prunes only the latter; one by multiset
+        would prune both and lose every query."""
+        db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["x", "y"]}))
+        for name, relation, values in [
+            ("r0", "R", (1, 2)), ("r1", "R", (1, 5)), ("r2", "R", (4, 5)),
+            ("s0", "S", (2, 3)), ("s1", "S", (5, 3)),
+        ]:
+            db.insert(relation, values, name)
+        example = KExample(
+            [KExampleRow((1,), ["r0", "r1", "s0"]),
+             KExampleRow((4,), ["r2", "s1"])],
+            db.registry,
+        )
+        tree = balanced_tree(sorted(db.annotations()), height=1, seed=0)
+        abstracted = _abstract(tree, example, {"s1": "*"})
+        config = ConsistencyConfig(
+            semiring=SemiringName.WHY, max_tuple_reuse=2
+        )
+        assert _partitioned_counts_match(db, tree, abstracted, config) == 2
+        assert PrivacyComputer(
+            tree, db.registry, PrivacyConfig(consistency=config)
+        ).privacy(abstracted) > 0
+
+        def by_multiset(self, good, options):
+            def relations(row):
+                return sorted(
+                    db.registry.resolve(ann).relation
+                    for ann in row.occurrences
+                )
+            return [prefix + (option,) for prefix in good
+                    for option in options
+                    if relations(option) == relations(prefix[0])]
+
+        monkeypatch.setattr(
+            PrivacyComputer, "_aligned_extensions", by_multiset
+        )
+        with pytest.raises(AssertionError):
+            _partitioned_counts_match(db, tree, abstracted, config)
+
+
 class TestPrivacySession:
     def test_private_session_by_default(self, paper_tree, paper_db):
         a = PrivacyComputer(paper_tree, paper_db.registry)
@@ -697,7 +816,9 @@ class TestPrivacySession:
             abstracted = _random_abstraction(example, tree, rng)
             connected = computer._connected_queries_full(abstracted)
             keys = computer._minimal_keys(frozenset(connected), [connected])
-            reference = _minimal_queries(frozenset(connected.values()))
+            reference = _minimal_queries(frozenset(
+                recipe.build(key) for key, recipe in connected.items()
+            ))
             assert keys == frozenset(q.canonical() for q in reference)
 
     @pytest.mark.parametrize("row_by_row", [True, False])

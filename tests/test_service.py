@@ -276,6 +276,7 @@ class TestSpecValidation:
         ("max_candidates", 12.9), ("max_candidates", 0),
         ("max_candidates", -5), ("max_candidates", True),
         ("max_candidates", None), ("max_seconds", 0), ("max_seconds", -1),
+        ("max_seconds", True), ("max_seconds", "5"),
     ])
     def test_budget_keys_must_be_positive(self, key, value):
         """A budget of zero or less would stop the search before its
@@ -489,7 +490,8 @@ class TestHTTPService:
             client.submit_many([{"query_name": "TPCH-Q3", "treshold": 2}])
         named = {"query_name": "TPCH-Q3", "threshold": 2}
         for key, value in (("threshold", 2.7), ("max_candidates", 0),
-                           ("n_leaves", 2.5), ("max_seconds", -1)):
+                           ("n_leaves", 2.5), ("max_seconds", -1),
+                           ("max_seconds", True), ("max_seconds", "5")):
             with pytest.raises(JobSpecError,
                                match=f"400 invalid_job_spec.*{key!r}"):
                 client.submit_many([named, {**named, key: value}])
