@@ -42,6 +42,7 @@ from functools import lru_cache
 from typing import Any, Callable, Optional, Union
 
 from repro.core.optimizer import OptimizerConfig, OptimizerStats
+from repro.datasets.queries import all_queries
 from repro.errors import JobSpecError
 from repro.obs import metrics
 from repro.store.hashing import KNOWN_MODES, canonical_json, hash_parts
@@ -533,7 +534,9 @@ def job_from_spec(
         )
     threshold = _as_int(spec["threshold"], "threshold")
     config = _config_from_spec(spec, base_config)
-    tag = str(spec.get("tag", ""))
+    tag = spec.get("tag", "")
+    if not isinstance(tag, str):
+        raise JobSpecError(f"'tag' must be a string, got {tag!r}")
     n_rows = _as_positive_int(spec.get("n_rows", default_rows), "n_rows")
 
     if inline:
@@ -566,8 +569,15 @@ def job_from_spec(
 
     if "query_name" not in spec:
         raise JobSpecError("job spec needs 'query_name' and 'threshold'")
+    query_name = spec["query_name"]
+    queries = all_queries()
+    if not isinstance(query_name, str) or query_name not in queries:
+        raise JobSpecError(
+            f"'query_name' must name a workload query "
+            f"({', '.join(sorted(queries))}), got {query_name!r}"
+        )
     return BatchJob(
-        query_name=str(spec["query_name"]),
+        query_name=query_name,
         threshold=threshold,
         n_rows=n_rows,
         n_leaves=_as_positive_int(spec.get("n_leaves"), "n_leaves"),

@@ -16,21 +16,20 @@ executes.  Jobs for the same workload therefore pay the data
 generation cost once, as the sequential sweep harness always did.
 
 Stacked on the context cache is a :class:`~repro.core.privacy.PrivacySession`
-cache with the same key (plus the cache-relevant privacy switches): every
-cached entry of Algorithm 1 — row-option sets, prefix queries, and
-connectivity verdicts — is threshold-independent, so the jobs of a
-threshold sweep over one context share a single warmed session instead of
-recomputing the same concretization work per threshold.  The sessions
-over one database's registry and one consistency config, whatever their
-tree, share one :class:`~repro.core.privacy.QueryFacts` holder, so a job
-over a new tree of a database skips the query generation and containment
-work other trees already paid for.  Results are bit-identical with or
-without the sharing.
+cache with the same key plus the job's privacy config: every cached entry
+of Algorithm 1 — row-option sets, prefix queries, and value indexes — is
+threshold-independent, so the jobs of a threshold sweep over one context
+share a single warmed session instead of recomputing the same
+concretization work per threshold.  The sessions over one database's
+registry and one consistency config, whatever their tree, share one
+:class:`~repro.core.privacy.QueryFacts` holder, so a job over a new tree
+of a database skips the query generation and containment work other
+trees already paid for.  Results are bit-identical with or without the
+sharing.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import threading
 from dataclasses import dataclass, field
@@ -211,9 +210,8 @@ def _cached_session(
     """Process-local privacy-session cache stacked on ``_cached_context``.
 
     Algorithm 1's caches are threshold-independent, so one session serves
-    every job over the same context — the whole point of the cross-job
-    reuse.  The privacy config is canonicalized by the caller so jobs
-    differing only in cache-*consultation* switches still share.
+    every job over the same context and privacy config — the whole point
+    of the cross-job reuse.
     """
     context = _cached_context(context_key, settings, engine)
     registry = context.example.registry
@@ -221,18 +219,6 @@ def _cached_session(
         context.tree, registry, privacy,
         facts=_query_facts(registry, privacy.consistency),
     )
-
-
-def _session_for(
-    context_key: "tuple | InlineContext",
-    privacy: PrivacyConfig,
-    settings: ExperimentSettings,
-    engine: str = "naive",
-) -> PrivacySession:
-    # Only the session_key() fields affect cache contents; pin the rest so
-    # jobs differing in row_by_row / cache_queries land on one session.
-    canonical = dataclasses.replace(privacy, row_by_row=True, cache_queries=True)
-    return _cached_session(context_key, canonical, settings, engine)
 
 
 def clear_worker_caches() -> None:
@@ -276,7 +262,7 @@ def run_job(
                         job.context_key(), settings, config.engine
                     )
                 with spans.span("session_build"):
-                    session = _session_for(
+                    session = _cached_session(
                         job.context_key(), config.privacy, settings,
                         config.engine,
                     )

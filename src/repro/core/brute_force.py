@@ -30,7 +30,6 @@ def brute_force_config(max_candidates: "int | None" = None) -> OptimizerConfig:
             row_by_row=False,
             connectivity_filter=False,
             cache_queries=False,
-            cache_connectivity=False,
         ),
     )
 

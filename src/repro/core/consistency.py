@@ -42,16 +42,16 @@ from-scratch product would generate first.
   Full generation also yields the flip variants of disconnected layouts,
   so it runs the head check alone.
 
-Before any of that, a later row must share the first row's *alignment
+A later row aligns only if it shares the first row's *alignment
 signature* (:func:`alignment_signature`): its relation names as a
 multiset or, when the semiring drops exponents, as a set.  Every
 skeleton holds the first row's relation names (each as often as the row
 does, or at least once under tuple reuse), and an alignment maps slots
 onto a row's tuples relation by relation, bijectively or, without
-exponents, surjectively.  So a row of another signature aligns with no
-skeleton, and the prefix admits no query.  Algorithm 1 partitions each
-row's concretizations by the same signature and never forms such a
-prefix.
+exponents, surjectively.  So a row of another signature counts no
+alignment with any skeleton, and the prefix admits no query.  Algorithm
+1 partitions each row's concretizations by the same signature and never
+forms such a prefix.
 
 Both refutations are monotone in the rows.  A later row only splits
 classes: it adds a coordinate to every value vector, so positions with
@@ -61,8 +61,8 @@ for a prefix stays refuted for every extension.  A survivor carries its
 head candidates and groups, so an extension refines them instead of
 recomputing them, and the :class:`PrefixFold` of a prefix's call lets a
 call for a longer prefix start where it stopped.  A skeleton's first-row
-state is built only once a later row aligns with it, and calls on
-prefixes that share a first row may share it (:func:`first_row_fold`).
+state is built only once a later row aligns with it, and calls that
+share a :class:`ConcreteRows` share each first row's fold.
 
 Keys before queries
 -------------------
@@ -131,6 +131,9 @@ _VALUES = attrgetter("values")
 #: no content hash, so changing it needs a ``HASH_VERSION`` bump.
 MAX_ALIGNMENT_COMBOS = 20_000
 
+#: The head relation of every generated query.
+_HEAD = "Q"
+
 
 @dataclass(frozen=True)
 class ConsistencyConfig:
@@ -142,7 +145,6 @@ class ConsistencyConfig:
     when the semiring hides exponents (Table 4, red cells).
     """
 
-    head_name: str = "Q"
     semiring: SemiringName = SemiringName.NX
     require_variable: bool = False
     max_tuple_reuse: int = 1
@@ -239,44 +241,46 @@ class PrefixFold:
     skeleton whose rows all have alignments: ``combos`` is its product of
     per-row alignment counts, and a survivor is ``(later rows' flattened
     values, head candidates per output column, cross-atom groups)``, each
-    group an atom mask with its positions.  A :func:`first_row_fold`
-    holds every skeleton, with ``survivors`` ``None``: the skeleton's
-    seed.  A fold does not change once built, apart from fields its
-    skeletons compute on first use, which any thread computes alike, so
-    threads may share it.
+    group an atom mask with its positions.  A first row's fold
+    (:meth:`ConcreteRows.fold`) holds every skeleton, with ``survivors``
+    ``None``: the skeleton's seed.  A fold does not change once built,
+    apart from fields its skeletons compute on first use, which any
+    thread computes alike, so threads may share it.
     """
 
-    __slots__ = ("rows", "config", "minimal_only", "drops_exponents",
-                 "skeletons")
+    __slots__ = ("rows", "config", "minimal_only", "skeletons")
 
     def __init__(
         self,
         rows: tuple[KExampleRow, ...],
         config: ConsistencyConfig,
         minimal_only: bool,
-        drops_exponents: bool,
         skeletons: list,
     ):
         self.rows = rows
         self.config = config
         self.minimal_only = minimal_only
-        self.drops_exponents = drops_exponents
         self.skeletons = skeletons
 
 
 class RowFacts:
     """What generation reads of one concrete row, resolved once: its
-    tuples per relation (``groups``), its :func:`alignment_signature`,
-    and its flattened alignments per skeleton shape."""
+    ``tuples``, grouped per relation (``groups``), its
+    :func:`alignment_signature`, its flattened alignments per skeleton
+    shape, and its fold as a first row per ``minimal_only``
+    (``folds``, filled by :meth:`ConcreteRows.fold`)."""
 
-    __slots__ = ("groups", "signature", "drops_exponents", "_alignments")
+    __slots__ = ("tuples", "groups", "signature", "drops_exponents",
+                 "folds", "_alignments")
 
     def __init__(self, tuples: tuple[Tuple, ...], drops_exponents: bool):
+        self.tuples = tuples
         self.groups = _by_relation(tuples)
         self.signature = alignment_signature(
             map(_RELATION, tuples), drops_exponents
         )
         self.drops_exponents = drops_exponents
+        self.folds: list[PrefixFold | None] = [None, None]
         self._alignments: dict[tuple[str, ...], list[tuple]] = {}
 
     def alignments(self, skeleton: _Skeleton) -> list[tuple]:
@@ -296,17 +300,21 @@ class RowFacts:
 
 class ConcreteRows(dict):
     """Each concrete row's :class:`RowFacts` under one registry and
-    semiring kind, computed on first lookup.
+    consistency config, computed on first lookup.
 
     Calls of :func:`consistent_queries` that share one (their
-    ``concrete_rows``) resolve, group and align each row once.  Every
-    entry holds what recomputation yields, so threads may share it.
+    ``concrete_rows``) resolve, group and align each row once, and start
+    from each first row's one fold.  Every entry holds what
+    recomputation yields, so threads may share it.
     """
 
-    def __init__(self, registry: AnnotationRegistry, drops_exponents: bool):
+    def __init__(
+        self, registry: AnnotationRegistry, config: ConsistencyConfig
+    ):
         super().__init__()
         self.registry = registry
-        self.drops_exponents = drops_exponents
+        self.config = config
+        self.drops_exponents = config.semiring_ops().drops_exponents()
 
     def __missing__(self, row: KExampleRow) -> RowFacts:
         facts = self[row] = RowFacts(
@@ -315,17 +323,35 @@ class ConcreteRows(dict):
         )
         return facts
 
+    def fold(self, row: KExampleRow, minimal_only: bool) -> PrefixFold:
+        """The fold of ``row`` as a first row: every skeleton, unseeded.
+
+        It generates no query and checks no budget; a call that starts
+        from it does both, and seeds a skeleton only when a later row
+        aligns with it.  It is built once per ``minimal_only``.
+        """
+        facts = self[row]
+        fold = facts.folds[minimal_only]
+        if fold is None:
+            fold = facts.folds[minimal_only] = PrefixFold(
+                (row,), self.config, minimal_only,
+                [(_Skeleton(tuples, row.output, minimal_only), 1, None)
+                 for tuples in _skeletons(
+                     facts.tuples, self.config, self.drops_exponents
+                 )],
+            )
+        return fold
+
 
 class _Layout:
     """One surviving alignment's class layout: each atom's relation and
     class per column, each head column's class or constant, and each
     constant class with its value."""
 
-    __slots__ = ("head_name", "atoms", "head", "constants", "count")
+    __slots__ = ("atoms", "head", "constants", "count")
 
-    def __init__(self, head_name: str, atoms: list, head: list,
+    def __init__(self, atoms: list, head: list,
                  constants: list[tuple[int, object]], count: int):
-        self.head_name = head_name
         self.atoms = atoms
         self.head = head
         self.constants = constants
@@ -352,7 +378,7 @@ class QueryRecipe:
             if idx not in flips:
                 terms[idx] = Constant(value)
         return CQ(
-            Atom(layout.head_name, [
+            Atom(_HEAD, [
                 terms[spec] if spec.__class__ is int else spec
                 for spec in layout.head
             ]),
@@ -430,8 +456,8 @@ def consistent_queries(
     example's rows under the same config and ``minimal_only``, continues
     that fold from the prefix's last row instead of the first; the
     queries are the same.  ``concrete_rows``, a :class:`ConcreteRows`
-    over the example's registry and the config's semiring kind, lends
-    each row's resolved facts across calls.
+    over the example's registry and the same config, lends each row's
+    resolved facts and first-row folds across calls.
     """
     config = config or ConsistencyConfig()
     fold = _fold(example, config, minimal_only, start, concrete_rows)
@@ -452,20 +478,10 @@ def first_row_fold(
     *,
     minimal_only: bool = False,
 ) -> PrefixFold:
-    """The fold of ``example``'s first row: every skeleton, unseeded.
-
-    It generates no query and checks no budget; a call that starts from
-    it does both, and seeds a skeleton only when a later row aligns with
-    it.  Calls on prefixes that share the first row may share it.
-    """
-    config = config or ConsistencyConfig()
-    drops_exponents = config.semiring_ops().drops_exponents()
-    output = example.rows[0].output
-    return PrefixFold(
-        example.rows[:1], config, minimal_only, drops_exponents,
-        [(_Skeleton(tuples, output, minimal_only), 1, None)
-         for tuples in _skeletons(example, config, drops_exponents)],
-    )
+    """The fold of ``example``'s first row (see :meth:`ConcreteRows.fold`)."""
+    return ConcreteRows(
+        example.registry, config or ConsistencyConfig()
+    ).fold(example.rows[0], minimal_only)
 
 
 def _fold(
@@ -481,32 +497,25 @@ def _fold(
     any alignment is enumerated, and a skeleton with a row that has no
     alignment is dropped.
     """
-    if start is None:
-        start = first_row_fold(example, config, minimal_only=minimal_only)
+    concrete = concrete_rows
+    if concrete is None:
+        concrete = ConcreteRows(example.registry, config)
+    elif (concrete.registry is not example.registry
+          or concrete.config is not config and concrete.config != config):
+        raise ValueError("concrete_rows resolve another registry or config")
     rows = example.rows
+    if start is None:
+        start = concrete.fold(rows[0], minimal_only)
     done = len(start.rows)
     if (rows[:done] != start.rows
             or start.config is not config and start.config != config
             or start.minimal_only != minimal_only):
         raise ValueError("start folds other rows, config or minimal_only")
-    drops_exponents = start.drops_exponents
-    concrete = concrete_rows
-    if concrete is None:
-        concrete = ConcreteRows(example.registry, drops_exponents)
-    elif (concrete.registry is not example.registry
-          or concrete.drops_exponents != drops_exponents):
-        raise ValueError("concrete_rows resolve another registry or "
-                         "semiring kind")
+    drops_exponents = concrete.drops_exponents
     later = [concrete[row] for row in rows[done:]]
-    entries = start.skeletons
-    if entries and later:
-        # No skeleton aligns with a row of another signature.
-        signature = concrete[rows[0]].signature
-        if any(facts.signature != signature for facts in later):
-            entries = []
 
     counted = []
-    for skeleton, combos, survivors in entries:
+    for skeleton, combos, survivors in start.skeletons:
         for facts in later:
             if not combos:
                 break
@@ -522,7 +531,7 @@ def _fold(
         if combos:
             counted.append((skeleton, combos, survivors))
     if not counted:
-        return PrefixFold(rows, config, minimal_only, drops_exponents, [])
+        return PrefixFold(rows, config, minimal_only, [])
 
     # Per later row, the output columns whose values differ so far.
     varying = [
@@ -543,7 +552,7 @@ def _fold(
                 rows[done + index].output, varying[index], minimal_only,
             )
         skeletons.append((skeleton, combos, survivors))
-    return PrefixFold(rows, config, minimal_only, drops_exponents, skeletons)
+    return PrefixFold(rows, config, minimal_only, skeletons)
 
 
 def _extend(
@@ -642,17 +651,17 @@ def _connected(groups: list, full: int) -> bool:
 
 
 def _skeletons(
-    example: KExample,
+    base: tuple[Tuple, ...],
     config: ConsistencyConfig,
     drops_exponents: bool,
 ) -> Iterator[tuple[Tuple, ...]]:
-    """Candidate skeleton slot lists derived from the first row.
+    """Candidate skeleton slot lists derived from the first row's tuples,
+    ``base``.
 
     Without exponent information the query may use a tuple more times than
     the (set-valued) provenance shows, so slots may be duplicated up to
     ``max_tuple_reuse`` times each.
     """
-    base = tuple(example.tuple_of(ann) for ann in example.rows[0].occurrences)
     yield base
     if not drops_exponents or config.max_tuple_reuse <= 1:
         return
@@ -860,7 +869,7 @@ def _add_recipes(
         for idx in flips:
             terms[idx] = idx
         key = canonical_key(
-            (config.head_name, [
+            (_HEAD, [
                 terms[spec] if spec.__class__ is int else spec
                 for spec in head_spelled
             ]),
@@ -869,9 +878,7 @@ def _add_recipes(
         )
         if key not in recipes:
             if layout is None:
-                layout = _Layout(
-                    config.head_name, atoms, head, constants, len(class_of)
-                )
+                layout = _Layout(atoms, head, constants, len(class_of))
             recipes[key] = QueryRecipe(layout, flips)
 
 
@@ -901,9 +908,7 @@ def _minimal_flip_sets(
                 yield flips
 
 
-def trivial_union_query(
-    example: KExample, head_name: str = "Q"
-) -> "object":
+def trivial_union_query(example: KExample) -> "object":
     """The trivial UCQ the paper rules out (Section 3.3).
 
     One fully-ground CQ per row: the union of the rows' own tuples.  It is
@@ -920,6 +925,6 @@ def trivial_union_query(
         for ann in row.occurrences:
             tup = example.tuple_of(ann)
             atoms.append(Atom(tup.relation, [Constant(v) for v in tup.values]))
-        head = Atom(head_name, [Constant(v) for v in row.output])
+        head = Atom(_HEAD, [Constant(v) for v in row.output])
         disjuncts.append(CQ(head, atoms))
     return UCQ(disjuncts)

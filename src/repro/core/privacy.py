@@ -2,36 +2,39 @@
 
 The privacy of ``Ex~`` is the number of distinct CIM queries — consistent,
 connected, inclusion-minimal — across all concretizations (Definition
-3.12).  :class:`PrivacyComputer` implements Algorithm 1 with its four
-optimizations, each independently switchable for the Figure 19 ablation:
+3.12).  :class:`PrivacyComputer` implements Algorithm 1 with its three
+optimizations, each one switch of :class:`PrivacyConfig` for the Figure
+19 ablation:
 
 * row-by-row computation with ``GoodConc`` propagation, refined so a
   prefix extends only with the concretizations of a later row that share
   its first row's alignment signature (no other can admit a query),
 * the connectivity filter: each row enumerates only its connected
   concretizations,
-* caching consistent queries per concretization prefix, and with a
+* caching: consistent queries per concretization prefix, and with a
   prefix that a compute extends, the alignment combinations its
   extensions start from (generation folds the rows; see
-  :mod:`repro.core.consistency`),
-* caching the per-label value indexes that connected enumeration reads.
+  :mod:`repro.core.consistency`); each abstracted example's counts; and
+  the per-label value indexes that connected enumeration reads.
 
 All of Algorithm 1's caches are *threshold-independent*: a row's
 concretization options, a prefix's connected consistent queries, and a
 label's value index depend only on the (tree, registry) pair and
-the consistency knobs — never on the privacy threshold ``k`` or on which
+the privacy config — never on the privacy threshold ``k`` or on which
 candidate abstraction is being evaluated.  :class:`PrivacySession` holds
 them in one shareable object so every ``compute()`` call over the same
-context reuses them: across the candidates of one search (candidates
-popped from the frontier differ in one variable level, so untouched rows'
-option sets are reusable verbatim), and across the searches of a
-threshold sweep or batch job group.  The two counts Algorithm 1 compares
-with ``k`` are threshold-independent too, so the session keeps them per
-abstracted example: a later compute of the same example answers any
-threshold they decide without walking its concretizations again.  The
-caches that do not depend on the tree — a concrete prefix's queries,
+context and config reuses them: across the candidates of one search
+(candidates popped from the frontier differ in one variable level, so
+untouched rows' option sets are reusable verbatim), and across the
+searches of a threshold sweep or batch job group.  The two counts
+Algorithm 1 compares with ``k`` are threshold-independent too, so the
+session keeps them per abstracted example: a later compute of the same
+example answers any threshold they decide without walking its
+concretizations again.  The caches that do not depend on the tree — a
+concrete prefix's queries, each concrete row's facts and first-row fold,
 containment verdicts and minimal sets — live in a :class:`QueryFacts`
 holder that sessions over other trees of the same database may share.
+A computer keeps no cache of its own.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from repro.core.consistency import (
     PrefixFold,
     QueryRecipe,
     consistent_queries,
-    first_row_fold,
 )
 from repro.db.database import AnnotationRegistry
 from repro.obs import spans
@@ -80,27 +82,8 @@ class PrivacyConfig:
     row_by_row: bool = True
     connectivity_filter: bool = True
     cache_queries: bool = True
-    cache_connectivity: bool = True
     consistency: ConsistencyConfig = field(default_factory=ConsistencyConfig)
     max_concretizations: int = 200_000
-
-    def session_key(self) -> tuple:
-        """The config fields a :class:`PrivacySession`'s caches depend on.
-
-        Computers may share a session iff these match: the consistency
-        knobs shape the prefix-query cache's contents, the connectivity
-        filter shapes the row-option sets, the connectivity-cache switch
-        shapes the shared engine, and the concretization budget decides
-        where row enumeration aborts.  ``row_by_row`` and ``cache_queries``
-        are deliberately absent — they change which caches are *consulted*,
-        never what a cached entry means.
-        """
-        return (
-            self.consistency,
-            self.connectivity_filter,
-            self.cache_connectivity,
-            self.max_concretizations,
-        )
 
 
 @dataclass
@@ -133,6 +116,18 @@ class PrivacyStats:
     prefixes_pruned_unaligned: int = 0
 
 
+class RowOptions(list[KExampleRow]):
+    """One abstract row's concretization options, in product order, and
+    once the row-by-row scan extends prefixes with them, their partition
+    by alignment signature (``by_signature``, signature -> options)."""
+
+    __slots__ = ("by_signature",)
+
+    def __init__(self, options: Iterable[KExampleRow]):
+        super().__init__(options)
+        self.by_signature: dict[object, list[KExampleRow]] | None = None
+
+
 class QueryFacts:
     """Algorithm 1's caches over one (registry, consistency config) pair.
 
@@ -152,7 +147,8 @@ class QueryFacts:
       one-row extensions start from where a compute extends the prefix
       (else ``None``),
     * ``concrete_rows`` — each concrete row's resolved tuples grouped by
-      relation, its alignment signature and its flattened alignments
+      relation, its alignment signature, its flattened alignments and
+      its fold as a first row
       (:class:`~repro.core.consistency.ConcreteRows`), which generation
       and the row-by-row partition read,
     * ``containment_cache`` — pairwise strict-containment verdicts (each
@@ -177,26 +173,26 @@ class QueryFacts:
             tuple[KExampleRow, ...],
             tuple[dict[tuple, QueryRecipe], PrefixFold | None],
         ] = {}
-        self.concrete_rows = ConcreteRows(
-            registry, consistency.semiring_ops().drops_exponents()
-        )
+        self.concrete_rows = ConcreteRows(registry, consistency)
         self.containment_cache: dict[tuple, bool] = {}
         self.minimal_set_cache: dict[frozenset, frozenset] = {}
 
 
 class PrivacySession:
-    """Shareable caches for Algorithm 1 over one (tree, registry) context.
+    """Shareable caches for Algorithm 1 over one (tree, registry, config).
 
     One session may back any number of :class:`PrivacyComputer` instances
-    — sequentially or interleaved — as long as they agree on the
-    cache-relevant config fields (:meth:`PrivacyConfig.session_key`).  It
-    holds the caches that depend on the tree:
+    — sequentially or interleaved — over its tree, registry and
+    :class:`PrivacyConfig`.  It holds the caches that depend on the tree:
 
     * ``row_option_cache`` — each row's concretization options (only the
       connected ones under the connectivity filter), keyed by the row,
-    * ``engine`` — the :class:`ConcretizationEngine` with its memoized
-      per-label value indexes (each choice's value set and, per value, a
-      bitmask of the choices holding it),
+      with their partition by alignment signature once the row-by-row
+      scan extends prefixes with them,
+    * ``engine`` — the :class:`ConcretizationEngine` with, under
+      ``cache_queries``, its memoized per-label value indexes (each
+      choice's value set and, per value, a bitmask of the choices
+      holding it),
     * ``privacy_cache`` — an abstracted example's connected-query count
       and, once computed, its CIM count (else ``None``), keyed by its
       rows.  It is per tree, as the rows name the tree's labels.  Only
@@ -233,11 +229,11 @@ class PrivacySession:
             )
         self._tree = tree
         self._registry = registry
-        self._key = config.session_key()
+        self._config = config
         self.engine = ConcretizationEngine(
-            tree, registry, use_connectivity_cache=config.cache_connectivity
+            tree, registry, use_connectivity_cache=config.cache_queries
         )
-        self.row_option_cache: dict[KExampleRow, list[KExampleRow]] = {}
+        self.row_option_cache: dict[KExampleRow, RowOptions] = {}
         self.privacy_cache: dict[
             tuple[KExampleRow, ...], tuple[int, int | None]
         ] = {}
@@ -263,7 +259,7 @@ class PrivacySession:
         return (
             tree is self._tree
             and registry is self._registry
-            and config.session_key() == self._key
+            and config == self._config
         )
 
     def cache_sizes(self) -> dict[str, int]:
@@ -305,7 +301,7 @@ class PrivacyComputer:
         elif not session.compatible_with(tree, registry, self._config):
             raise OptimizationError(
                 "privacy session is incompatible with this computer "
-                "(different tree, registry, or cache-relevant config)"
+                "(different tree, registry, or privacy config)"
             )
         self._session = session
         session.computers_attached += 1
@@ -320,9 +316,6 @@ class PrivacyComputer:
         self._containment_cache = facts.containment_cache
         self._minimal_set_cache = facts.minimal_set_cache
         self.stats = PrivacyStats()
-        # Each first row's fold, which a prefix without its parent's starts
-        # from; kept per computer, since it depends on the row alone.
-        self._first_folds: dict[KExampleRow, PrefixFold] = {}
         # Algorithm 1's phases, bound once per computer: untraced they are
         # the bound methods themselves; traced, each accumulates into one
         # aggregate record.
@@ -408,18 +401,18 @@ class PrivacyComputer:
                 # split a class, or kill a query that dominated others),
                 # so both gates fire only on the complete example.
                 return self._counts(self._prefix_queries(prefixes), threshold)
-            # GoodConc: the distinct concrete prefixes that admit a
-            # consistent connected query, in product order.  The first
-            # row's options all pass unchecked.
-            good = prefixes if index == 0 else list(dict.fromkeys(
+            # GoodConc: the concrete prefixes that admit a consistent
+            # connected query, in product order.  The first row's options
+            # all pass unchecked.
+            good = prefixes if index == 0 else [
                 prefix for prefix, queries
                 in zip(prefixes, self._prefix_queries(prefixes, keep=True))
                 if queries
-            ))
+            ]
         raise AssertionError("unreachable")
 
     def _aligned_extensions(
-        self, good: list[tuple[KExampleRow, ...]], options: list[KExampleRow]
+        self, good: list[tuple[KExampleRow, ...]], options: RowOptions
     ) -> list[tuple[KExampleRow, ...]]:
         """Each prefix extended by the options that share its first row's
         alignment signature, in product order.  Generation finds no query
@@ -430,11 +423,16 @@ class PrivacyComputer:
             # registry, which an empty product never meets.
             return []
         concrete = self._concrete_rows
-        by_signature: dict = {}
-        for option in options:
-            by_signature.setdefault(
-                concrete[option].signature, []
-            ).append(option)
+        by_signature = options.by_signature
+        if by_signature is None:
+            by_signature = {}
+            for option in options:
+                by_signature.setdefault(
+                    concrete[option].signature, []
+                ).append(option)
+            # Published whole: a thread sharing the session reads either
+            # no partition or all of it.
+            options.by_signature = by_signature
         prefixes = [
             prefix + (option,) for prefix in good
             for option in by_signature.get(concrete[prefix[0]].signature, ())
@@ -467,7 +465,7 @@ class PrivacyComputer:
                 "abstraction or raise max_concretizations"
             )
 
-    def _row_options(self, row: KExampleRow) -> list[KExampleRow]:
+    def _row_options(self, row: KExampleRow) -> RowOptions:
         cached = self._row_option_cache.get(row)
         if cached is not None:
             self.stats.row_option_cache_hits += 1
@@ -482,8 +480,10 @@ class PrivacyComputer:
         self.stats.concretizations_pruned_disconnected += total - len(options)
         # Occurrences that share leaves yield equal rows (a row sorts its
         # occurrences): keep the first of each, in product order.
-        options = self._row_option_cache[row] = list(dict.fromkeys(options))
-        return options
+        cached = self._row_option_cache[row] = RowOptions(
+            dict.fromkeys(options)
+        )
+        return cached
 
     def _prefix_queries(
         self, prefixes: Iterable[tuple[KExampleRow, ...]], keep: bool = False
@@ -518,22 +518,15 @@ class PrivacyComputer:
         keep: bool,
     ) -> tuple[dict[tuple, QueryRecipe], PrefixFold | None]:
         """A prefix's queries, generated from ``start`` or, without one,
-        from its first row's fold, which the computer builds once per row;
-        with the prefix's fold if ``keep`` and there are queries."""
+        from its first row's fold in the holder's concrete rows; with the
+        prefix's fold if ``keep`` and there are queries."""
         self.stats.consistency_calls += 1
         # Generation resolves every occurrence through the registry, so
         # the example's own check would only repeat it.
         example = KExample._unchecked(prefix, self._registry)
-        consistency = self._config.consistency
-        if start is None and len(prefix) > 1:
-            start = self._first_folds.get(prefix[0])
-            if start is None:
-                start = self._first_folds[prefix[0]] = first_row_fold(
-                    example, consistency, minimal_only=True
-                )
         queries = consistent_queries(
-            example, consistency, minimal_only=True, start=start,
-            concrete_rows=self._concrete_rows,
+            example, self._config.consistency, minimal_only=True,
+            start=start, concrete_rows=self._concrete_rows,
         )
         recipes = queries.recipes
         return recipes, queries.fold if keep and recipes else None

@@ -307,36 +307,31 @@ ABLATION_COMPONENTS: dict[str, OptimizerConfig] = {
     "sorting": OptimizerConfig(
         sort_abstractions=True, loi_first=True,
         privacy=PrivacyConfig(
-            row_by_row=False, connectivity_filter=False,
-            cache_queries=False, cache_connectivity=False,
+            row_by_row=False, connectivity_filter=False, cache_queries=False,
         ),
     ),
     "loi-first": OptimizerConfig(
         sort_abstractions=False, loi_first=True,
         privacy=PrivacyConfig(
-            row_by_row=False, connectivity_filter=False,
-            cache_queries=False, cache_connectivity=False,
+            row_by_row=False, connectivity_filter=False, cache_queries=False,
         ),
     ),
     "row-by-row": OptimizerConfig(
         sort_abstractions=False, loi_first=False,
         privacy=PrivacyConfig(
-            row_by_row=True, connectivity_filter=False,
-            cache_queries=False, cache_connectivity=False,
+            row_by_row=True, connectivity_filter=False, cache_queries=False,
         ),
     ),
     "connectivity": OptimizerConfig(
         sort_abstractions=False, loi_first=False,
         privacy=PrivacyConfig(
-            row_by_row=False, connectivity_filter=True,
-            cache_queries=False, cache_connectivity=False,
+            row_by_row=False, connectivity_filter=True, cache_queries=False,
         ),
     ),
     "caching": OptimizerConfig(
         sort_abstractions=False, loi_first=False,
         privacy=PrivacyConfig(
-            row_by_row=False, connectivity_filter=False,
-            cache_queries=True, cache_connectivity=True,
+            row_by_row=False, connectivity_filter=False, cache_queries=True,
         ),
     ),
 }

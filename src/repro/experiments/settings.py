@@ -46,8 +46,6 @@ class ExperimentSettings:
         "TPCH-Q3", "TPCH-Q4", "TPCH-Q7", "TPCH-Q10", "TPCH-Q21",
         "IMDB-Q1", "IMDB-Q2", "IMDB-Q5", "IMDB-Q6", "IMDB-Q7",
     )
-    # A fast subset for benchmark runs (full set via the module mains).
-    bench_queries: tuple[str, ...] = ("TPCH-Q3", "TPCH-Q10", "IMDB-Q1")
     join_sweep_queries: tuple[str, ...] = (
         "TPCH-Q5", "TPCH-Q7", "TPCH-Q9", "TPCH-Q21",
         "IMDB-Q2", "IMDB-Q4", "IMDB-Q7",

@@ -44,7 +44,7 @@ from typing import Optional
 
 #: Bumped whenever the hash inputs or payload layout change shape, so a
 #: store written by an older code version can never serve a stale result.
-HASH_VERSION = "repro-job-v4"
+HASH_VERSION = "repro-job-v5"
 
 #: The search modes the job layer understands.  The ``mode`` slot is
 #: reserved for the dual search ("max privacy under an LOI cap"); until a

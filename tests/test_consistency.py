@@ -38,12 +38,6 @@ class TestRunningExample:
         queries = consistent_queries(example)
         assert any(is_equivalent(q, Q_FALSE_1) for q in queries)
 
-    def test_head_name_config(self, paper_example):
-        queries = consistent_queries(
-            paper_example, ConsistencyConfig(head_name="T")
-        )
-        assert all(q.head.relation == "T" for q in queries)
-
 
 class TestAlignments:
     @pytest.fixture

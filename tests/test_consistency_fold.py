@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import consistency
 from repro.core.consistency import (
+    ConcreteRows,
     ConsistencyConfig,
     consistent_queries,
     first_row_fold,
@@ -175,7 +176,7 @@ def _reference_layout_queries(example, matrix, config, minimal_only):
         for index in flips:
             terms[index] = variables[index]
         yield CQ(
-            Atom(config.head_name, [
+            Atom("Q", [
                 terms[h] if isinstance(h, int) else h for h in heads
             ]),
             [Atom(relation, [terms[c] for c in columns])
@@ -420,8 +421,12 @@ class TestKeysBeforeQueries:
 
     def test_a_multiset_signature_under_why_fails(self, monkeypatch):
         """Without exponents, a row of R·S aligns with a first row of
-        R·R·S (both R slots onto its one R tuple).  A fold that compared
-        relation multisets would drop that row's queries."""
+        R·R·S (both R slots onto its one R tuple): the two rows share
+        their signature as relation sets, not as multisets.  The fold
+        reads no signature; it drops a row only where its alignment count
+        is zero, and a count that compared relation multisets would drop
+        this row's queries.  ``TestAlignmentPartition`` in
+        ``test_privacy.py`` checks the same case for the partition."""
         db = KDatabase(Schema.from_dict({"R": ["a", "b"], "S": ["x", "y"]}))
         for name, relation, values in [
             ("r0", "R", (1, 2)), ("r1", "R", (1, 5)), ("r2", "R", (4, 5)),
@@ -436,15 +441,27 @@ class TestKeysBeforeQueries:
         config = ConsistencyConfig(
             semiring=SemiringName.WHY, max_tuple_reuse=2
         )
+        first, second = (
+            [db.resolve(ann).relation for ann in row.occurrences]
+            for row in example.rows
+        )
+        signature = consistency.alignment_signature
+        assert signature(first, True) == signature(second, True)
+        assert signature(first, False) != signature(second, False)
         for minimal_only in (False, True):
             self._check(example, config, minimal_only)
             assert consistent_queries(
                 example, config, minimal_only=minimal_only
             )
-        monkeypatch.setattr(
-            consistency, "alignment_signature",
-            lambda relations, drops_exponents: tuple(sorted(relations)),
-        )
+        count = consistency._alignment_count
+
+        def by_multiset(slots, row, drops_exponents):
+            if any(len(row.get(relation, ())) != len(indexes)
+                   for relation, indexes in slots.items()):
+                return 0
+            return count(slots, row, drops_exponents)
+
+        monkeypatch.setattr(consistency, "_alignment_count", by_multiset)
         with pytest.raises(AssertionError):
             self._check(example, config, minimal_only=True)
 
@@ -508,7 +525,8 @@ class TestAlignmentCount:
         and row."""
         example, config, _ = instance
         drops = config.semiring_ops().drops_exponents()
-        for skeleton in consistency._skeletons(example, config, drops):
+        first = tuple(map(example.tuple_of, example.rows[0].occurrences))
+        for skeleton in consistency._skeletons(first, config, drops):
             slots = consistency._slots(skeleton)
             for row in example.rows[1:]:
                 grouped = consistency._by_relation(
@@ -553,3 +571,30 @@ class TestBudgetBeforeEnumeration:
             consistent_queries(other, start=fold)
         with pytest.raises(ValueError):
             consistent_queries(paper_example, minimal_only=True, start=fold)
+
+    def test_calls_sharing_concrete_rows_share_first_row_folds(
+        self, paper_example
+    ):
+        """Calls without ``start`` begin from the holder's fold of their
+        first row, built once per ``minimal_only``; a holder of another
+        config is refused."""
+        config = ConsistencyConfig()
+        concrete = ConcreteRows(paper_example.registry, config)
+        first = consistent_queries(
+            paper_example, config, minimal_only=True, concrete_rows=concrete
+        )
+        fold = concrete.fold(paper_example.rows[0], True)
+        again = consistent_queries(
+            paper_example, config, minimal_only=True, concrete_rows=concrete
+        )
+        assert concrete.fold(paper_example.rows[0], True) is fold
+        assert concrete.fold(paper_example.rows[0], False) is not fold
+        assert first.recipes.keys() == again.recipes.keys()
+        assert first.recipes.keys() == consistent_queries(
+            paper_example, config, minimal_only=True
+        ).recipes.keys()
+        with pytest.raises(ValueError):
+            consistent_queries(
+                paper_example, ConsistencyConfig(require_variable=True),
+                concrete_rows=concrete,
+            )

@@ -107,23 +107,23 @@ class TestPinnedHashes:
     in the wild silently lose its cached results.  A deliberate change of
     the hash inputs bumps :data:`repro.store.hashing.HASH_VERSION` and
     re-pins these digests; the job digests were last re-pinned at
-    ``repro-job-v4``, when ``OptimizerConfig`` lost its ``incremental``
-    and ``prune_dominated`` switches.
+    ``repro-job-v5``, when ``PrivacyConfig`` lost ``cache_connectivity``
+    and ``ConsistencyConfig`` lost ``head_name``.
     """
 
     def test_named_job_hash_is_stable(self):
         job = job_from_spec(NAMED_SPEC, default_rows=PINNED.kexample_rows,
                             base_config=_base_config())
         assert job_content_hash(job, PINNED) == (
-            "b4d8c256f91c839ae7f997eb6e557282"
-            "20950d048842c3060c8a40189e58ee8d"
+            "ba9c7895ed0b8c657350f2b92481e2b5"
+            "966d415ba048bf8af30595b3ab62af0e"
         )
 
     def test_inline_job_hash_is_stable(self):
         job = job_from_spec(INLINE_SPEC, base_config=_base_config())
         assert job_content_hash(job, PINNED) == (
-            "a950cd7666601aa0c85cf06104cff776"
-            "25fc4c410181071b7cada4e6c39fe4e1"
+            "9e4a6f5c23b532fb718f404fe764eade"
+            "e02f5ccc2e9ca665a3cdb0a8fc64c245"
         )
 
     def test_inline_context_hash_is_stable(self):

@@ -114,18 +114,17 @@ class TestPaperExamples:
 
 
 class TestConfigEquivalence:
-    """All four optimization switches must not change the result."""
+    """No optimization switch may change the result."""
 
     CONFIGS = [
         PrivacyConfig(),
         PrivacyConfig(row_by_row=False),
         PrivacyConfig(connectivity_filter=False),
-        PrivacyConfig(cache_queries=False, cache_connectivity=False),
+        PrivacyConfig(cache_queries=False),
         PrivacyConfig(
             row_by_row=False,
             connectivity_filter=False,
             cache_queries=False,
-            cache_connectivity=False,
         ),
     ]
 
@@ -478,8 +477,8 @@ class TestRowByRowEquivalence:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_randomized_privacy_equivalence(self, seed):
-        """Row-by-row, monolithic, unfiltered and uncached-connectivity
-        computers agree, on draws that do derive queries."""
+        """Row-by-row, monolithic, unfiltered and uncached computers
+        agree, on draws that do derive queries."""
         db, example, tree = _random_instance(seed)
         rng = random.Random(seed + 5000)
         computers = [
@@ -488,7 +487,7 @@ class TestRowByRowEquivalence:
                 PrivacyConfig(),
                 PrivacyConfig(row_by_row=False),
                 PrivacyConfig(connectivity_filter=False),
-                PrivacyConfig(cache_connectivity=False),
+                PrivacyConfig(cache_queries=False),
             )
         ]
         privacies = []
@@ -704,6 +703,40 @@ class TestAlignmentPartition:
             _partitioned_counts_match(db, tree, abstracted, config)
 
 
+    def test_each_row_is_partitioned_once(
+        self, paper_tree, paper_db, paper_example
+    ):
+        """A row's partition is stored with its options in the session,
+        each signature's options in product order, and a later compute
+        that extends prefixes with the row reads it."""
+        session = PrivacySession(paper_tree, paper_db.registry)
+        first = _abstract(
+            paper_tree, paper_example, {"h1": "Facebook", "h2": "LinkedIn"}
+        )
+        second = _abstract(
+            paper_tree, paper_example,
+            {"h1": "Social Network", "h2": "LinkedIn"},
+        )
+        assert first.rows[0] != second.rows[0]
+        assert first.rows[1] == second.rows[1]
+        computer = PrivacyComputer(
+            paper_tree, paper_db.registry, session=session
+        )
+        computer.privacy(first)
+        options = session.row_option_cache[first.rows[1]]
+        partition = options.by_signature
+        concrete = session.facts.concrete_rows
+        assert partition and {
+            signature: [o for o in options
+                        if concrete[o].signature == signature]
+            for signature in partition
+        } == partition
+        assert sum(map(len, partition.values())) == len(options)
+        computer.privacy(second)
+        assert computer.stats.row_option_cache_hits == 1
+        assert options.by_signature is partition
+
+
 class TestPrivacySession:
     def test_private_session_by_default(self, paper_tree, paper_db):
         a = PrivacyComputer(paper_tree, paper_db.registry)
@@ -767,27 +800,18 @@ class TestPrivacySession:
                 )
 
     def test_incompatible_session_rejected(self, paper_tree, paper_db):
+        """A session serves one config: a computer whose config differs
+        in any switch, a caching one included, may not attach."""
         session = PrivacySession(paper_tree, paper_db.registry)
-        with pytest.raises(OptimizationError):
-            PrivacyComputer(
-                paper_tree, paper_db.registry,
-                PrivacyConfig(connectivity_filter=False),
-                session=session,
-            )
-
-    def test_cache_consultation_switches_may_differ(self, paper_tree, paper_db):
-        """row_by_row / cache_queries change which caches are consulted,
-        not what a cached entry means, so they don't block sharing."""
-        session = PrivacySession(paper_tree, paper_db.registry)
-        PrivacyComputer(
-            paper_tree, paper_db.registry,
-            PrivacyConfig(row_by_row=False), session=session,
-        )
-        PrivacyComputer(
-            paper_tree, paper_db.registry,
-            PrivacyConfig(cache_queries=False), session=session,
-        )
-        assert session.computers_attached == 2
+        for config in (
+            PrivacyConfig(connectivity_filter=False),
+            PrivacyConfig(cache_queries=False),
+        ):
+            with pytest.raises(OptimizationError):
+                PrivacyComputer(
+                    paper_tree, paper_db.registry, config, session=session,
+                )
+        assert session.computers_attached == 0
 
     def test_cache_sizes_grow(self, paper_tree, paper_db, paper_example):
         session = PrivacySession(paper_tree, paper_db.registry)
@@ -973,10 +997,14 @@ class TestPrivacyMemo:
     def test_other_arms_neither_read_nor_write_the_memo(
         self, config, paper_tree, paper_db, paper_example
     ):
-        """The monolithic and uncached arms share the session's other
-        caches but leave its counts alone: a planted entry changes the
-        answer of a computer that reads it, and not theirs."""
-        session = PrivacySession(paper_tree, paper_db.registry)
+        """The monolithic and uncached arms leave their session's counts
+        alone: a planted entry changes the answer of a computer that reads
+        it, and not theirs.  The arm's session shares its holder with the
+        reader's."""
+        reader_session = PrivacySession(paper_tree, paper_db.registry)
+        session = PrivacySession(
+            paper_tree, paper_db.registry, config, reader_session.facts
+        )
         abstracted = _abstract(
             paper_tree, paper_example, {"h1": "Facebook", "h2": "LinkedIn"}
         )
@@ -985,12 +1013,16 @@ class TestPrivacyMemo:
         )
         assert arm.privacy(abstracted) == 2
         assert session.privacy_cache == {}
-        session.privacy_cache[abstracted.rows] = (7, 7)
-        reader = PrivacyComputer(paper_tree, paper_db.registry, session=session)
+        planted = {abstracted.rows: (7, 7)}
+        session.privacy_cache.update(planted)
+        reader_session.privacy_cache.update(planted)
+        reader = PrivacyComputer(
+            paper_tree, paper_db.registry, session=reader_session
+        )
         assert reader.compute(abstracted, 3) == 7
         assert arm.compute(abstracted, 3) == -1
         assert arm.privacy(abstracted) == 2
-        assert session.privacy_cache == {abstracted.rows: (7, 7)}
+        assert session.privacy_cache == planted
         assert arm.stats.privacy_cache_hits == 0
         assert arm.stats.privacy_cache_misses == 0
 
@@ -1028,9 +1060,9 @@ class TestQueryFacts:
         self, seed, n_rows, n_trees, cap
     ):
         """Trees compute interleaved through one holder, on fresh and warm
-        sessions and in both modes, under an alignment budget of ``cap``;
-        each compute's privacy and CIM queries, or its error, equal a
-        private session's."""
+        sessions (one warm session per tree and mode) and in both modes,
+        under an alignment budget of ``cap``; each compute's privacy and
+        CIM queries, or its error, equal a private session's."""
         db, example, tree = _random_instance(seed, n_rows)
         trees = _trees_over(db, tree, n_trees, seed)
         modes = [
@@ -1038,13 +1070,14 @@ class TestQueryFacts:
             PrivacyConfig(row_by_row=False, max_concretizations=2_000),
         ]
         facts = QueryFacts(db.registry, modes[0].consistency)
-        warm = [PrivacySession(t, db.registry, modes[0], facts) for t in trees]
+        warm = [[PrivacySession(t, db.registry, config, facts)
+                 for config in modes] for t in trees]
         rng = random.Random(seed)
         with mock.patch.object(consistency, "MAX_ALIGNMENT_COMBOS", cap):
             for _ in range(2):
-                for t, warm_session in zip(trees, warm):
+                for t, warm_sessions in zip(trees, warm):
                     abstracted = _random_abstraction(example, t, rng)
-                    for config in modes:
+                    for config, warm_session in zip(modes, warm_sessions):
                         expected = _outcome(
                             PrivacyComputer(t, db.registry, config),
                             abstracted,

@@ -185,7 +185,7 @@ class TestPrivacyProperties:
         reference = PrivacyComputer(
             tree, db.registry,
             PrivacyConfig(row_by_row=False, connectivity_filter=False,
-                          cache_queries=False, cache_connectivity=False),
+                          cache_queries=False),
         ).privacy(abstracted)
         optimized = PrivacyComputer(tree, db.registry).privacy(abstracted)
         assert optimized == reference

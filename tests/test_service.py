@@ -66,6 +66,11 @@ QUERY = (
 )
 
 
+#: Parses, so its job is queued, and fails at run time: the running
+#: example's database has no such relation.
+FAILING_QUERY = "Q(id) :- NoSuchRelation(id)"
+
+
 def inline_spec(threshold=2, n_rows=2, **extra):
     """An inline-context job spec over the paper's running example."""
     spec = {
@@ -300,6 +305,20 @@ class TestSpecValidation:
             with pytest.raises(JobSpecError, match="'n_rows'"):
                 job_from_spec(inline_spec(n_rows=value))
 
+    @pytest.mark.parametrize("key,value", [
+        ("query_name", "NOPE"), ("query_name", 5), ("query_name", None),
+        ("query_name", ["TPCH-Q3"]), ("tag", None), ("tag", 5),
+    ])
+    def test_named_keys_must_be_strings_naming_a_query(self, key, value):
+        """An unknown or non-string query name would be queued and fail
+        at run time, and ``"tag": null`` would run as the tag ``"None"``."""
+        named = {"query_name": "TPCH-Q3", "threshold": 2, key: value}
+        with pytest.raises(JobSpecError, match=f"{key!r} must"):
+            job_from_spec(named)
+        if key == "tag":
+            with pytest.raises(JobSpecError, match="'tag' must"):
+                job_from_spec(inline_spec(tag=value))
+
     def test_inline_content_hash_is_canonical(self):
         job_a = job_from_spec(inline_spec())
         job_b = job_from_spec(inline_spec())
@@ -328,7 +347,7 @@ class TestWait:
         service = JobService(worker_threads=1, store=store).start()
         try:
             done, failed = service.submit_specs([
-                inline_spec(), {"query_name": "NO-SUCH-QUERY", "threshold": 2},
+                inline_spec(), inline_spec(query=FAILING_QUERY),
             ])
             assert wait_or_fail(service, done).state == JOB_DONE
             assert wait_or_fail(service, failed).state == JOB_FAILED
@@ -491,7 +510,9 @@ class TestHTTPService:
         named = {"query_name": "TPCH-Q3", "threshold": 2}
         for key, value in (("threshold", 2.7), ("max_candidates", 0),
                            ("n_leaves", 2.5), ("max_seconds", -1),
-                           ("max_seconds", True), ("max_seconds", "5")):
+                           ("max_seconds", True), ("max_seconds", "5"),
+                           ("query_name", "NOPE"), ("query_name", 5),
+                           ("tag", None)):
             with pytest.raises(JobSpecError,
                                match=f"400 invalid_job_spec.*{key!r}"):
                 client.submit_many([named, {**named, key: value}])
@@ -545,10 +566,10 @@ class TestHTTPService:
 
     def test_failed_job_reported_not_crashing_service(self, http_service):
         client, _ = http_service
-        ids = client.submit_many([{"query_name": "NO-SUCH-QUERY", "threshold": 2}])
+        ids = client.submit_many([inline_spec(query=FAILING_QUERY)])
         payload = client.wait(ids[0], timeout=60)
         assert payload["state"] == "failed"
-        assert "NO-SUCH-QUERY" in payload["error"]
+        assert "NoSuchRelation" in payload["error"]
         assert client.stats()["jobs_failed"] == 1
         # The service keeps serving after a failure.
         ids = client.submit_many([inline_spec()])
@@ -591,13 +612,11 @@ class TestExecutorTier:
         service = JobService(worker_threads=0, executor="process",
                              store=store)
         try:
-            ids = service.submit_specs(
-                [{"query_name": "NO-SUCH-QUERY", "threshold": 2}]
-            )
+            ids = service.submit_specs([inline_spec(query=FAILING_QUERY)])
             service.run_next()
             payload = service.status_payload(ids[0])
             assert payload["state"] == "failed"
-            assert "NO-SUCH-QUERY" in payload["error"]
+            assert "NoSuchRelation" in payload["error"]
             # The traceback summary: "[file.py:123 in func <- ...]".
             assert " in " in payload["error"]
             assert ".py:" in payload["error"]

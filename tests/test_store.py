@@ -45,6 +45,11 @@ QUERY = (
 )
 
 
+#: Parses, so its job is queued, and fails at run time: the running
+#: example's database has no such relation.
+FAILING_QUERY = "Q(id) :- NoSuchRelation(id)"
+
+
 def inline_spec(threshold=2, n_rows=2, **extra):
     """An inline-context job spec over the paper's running example."""
     spec = {
@@ -926,9 +931,7 @@ class TestServiceDurability:
     def test_failed_jobs_keep_their_error_across_restart(self, tmp_path, make_service):
         path = str(tmp_path / "store.db")
         service = make_service(path)
-        ids = service.submit_specs([
-            {"query_name": "NO-SUCH-QUERY", "threshold": 2},
-        ])
+        ids = service.submit_specs([inline_spec(query=FAILING_QUERY)])
         drain(service)
         assert service.status_payload(ids[0])["state"] == JOB_FAILED
 
@@ -936,6 +939,6 @@ class TestServiceDurability:
         code, payload = revived.result_payload(ids[0])
         assert code == 200
         assert payload["state"] == JOB_FAILED
-        assert "NO-SUCH-QUERY" in payload["error"]
+        assert "NoSuchRelation" in payload["error"]
         # Errored searches are never cached: a resubmission retries.
         assert revived.stats_payload()["results_stored"] == 0
