@@ -22,10 +22,10 @@ from _common import BENCH_QUERIES, BENCH_SETTINGS, perf_counter
 from repro.core.loi import UniformDistribution, loss_of_information
 from repro.core.optimizer import (
     IncrementalEvaluator,
+    Lattice,
     OptimizerConfig,
     _SortedFrontier,
     _function_for_levels,
-    _occurrence_counts,
     find_optimal_abstraction,
     search_space,
 )
@@ -49,18 +49,16 @@ def _search_inputs(context):
     return example, tree, variables, chains
 
 
-def _sorted_candidates(example, tree, variables, chains, limit):
+def _sorted_candidates(lattice, limit):
     """The first ``limit`` level-vectors in Algorithm 2's scan order."""
-    frontier = _SortedFrontier(
-        variables, chains, tree, _occurrence_counts(example, variables)
-    )
+    frontier = _SortedFrontier(lattice)
     candidates = []
     while len(candidates) < limit:
-        levels = frontier.pop()
-        if levels is None:
+        code = frontier.pop()
+        if code is None:
             break
-        candidates.append(levels)
-        frontier.expand(levels)
+        candidates.append(lattice.levels(code))
+        frontier.expand(code)
     return candidates
 
 
@@ -78,9 +76,8 @@ def _best_of(rounds, run):
 def test_incremental_candidate_throughput(benchmark, query_name, n_leaves):
     context = prepare_context(query_name, BENCH_SETTINGS, n_leaves=n_leaves)
     example, tree, variables, chains = _search_inputs(context)
-    candidates = _sorted_candidates(
-        example, tree, variables, chains, N_CANDIDATES
-    )
+    lattice = Lattice(example, tree)
+    candidates = _sorted_candidates(lattice, N_CANDIDATES)
     dist = UniformDistribution()
 
     def score_full():
@@ -95,7 +92,7 @@ def test_incremental_candidate_throughput(benchmark, query_name, n_leaves):
         ]
 
     def score_incremental():
-        evaluator = IncrementalEvaluator(example, tree, variables, chains, dist)
+        evaluator = IncrementalEvaluator(lattice, dist)
         return [evaluator.loi(levels) for levels in candidates]
 
     assert score_full() == score_incremental()  # bit-identical, not isclose

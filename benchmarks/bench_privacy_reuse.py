@@ -17,7 +17,13 @@ Two measurements per workload of the Fig 9-style sweep:
 * *end-to-end sweep equality* — ``find_optimal_abstraction`` per
   threshold with and without a shared session; found/privacy/LOI and the
   chosen abstraction's assignment must be bit-identical (session caching
-  may only change speed, never results).
+  may only change speed, never results).  On the shared session each
+  search must score and build abstracted rows only for candidates the
+  session's lattice did not hold (its ``delta_evaluations`` and
+  ``functions_materialized`` equal the growth of the session's
+  ``candidate_lois`` and ``candidate_rows``), and every threshold after
+  the first must read some candidates from it, so the guard fails if
+  the lattice's memos stop being read or written.
 """
 
 import pytest
@@ -26,14 +32,14 @@ from _common import BENCH_SETTINGS, perf_counter
 from repro.core.loi import UniformDistribution
 from repro.core.optimizer import (
     IncrementalEvaluator,
+    Lattice,
     OptimizerConfig,
     _SortedFrontier,
-    _occurrence_counts,
     find_optimal_abstraction,
-    search_space,
 )
 from repro.core.privacy import PrivacyComputer, PrivacySession
 from repro.experiments.runner import prepare_context
+from repro.provenance.kexample import AbstractedKExample
 
 #: Fig 9-style threshold sweep (the paper sweeps k = 2..20; these points
 #: keep one CI smoke run in seconds while spanning the same shape).
@@ -55,20 +61,19 @@ MIN_AGGREGATE_SPEEDUP = 2.0
 def _sorted_abstracted(context, limit):
     """The first ``limit`` abstracted examples in Algorithm 2's scan order."""
     example, tree = context.example, context.tree
-    variables, chains = search_space(example, tree)
-    frontier = _SortedFrontier(
-        variables, chains, tree, _occurrence_counts(example, variables)
-    )
-    evaluator = IncrementalEvaluator(
-        example, tree, variables, chains, UniformDistribution()
-    )
+    lattice = Lattice(example, tree)
+    frontier = _SortedFrontier(lattice)
+    evaluator = IncrementalEvaluator(lattice, UniformDistribution())
     candidates = []
     while len(candidates) < limit:
-        levels = frontier.pop()
-        if levels is None:
+        code = frontier.pop()
+        if code is None:
             break
-        candidates.append(evaluator.abstract(levels))
-        frontier.expand(levels)
+        levels = lattice.levels(code)
+        candidates.append(AbstractedKExample(
+            evaluator.rows(levels), example, lattice.mapping(levels)
+        ))
+        frontier.expand(code)
     return candidates
 
 
@@ -158,15 +163,33 @@ def test_threshold_sweep_results_bit_identical(benchmark, query_name):
     session = PrivacySession(context.tree, context.example.registry)
 
     def run_shared():
-        return [
-            find_optimal_abstraction(
+        """Each threshold's result with the session's sizes around it."""
+        out = []
+        for threshold in THRESHOLDS:
+            before = session.cache_sizes()
+            result = find_optimal_abstraction(
                 context.example, context.tree, threshold,
                 config=config, session=session,
             )
-            for threshold in THRESHOLDS
-        ]
+            out.append((result, before, session.cache_sizes()))
+        return out
 
-    shared = benchmark.pedantic(run_shared, rounds=1, iterations=1)
+    runs = benchmark.pedantic(run_shared, rounds=1, iterations=1)
+    shared = [result for result, _, _ in runs]
+    for index, (result, before, after) in enumerate(runs):
+        # A candidate is scored, or its abstracted rows built, only where
+        # the session's lattice lacked it; later thresholds read some.
+        stats = result.stats
+        assert stats.delta_evaluations == (
+            after["candidate_lois"] - before["candidate_lois"]
+        ), f"{query_name} k={THRESHOLDS[index]}: re-scored held candidates"
+        assert stats.functions_materialized == (
+            after["candidate_rows"] - before["candidate_rows"]
+        ), f"{query_name} k={THRESHOLDS[index]}: rebuilt held rows"
+        if index:
+            assert stats.delta_evaluations < stats.candidates_scanned, (
+                f"{query_name} k={THRESHOLDS[index]}: read no held LOI"
+            )
     reused = 0
     for threshold, with_session in zip(THRESHOLDS, shared):
         cold = find_optimal_abstraction(

@@ -9,8 +9,8 @@ every ``count`` metric and three ratios of counts (:data:`RATIOS`): they
 count the steps of the search, of Algorithm 1 and of the service, so at a
 fixed seed they repeat exactly.  This script compares them with the
 workload's baseline (:data:`BASELINES`) and exits 1 naming every metric
-that differs.  Timings (``*_s``), ``trace.overhead_frac`` and the
-workload's :data:`UNSTABLE` counts are left out.
+that differs.  Timings (``*_s``) and ``trace.overhead_frac`` are left
+out.
 
 A change meant to move a count rewrites the baseline from a traced run's
 record in the same commit, and says which count moved and why.
@@ -34,29 +34,13 @@ RATIOS = (
     "containment.homomorphism_found_ratio",
     "optimizer.privacy_gate_ratio",
 )
-#: Counts that do not repeat at a fixed seed, per workload, with why.
-UNSTABLE = {
-    "service_stream": {
-        # The peak over searches of cache_sizes() summed over the live
-        # sessions.  A session the server's session cache evicted stays
-        # live until the garbage collector frees the computers that hold
-        # it (each computer is a reference cycle through its bound
-        # methods), and when collections run follows the server's
-        # threads: two seed-1 streams of one commit read 12,028 and
-        # 12,553.
-        "privacy.session_entries",
-    },
-}
 
 
-def deterministic(metrics: dict, workload: str) -> dict:
-    """The count metrics and :data:`RATIOS` of a record, name -> value,
-    without the workload's :data:`UNSTABLE` counts."""
-    unstable = UNSTABLE.get(workload, set())
+def deterministic(metrics: dict) -> dict:
+    """The count metrics and :data:`RATIOS` of a record, name -> value."""
     return {
         name: entry["value"] for name, entry in metrics.items()
-        if (entry["unit"] == "count" or name in RATIOS)
-        and name not in unstable
+        if entry["unit"] == "count" or name in RATIOS
     }
 
 
@@ -67,7 +51,7 @@ def compare(record: dict, baseline: dict) -> list[str]:
     if run != (baseline["workload"], baseline["seed"], 1):
         problems.append(f"record is of run {run}, baseline of "
                         f"{baseline['workload']} seed {baseline['seed']}")
-    got = deterministic(record["metrics"], baseline["workload"])
+    got = deterministic(record["metrics"])
     expected = baseline["metrics"]
     for name in sorted(got.keys() | expected.keys()):
         if got.get(name) != expected.get(name):

@@ -51,6 +51,14 @@ class UniformDistribution:
                     total += math.log(tree.leaf_count(label))
         return total
 
+    # Equal distributions score every label alike: the optimizer keeps
+    # one LOI per candidate for all of them (``Lattice.lois``).
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self) -> int:
+        return hash(type(self))
+
     def __repr__(self) -> str:
         return "UniformDistribution()"
 
@@ -96,6 +104,12 @@ class LeafWeightDistribution:
                 if label in tree and not tree.is_leaf(label):
                     total += self.label_contribution(label, tree)
         return total
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self) -> int:
+        return hash(type(self))
 
     def __repr__(self) -> str:
         return f"LeafWeightDistribution({len(self._weights)} weights)"

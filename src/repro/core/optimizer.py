@@ -23,11 +23,17 @@ whenever the distribution has ``supports_incremental``: for the additive
 distributions (Proposition 3.5) a candidate's LOI is a sum of
 per-occurrence contributions depending only on the target label, so the
 search scores each row from a memo keyed by the levels of that row's
-variables, builds the abstracted K-example (from memoized rows) only for
+variables, builds the abstracted rows (from memoized rows) only for
 candidates whose privacy is computed, and builds the
-:class:`AbstractionFunction` only for a candidate that replaces the
-incumbent.  Other distributions are scored from scratch; both paths
-produce bit-identical results.
+:class:`AbstractedKExample` and :class:`AbstractionFunction` only for a
+candidate that replaces the incumbent.  Other distributions are scored
+from scratch; both paths produce bit-identical results.
+
+What a search learns about a candidate and does not depend on the
+threshold — its LOI, its abstracted rows, its successors' frontier
+estimates — is kept in the privacy session's :class:`Lattice` of the
+example, so a repeated or re-thresholded search over the session pays
+per known candidate only for its heap, its budgets and dict lookups.
 
 The dual problem (Section 4.2, :func:`find_dual_optimal_abstraction`)
 runs the same scan with a different objective.
@@ -39,8 +45,9 @@ import heapq
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.abstraction.function import AbstractionFunction
 from repro.abstraction.tree import AbstractionTree
@@ -77,17 +84,25 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerStats:
-    """Search effort counters."""
+    """Search effort counters, each of this search alone.
+
+    The session keeps each candidate's LOI and abstracted rows (see
+    :class:`Lattice`), so the scoring and materializing counters count
+    the work this search did beyond what its session already held: a
+    repeat of a search counts none, and two runs of one job sequence
+    count alike.
+    """
 
     candidates_scanned: int = 0
     privacy_computations: int = 0
     privacy_budget_exhausted: int = 0
     elapsed_seconds: float = 0.0
-    # Scoring counters: candidates are scored from cached deltas when the
+    # Scoring counters: a candidate whose LOI the session holds for the
+    # distribution is read, one scored from cached deltas when the
     # distribution is additive, from scratch otherwise.
     delta_evaluations: int = 0            # candidates scored from cached deltas
     full_evaluations: int = 0             # candidates scored from scratch
-    functions_materialized: int = 0       # lazily built abstracted examples
+    functions_materialized: int = 0       # candidates whose abstracted rows were built
     contribution_cache_hits: int = 0      # rows scored from the row memo
     contribution_cache_misses: int = 0    # rows whose contributions were computed
     # Privacy-session reuse during this search (copied from PrivacyStats):
@@ -138,8 +153,109 @@ def search_space(
     return variables, chains
 
 
+class Lattice:
+    """One example's candidate space over a tree, with Algorithm 2's
+    threshold-independent facts about its candidates.
+
+    A candidate (a *state*) assigns each abstractable variable a level
+    of its ancestor chain (0 = itself) and is known by its integer code,
+    the sum of level x stride.  A
+    :class:`~repro.core.privacy.PrivacySession` keeps one lattice per
+    example it has searched (``session.lattices``), so a later search
+    over the session — a repeat, another threshold, the dual, any Fig 19
+    arm — reads what earlier ones learned.  It holds:
+
+    * the search space (:func:`search_space`), each (variable, level)
+      term of the frontier's estimate, the strides, and each row's
+      occurrence-to-variable map, all built once;
+    * ``lois`` — per additive distribution (equal distributions share
+      an entry), each scanned state's LOI;
+    * ``checked`` — each state whose privacy was checked, its
+      abstracted rows (a :class:`_Candidate`, what Algorithm 1 reads):
+      the tuple that keys the session's ``privacy_cache``, so a later
+      lookup matches it by identity;
+    * ``successors`` — each expanded state's successor estimates, one
+      float per variable in an ``array`` (-1.0 where the variable is at
+      its chain's root, NaN where no expansion has pushed the successor
+      yet).
+
+    No entry depends on the threshold, the budgets or a switch, and
+    each holds what recomputation yields, so threads sharing a session
+    at worst both compute one.  A session builds a lattice only for a
+    tree compatible with the example's registry, so its presence is that
+    check's verdict.
+    """
+
+    def __init__(self, example: KExample, tree: AbstractionTree):
+        self.tree = tree
+        self.variables, chains = search_space(example, tree)
+        self.chains = [chains[v] for v in self.variables]
+        occurrences = _occurrence_counts(example, self.variables)
+        # A variable's term per level; 0.0 at level 0, which leaves the
+        # estimate's sum unchanged (every term is >= +0.0).
+        self.terms = [
+            (0.0,) + tuple(
+                occurrences[var] * math.log(tree.leaf_count(target))
+                for target in chain[1:]
+            )
+            for var, chain in zip(self.variables, self.chains)
+        ]
+        # A successor's code is its parent's plus the raised variable's
+        # stride, so states seen before are recognized without a vector.
+        self.strides: list[int] = []
+        stride = 1
+        for chain in self.chains:
+            self.strides.append(stride)
+            stride *= len(chain)
+        self.radix = list(zip(self.strides, map(len, self.chains)))
+        # The successor estimates a state's first expansion starts from:
+        # NaN until it pushes the successor.
+        self.unestimated = array("d", [math.nan]) * len(self.chains)
+        # Per row: the row, each occurrence's variable index (-1 = not
+        # abstractable), and the function that reads the levels of the
+        # row's own variables off a state (None: it has none).
+        var_index = {v: i for i, v in enumerate(self.variables)}
+        self.row_facts: list[tuple[KExampleRow, tuple[int, ...], Any]] = []
+        for row in example.rows:
+            occ_vars = tuple(var_index.get(ann, -1) for ann in row.occurrences)
+            own = sorted({i for i in occ_vars if i >= 0})
+            key = operator.itemgetter(*own) if own else None
+            self.row_facts.append((row, occ_vars, key))
+        self.lois: dict[object, dict[int, float]] = {}
+        self.checked: dict[int, _Candidate] = {}
+        self.successors: dict[int, array] = {}
+
+    def levels(self, code: int) -> tuple[int, ...]:
+        """The level vector of the state ``code``."""
+        return tuple([code // stride % size for stride, size in self.radix])
+
+    def mapping(self, levels: tuple[int, ...]) -> dict[tuple[int, int], str]:
+        """The state's assignment: (row, occurrence) -> target, for each
+        abstracted occurrence, as :meth:`AbstractionFunction.apply` maps
+        it."""
+        chains = self.chains
+        mapping: dict[tuple[int, int], str] = {}
+        for row_index, (_, occ_vars, _) in enumerate(self.row_facts):
+            for occ_index, i in enumerate(occ_vars):
+                if i >= 0 and levels[i]:
+                    mapping[row_index, occ_index] = chains[i][levels[i]]
+        return mapping
+
+
+class _Candidate:
+    """A candidate as Algorithm 1 reads it: its abstracted rows, all
+    that :meth:`PrivacyComputer.compute` reads of an abstracted example.
+    The search builds the :class:`AbstractedKExample`, mapping included,
+    only for a new incumbent."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[KExampleRow, ...]):
+        self.rows = rows
+
+
 class IncrementalEvaluator:
-    """Row-memoized candidate evaluation over a shared base example.
+    """Row-memoized candidate evaluation over one lattice.
 
     The frontier moves one variable one ancestor level at a time, so a
     candidate leaves most rows exactly as some earlier candidate had them:
@@ -151,15 +267,15 @@ class IncrementalEvaluator:
 
     * the row's LOI contributions, in the order the full recomputation
       adds them (:meth:`loi`), and
-    * the abstracted row and its abstracted positions (:meth:`abstract`),
-      built the first time a candidate whose privacy is computed needs
-      them.
+    * the abstracted row (:meth:`rows`), built the first time a candidate
+      whose privacy is computed needs it.
 
     A candidate therefore pays one lookup per row, and builds nothing for
     a row whose variables' levels were seen before.  The search builds
-    the :class:`AbstractionFunction` itself only for a candidate that
-    replaces the incumbent: the abstracted example's mapping is its
-    assignment.
+    the :class:`AbstractionFunction` and the abstracted example's mapping
+    (:meth:`Lattice.mapping`) only for a candidate that replaces the
+    incumbent.  The memos last one search; the lattice keeps what the
+    search learned per candidate.
 
     Float addition is order-sensitive, so :meth:`loi` adds every
     contribution to the running total one by one, row by row and, within
@@ -171,27 +287,20 @@ class IncrementalEvaluator:
     memo.
     """
 
-    def __init__(self, example, tree, variables, chains, distribution):
-        self._example = example
-        self._tree = tree
+    def __init__(self, lattice: Lattice, distribution):
+        self._tree = lattice.tree
+        self._chains = lattice.chains
         self._distribution = distribution
-        var_index = {v: i for i, v in enumerate(variables)}
-        self._chains = [chains[v] for v in variables]
         self._label_contributions: dict[str, float] = {}
-        # Per row: the row, its index, each occurrence's variable index
-        # (-1 = not abstractable), the function that reads the levels of
-        # the row's own variables off a candidate (None: it has none), and
-        # the memo of abstracted rows under those levels.
-        self._rows = []
-        for row_index, row in enumerate(example.rows):
-            occ_vars = tuple(var_index.get(ann, -1) for ann in row.occurrences)
-            own = sorted({i for i in occ_vars if i >= 0})
-            key = operator.itemgetter(*own) if own else None
-            self._rows.append((row, row_index, occ_vars, key, {}))
+        # Per row: its facts (see Lattice) and the memo of abstracted rows
+        # under the levels of its own variables.
+        self._rows: list[tuple[KExampleRow, tuple[int, ...], Any, dict]] = [
+            (row, occ_vars, key, {}) for row, occ_vars, key in lattice.row_facts
+        ]
         # The rows with a variable, each with its memo of contributions.
-        self._scored = [
+        self._scored: list[tuple[Any, dict, tuple[int, ...]]] = [
             (key, {}, occ_vars)
-            for _, _, occ_vars, key, _ in self._rows if key is not None
+            for _, occ_vars, key, _ in self._rows if key is not None
         ]
         self._scores = 0
         self.cache_misses = 0
@@ -232,112 +341,167 @@ class IncrementalEvaluator:
             )
         return value
 
-    def abstract(self, levels: tuple[int, ...]) -> AbstractedKExample:
-        """The candidate's abstracted example, from the memoized rows."""
-        rows = []
-        mapping: dict[tuple[int, int], str] = {}
-        for row, row_index, occ_vars, key, memo in self._rows:
+    def rows(self, levels: tuple[int, ...]) -> tuple[KExampleRow, ...]:
+        """The candidate's abstracted rows, from the memoized rows; equal
+        to the rows of ``function.apply(example)``."""
+        out = []
+        for row, occ_vars, key, memo in self._rows:
             if key is not None:
                 row_key = key(levels)
-                entry = memo.get(row_key)
-                if entry is None:
-                    entry = memo[row_key] = self._abstract_row(
-                        row, row_index, occ_vars, levels
+                abstracted = memo.get(row_key)
+                if abstracted is None:
+                    abstracted = memo[row_key] = self._abstract_row(
+                        row, occ_vars, levels
                     )
-                row, positions = entry
-                mapping.update(positions)
-            rows.append(row)
-        return AbstractedKExample(rows, self._example, mapping)
+                row = abstracted
+            out.append(row)
+        return tuple(out)
 
-    def _abstract_row(self, row, row_index, occ_vars, levels):
-        """The abstracted row and its ((row, occurrence), label) pairs."""
+    def _abstract_row(self, row, occ_vars, levels) -> KExampleRow:
         chains = self._chains
         values = list(row.occurrences)
-        positions = []
         for occ_index, i in enumerate(occ_vars):
             if i >= 0 and levels[i]:
-                values[occ_index] = target = chains[i][levels[i]]
-                positions.append(((row_index, occ_index), target))
-        return KExampleRow(row.output, values), tuple(positions)
+                values[occ_index] = chains[i][levels[i]]
+        return KExampleRow(row.output, values)
 
 
 class _SortedFrontier:
-    """Lazy best-first enumeration of per-variable ancestor-level vectors.
+    """Lazy best-first enumeration of a lattice's states, by code.
 
-    States are vectors assigning each abstractable variable a level in its
-    ancestor chain (0 = itself).  Order: total edge count, then a uniform
-    LOI estimate, the sum in variable order of each abstracted variable's
-    ``occurrences * ln |L_T(target)|``.  Each (variable, level) term is
-    computed once; ``expand`` pushes a state's successors; the caller
-    skips expanding dominated states to prune their upward cones.
+    Order: total edge count, then a uniform LOI estimate, the sum in
+    variable order of each abstracted variable's ``occurrences * ln
+    |L_T(target)|``, then push order.  ``pop`` returns a state's code
+    and sets ``levels`` to its level vector where that is at hand (else
+    ``None``); ``expand`` pushes the successors of the state ``pop``
+    returned last; the caller skips expanding dominated states to prune
+    their upward cones.
+
+    A state's first expansion computes the estimates of the successors
+    it pushes and stores them in the lattice (NaN for a successor
+    another state pushed first, -1.0 for a variable at its root); their
+    level vectors ride along in the heap, so a search over a new lattice
+    decodes no code.  A later expansion reads the stored estimates and
+    computes a missing one only for a successor it is the first to
+    push.
     """
 
-    def __init__(self, variables, chains, tree, occurrence_count):
-        # A variable's term per level; 0.0 at level 0, which leaves the
-        # estimate's sum unchanged (every term is >= +0.0).
-        self._terms = [
-            (0.0,) + tuple(
-                occurrence_count[var] * math.log(tree.leaf_count(target))
-                for target in chains[var][1:]
-            )
-            for var in variables
-        ]
-        # A state's code is the sum of level x stride, so a successor's
-        # code is its parent's plus the raised variable's stride: states
-        # seen before are recognized without building their vectors.
-        self._strides = []
-        stride = 1
-        for terms in self._terms:
-            self._strides.append(stride)
-            stride *= len(terms)
-        self._counter = itertools.count()
-        start = tuple(0 for _ in variables)
-        self._heap = [(0, 0.0, next(self._counter), start)]
+    def __init__(self, lattice: Lattice):
+        self._lattice = lattice
+        self._counter = itertools.count(1)
+        start = (0,) * len(lattice.strides)
+        # (edge count, estimate, push order, code, levels or None)
+        self._heap: list[
+            tuple[int, float, int, int, Optional[tuple[int, ...]]]
+        ] = [(0, 0.0, 0, 0, start)]
         self._seen = {0}
+        self._cost = 0  # the edge count of the popped state's successors
+        self.levels: Optional[tuple[int, ...]] = None
 
-    def pop(self) -> Optional[tuple[int, ...]]:
+    def pop(self) -> Optional[int]:
         if not self._heap:
             return None
-        _, _, _, levels = heapq.heappop(self._heap)
-        return levels
+        cost, _, _, code, self.levels = heapq.heappop(self._heap)
+        self._cost = cost + 1
+        return code
 
-    def expand(self, levels: tuple[int, ...]) -> None:
-        cost = sum(levels) + 1
-        code = sum(map(operator.mul, levels, self._strides))
-        seen = self._seen
-        current = list(map(operator.getitem, self._terms, levels))
-        # A successor's estimate adds the terms in variable order: the sum
-        # of the terms before the raised variable (``head``), its new
-        # term, then each term after it.
+    def expand(self, code: int) -> None:
+        lattice = self._lattice
+        estimates = lattice.successors.get(code)
+        if estimates is None:
+            self._expand_new(code)
+            return
+        seen, heap, cost, counter = (
+            self._seen, self._heap, self._cost, self._counter
+        )
+        for stride, estimate in zip(lattice.strides, estimates):
+            if estimate >= 0.0:
+                succ = code + stride
+                if succ not in seen:
+                    seen.add(succ)
+                    heapq.heappush(
+                        heap, (cost, estimate, next(counter), succ, None)
+                    )
+            elif estimate != -1.0 and code + stride not in seen:
+                self._push_unestimated(code, stride, estimates)
+
+    def _expand_new(self, code: int) -> None:
+        """Push the successors of a state expanded for the first time,
+        and store their estimates.
+
+        A successor's estimate adds its terms in variable order: the sum
+        of the terms before the raised variable (``head``), its new term,
+        then each term after it.
+        """
+        lattice = self._lattice
+        levels = self.levels
+        if levels is None:
+            levels = lattice.levels(code)
+        terms, strides = lattice.terms, lattice.strides
+        seen, heap, cost, counter = (
+            self._seen, self._heap, self._cost, self._counter
+        )
+        current = list(map(operator.getitem, terms, levels))
+        estimates = array("d", lattice.unestimated)
         head = 0.0
-        for index, terms in enumerate(self._terms):
+        for index, options in enumerate(terms):
             level = levels[index] + 1
-            if level < len(terms):
-                succ_code = code + self._strides[index]
-                if succ_code not in seen:
-                    seen.add(succ_code)
-                    succ = levels[:index] + (level,) + levels[index + 1:]
-                    total = head + terms[level]
+            if level < len(options):
+                succ = code + strides[index]
+                if succ not in seen:
+                    seen.add(succ)
+                    total = head + options[level]
                     for term in current[index + 1:]:
                         total += term
-                    heapq.heappush(
-                        self._heap, (cost, total, next(self._counter), succ)
-                    )
+                    estimates[index] = total
+                    heapq.heappush(heap, (
+                        cost, total, next(counter), succ,
+                        levels[:index] + (level,) + levels[index + 1:],
+                    ))
+            else:
+                estimates[index] = -1.0
             head += current[index]
+        lattice.successors[code] = estimates
+
+    def _push_unestimated(self, code: int, stride: int, estimates) -> None:
+        """Push an unseen successor whose estimate the state's first
+        expansion left out (another state had pushed it then)."""
+        succ = code + stride
+        self._seen.add(succ)
+        lattice = self._lattice
+        index = lattice.strides.index(stride)
+        levels = self.levels
+        if levels is None:
+            levels = lattice.levels(code)
+        levels = levels[:index] + (levels[index] + 1,) + levels[index + 1:]
+        # Its terms added in variable order, as _expand_new adds them.
+        estimate = 0.0
+        for options, level in zip(lattice.terms, levels):
+            estimate += options[level]
+        estimates[index] = estimate
+        heapq.heappush(
+            self._heap, (self._cost, estimate, next(self._counter), succ, levels)
+        )
 
 
 class _UnsortedCandidates:
-    """Every level vector in ``itertools.product`` order; nothing prunes."""
+    """Every state in ``itertools.product`` order of the level vectors
+    (the last variable fastest); nothing prunes."""
 
-    def __init__(self, variables, chains):
+    def __init__(self, lattice: Lattice):
         self._product = itertools.product(
-            *(range(len(chains[v])) for v in variables)
+            *(range(len(chain)) for chain in lattice.chains)
         )
+        self._strides = lattice.strides
+        self.levels: Optional[tuple[int, ...]] = None
 
-    def pop(self) -> Optional[tuple[int, ...]]:
-        return next(self._product, None)
+    def pop(self) -> Optional[int]:
+        levels = self.levels = next(self._product, None)
+        if levels is None:
+            return None
+        return sum(map(operator.mul, levels, self._strides))
 
-    def expand(self, levels: tuple[int, ...]) -> None:
+    def expand(self, code: int) -> None:
         pass
 
 
@@ -351,10 +515,11 @@ def find_optimal_abstraction(
 ) -> OptimalAbstractionResult:
     """Algorithm 2: the minimum-LOI abstraction with privacy >= ``threshold``.
 
-    ``session`` shares Algorithm 1's caches with other searches over the
-    same (tree, registry) — e.g. across a threshold sweep; omitted, the
-    search still pools privacy work across its own candidates through a
-    private session.  Results are bit-identical either way.
+    ``session`` shares Algorithm 1's caches and the example's
+    :class:`Lattice` with other searches over the same (tree, registry) —
+    e.g. across a threshold sweep; omitted, the search still pools
+    privacy work across its own candidates through a private session.
+    Results are bit-identical either way.
     """
     return _search(
         example, tree, config, distribution, session, threshold=threshold
@@ -388,6 +553,21 @@ def find_dual_optimal_abstraction(
     )
 
 
+def _lattice(
+    session: PrivacySession, example: KExample, tree: AbstractionTree
+) -> Lattice:
+    """The session's lattice of ``example``, built on its first search."""
+    lattice = session.lattices.get(example)
+    if lattice is None:
+        if not tree.is_compatible_with_annotations(example.registry):
+            raise OptimizationError(
+                "abstraction tree is incompatible with the K-example "
+                "(an inner label collides with a tuple annotation)"
+            )
+        lattice = session.lattices.setdefault(example, Lattice(example, tree))
+    return lattice
+
+
 def _search(
     example: KExample,
     tree: AbstractionTree,
@@ -401,30 +581,21 @@ def _search(
     ``max_loi`` is given.  The two differ only in which candidates may
     improve on the incumbent and which privacy wins."""
     config = config or OptimizerConfig()
-    if not tree.is_compatible_with_annotations(example.registry):
-        raise OptimizationError(
-            "abstraction tree is incompatible with the K-example "
-            "(an inner label collides with a tuple annotation)"
-        )
-
     computer = PrivacyComputer(
         tree, example.registry, config.privacy, session=session
     )
+    lattice = _lattice(computer.session, example, tree)
     dist = distribution or UniformDistribution()
     prune = (
         config.sort_abstractions
         and config.loi_first
         and isinstance(dist, UniformDistribution)
     )
-
-    variables, chains = search_space(example, tree)
     candidates: _SortedFrontier | _UnsortedCandidates
     if config.sort_abstractions:
-        candidates = _SortedFrontier(
-            variables, chains, tree, _occurrence_counts(example, variables)
-        )
+        candidates = _SortedFrontier(lattice)
     else:
-        candidates = _UnsortedCandidates(variables, chains)
+        candidates = _UnsortedCandidates(lattice)
 
     stats = OptimizerStats()
     start_time = clock.perf_counter()
@@ -441,10 +612,15 @@ def _search(
     compute = spans.timed("privacy_check", computer.compute)
     evaluator: Optional[IncrementalEvaluator] = None
     if getattr(dist, "supports_incremental", False):
-        evaluator = IncrementalEvaluator(example, tree, variables, chains, dist)
+        lois = lattice.lois.setdefault(dist, {})
+        checked = lattice.checked
+        evaluator = IncrementalEvaluator(lattice, dist)
         score_delta = spans.timed("candidate_scoring", evaluator.loi)
-        materialize = spans.timed("materialize", evaluator.abstract)
+        materialize = spans.timed("materialize", evaluator.rows)
     else:
+        variables = lattice.variables
+        chains = dict(zip(variables, lattice.chains))
+
         def score_from_scratch(levels):
             function = _function_for_levels(
                 tree, example, variables, chains, levels
@@ -456,8 +632,8 @@ def _search(
         score_full = spans.timed("candidate_scoring", score_from_scratch)
 
     while True:
-        levels = candidates.pop()
-        if levels is None:
+        code = candidates.pop()
+        if code is None:
             break
 
         # Budgets are checked before the candidate is counted, so
@@ -476,16 +652,25 @@ def _search(
             break
         stats.candidates_scanned += 1
 
+        # The level vector: the candidates' where at hand, else decoded
+        # only where the lattice lacks a fact.
+        levels = candidates.levels
         function: Optional[AbstractionFunction]
         abstracted: Optional[AbstractedKExample]
         if evaluator is not None:
-            # Incremental path: score from memoized rows; the abstracted
-            # example is built only if its privacy is computed, and the
-            # function only for a new incumbent.
-            loi = score_delta(levels)
+            # Incremental path: the LOI the session holds, else scored
+            # from memoized rows; the abstracted rows are built only if
+            # privacy is computed, the function only for a new incumbent.
+            loi = lois.get(code)
+            if loi is None:
+                if levels is None:
+                    levels = lattice.levels(code)
+                loi = lois[code] = score_delta(levels)
+                stats.delta_evaluations += 1
             function = abstracted = None
-            stats.delta_evaluations += 1
         else:
+            if levels is None:
+                levels = lattice.levels(code)
             loi, function, abstracted = score_full(levels)
             stats.full_evaluations += 1
 
@@ -494,16 +679,22 @@ def _search(
         improves = loi < best_loi if max_loi is None else loi <= max_loi
         if config.loi_first and not improves:
             if not prune:
-                candidates.expand(levels)
+                candidates.expand(code)
             continue
 
         # With loi_first disabled, privacy is paid for on every candidate.
         stats.privacy_computations += 1
         if abstracted is None:
-            abstracted = materialize(levels)
-            stats.functions_materialized += 1
+            candidate = checked.get(code)
+            if candidate is None:
+                if levels is None:
+                    levels = lattice.levels(code)
+                candidate = checked[code] = _Candidate(materialize(levels))
+                stats.functions_materialized += 1
+        else:
+            candidate = _Candidate(abstracted.rows)
         try:
-            privacy = compute(abstracted, threshold)
+            privacy = compute(candidate, threshold)
         except OptimizationError:
             # Concretization or alignment budget exhausted: the
             # abstraction is too coarse to evaluate; skip it (its
@@ -517,12 +708,18 @@ def _search(
                 or (privacy == best_privacy and loi < best_loi)
             ):
                 if function is None:
+                    if levels is None:
+                        levels = lattice.levels(code)
+                    mapping = lattice.mapping(levels)
+                    abstracted = AbstractedKExample(
+                        candidate.rows, example, mapping
+                    )
                     function = AbstractionFunction._from_validated(
-                        tree, abstracted.mapping
+                        tree, mapping
                     )
                 best, best_abstracted = function, abstracted
                 best_privacy, best_loi = privacy, loi
-        candidates.expand(levels)
+        candidates.expand(code)
 
     stats.elapsed_seconds = clock.perf_counter() - start_time
     if evaluator is not None:

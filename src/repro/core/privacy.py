@@ -43,6 +43,7 @@ import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.abstraction.concretization import ConcretizationEngine
 from repro.abstraction.tree import AbstractionTree
@@ -59,6 +60,9 @@ from repro.provenance.kexample import AbstractedKExample, KExample, KExampleRow
 from repro.query.ast import CQ
 from repro.query.containment import is_strictly_contained_in
 from repro.errors import OptimizationError
+
+if TYPE_CHECKING:
+    from repro.core.optimizer import Lattice
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,13 @@ class PrivacySession:
       computers that run row by row with the prefix cache read or write
       it: the monolithic fan-out check may abort where row by row does
       not, and the uncached arm must pay for what it measures,
+    * ``lattices`` — Algorithm 2's facts about each example searched
+      over the session (:class:`repro.core.optimizer.Lattice`, keyed by
+      the example): its search space and frontier terms, and per
+      candidate, by the candidate's integer state code, its LOI under
+      each additive distribution, its abstracted rows once its privacy
+      was checked (the tuple that keys ``privacy_cache``), and its
+      successors' frontier estimates once it was expanded,
 
     and ``facts``, the :class:`QueryFacts` holder of the caches that do
     not.  ``facts`` omitted, the session builds a private holder; a given
@@ -208,7 +219,8 @@ class PrivacySession:
     on any config at all), so a session warmed by one search is valid for
     any other threshold over the same context; results are bit-identical
     with or without sharing (caches return exactly what recomputation
-    would produce).
+    would produce).  A session holds no reference to itself, so a
+    dropped one is freed at once, caches and all.
     """
 
     def __init__(
@@ -237,6 +249,7 @@ class PrivacySession:
         self.privacy_cache: dict[
             tuple[KExampleRow, ...], tuple[int, int | None]
         ] = {}
+        self.lattices: dict[KExample, Lattice] = {}
         self.facts = facts
         #: How many computers have attached; > 1 means the session was reused.
         self.computers_attached = 0
@@ -265,8 +278,12 @@ class PrivacySession:
     def cache_sizes(self) -> dict[str, int]:
         """Current entry counts, for diagnostics and tests; the holder's
         entries (prefix queries, concrete rows, containments, minimal
-        sets) are shared by the sessions sharing it."""
+        sets) are shared by the sessions sharing it.  The ``candidate_*``
+        counts sum the lattices' per-candidate entries: LOIs (one per
+        candidate and distribution), abstracted rows and successor
+        estimates."""
         facts = self.facts
+        lattices = list(self.lattices.values())
         return {
             "row_options": len(self.row_option_cache),
             "privacies": len(self.privacy_cache),
@@ -275,6 +292,16 @@ class PrivacySession:
             "connectivity": self.engine.connectivity_cache_size,
             "containments": len(facts.containment_cache),
             "minimal_sets": len(facts.minimal_set_cache),
+            "candidate_lois": sum(
+                len(lois) for lattice in lattices
+                for lois in list(lattice.lois.values())
+            ),
+            "candidate_rows": sum(
+                len(lattice.checked) for lattice in lattices
+            ),
+            "candidate_successors": sum(
+                len(lattice.successors) for lattice in lattices
+            ),
         }
 
 
@@ -316,17 +343,20 @@ class PrivacyComputer:
         self._containment_cache = facts.containment_cache
         self._minimal_set_cache = facts.minimal_set_cache
         self.stats = PrivacyStats()
-        # Algorithm 1's phases, bound once per computer: untraced they are
-        # the bound methods themselves; traced, each accumulates into one
+        # Algorithm 1's phases, wrapped once per computer.  They wrap the
+        # class's functions, called with the computer as first argument,
+        # so a computer holds no reference to itself and a dropped one
+        # (with a session only it held) is freed at once.  Untraced they
+        # are the functions themselves; traced, each accumulates into one
         # aggregate record.
-        self._row_options = spans.timed(  # type: ignore[method-assign]
-            "row_options", self._row_options
+        self._timed_row_options = spans.timed(
+            "row_options", PrivacyComputer._row_options
         )
-        self._generate = spans.timed(  # type: ignore[method-assign]
-            "consistent_queries", self._generate
+        self._timed_generate = spans.timed(
+            "consistent_queries", PrivacyComputer._generate
         )
-        self._minimal_keys = spans.timed(  # type: ignore[method-assign]
-            "minimality", self._minimal_keys
+        self._timed_minimal_keys = spans.timed(
+            "minimality", PrivacyComputer._minimal_keys
         )
 
     @property
@@ -342,7 +372,8 @@ class PrivacyComputer:
         return self._session
 
     def compute(self, abstracted: AbstractedKExample, threshold: int) -> int:
-        """Algorithm 1: the privacy of ``abstracted`` or -1 if below ``threshold``."""
+        """Algorithm 1: the privacy of ``abstracted`` or -1 if below
+        ``threshold``.  Only its ``rows`` are read."""
         if self._config.row_by_row:
             return self._compute_row_by_row(abstracted, threshold)
         return _gate(
@@ -358,7 +389,9 @@ class PrivacyComputer:
     def cim_queries(self, abstracted: AbstractedKExample) -> frozenset[CQ]:
         """The CIM queries w.r.t. ``abstracted`` (Definition 3.10)."""
         connected = self._connected_queries_full(abstracted)
-        keys = self._minimal_keys(frozenset(connected), [connected])
+        keys = self._timed_minimal_keys(
+            self, frozenset(connected), [connected]
+        )
         return frozenset(connected[k].build(k) for k in keys)
 
     # -- Algorithm 1 proper -------------------------------------------------
@@ -386,7 +419,7 @@ class PrivacyComputer:
     ) -> tuple[int, int | None]:
         good: list[tuple[KExampleRow, ...]] = [()]
         for index, row in enumerate(rows):
-            options = self._row_options(row)
+            options = self._timed_row_options(self, row)
             if not options:
                 # A row without options admits no query at all.
                 return 0, 0
@@ -452,7 +485,9 @@ class PrivacyComputer:
         self, abstracted: AbstractedKExample
     ) -> list[dict[tuple, QueryRecipe]]:
         """Each concretization's queries, in product order."""
-        per_row_options = [self._row_options(row) for row in abstracted.rows]
+        per_row_options = [
+            self._timed_row_options(self, row) for row in abstracted.rows
+        ]
         self._check_fan_out(math.prod(map(len, per_row_options)))
         return self._prefix_queries(itertools.product(*per_row_options))
 
@@ -493,7 +528,8 @@ class PrivacyComputer:
         their extensions."""
         if not self._config.cache_queries:
             return [
-                self._generate(prefix, None, False)[0] for prefix in prefixes
+                self._timed_generate(self, prefix, None, False)[0]
+                for prefix in prefixes
             ]
         cache, stats = self._query_cache, self.stats
         out = []
@@ -502,8 +538,9 @@ class PrivacyComputer:
             if entry is None:
                 # The parent's fold; looking it up is no cache hit.
                 parent = cache.get(prefix[:-1]) if len(prefix) > 2 else None
-                entry = cache[prefix] = self._generate(
-                    prefix, parent[1] if parent is not None else None, keep
+                entry = cache[prefix] = self._timed_generate(
+                    self, prefix, parent[1] if parent is not None else None,
+                    keep,
                 )
                 stats.query_cache_misses += 1
             else:
@@ -542,7 +579,9 @@ class PrivacyComputer:
             keys.update(queries)
         if len(keys) < threshold:
             return len(keys), None
-        return len(keys), len(self._minimal_keys(frozenset(keys), maps))
+        return len(keys), len(
+            self._timed_minimal_keys(self, frozenset(keys), maps)
+        )
 
     # -- session-cached query-level facts -----------------------------------
     #

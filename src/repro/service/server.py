@@ -388,13 +388,16 @@ class JobService:
         """
         if self._store is None:
             return
+        with self._lock:
+            record = self._records[job_id]
+        # Kept on the record, so the run's cache lookup and store reuse it.
+        record.content_hash = self._content_hash(job)
         try:
             self._store.record_job(
-                job_id, seq, self._content_hash(job), job_spec_text(job),
+                job_id, seq, record.content_hash, job_spec_text(job),
                 JOB_QUEUED,
             )
             with self._lock:
-                record = self._records[job_id]
                 state, finished_at = record.state, record.finished_at
             if state != JOB_QUEUED:
                 self._store.update_job(
@@ -486,6 +489,7 @@ class JobService:
                 else:
                     record.state = JOB_QUEUED
                     record.started_at = None
+                    record.content_hash = stored.content_hash
                     self._persist_state(
                         stored.job_id, JOB_QUEUED, clear_started_at=True
                     )
@@ -838,11 +842,17 @@ class JobService:
         # whatever the tier: a backend only runs the search.
         result = None
         if self._cache is not None:
+            if record.content_hash is None:
+                record.content_hash = job_content_hash(
+                    effective, self._settings
+                )
             # Under the job's tracer: a traced hit's trace is its lookup.
             config = effective.config
             tracer = spans.Tracer() if config and config.trace else None
             with spans.activate(tracer):
-                result = self._cache.lookup(effective, self._settings)
+                result = self._cache.lookup(
+                    effective, self._settings, record.content_hash
+                )
             if result is not None and tracer is not None:
                 result.trace = tracer.to_payload()
         if result is None:
@@ -850,7 +860,9 @@ class JobService:
                 effective, self._settings, job_id=job_id
             )
             if self._cache is not None:
-                self._cache.store_result(effective, self._settings, result)
+                self._cache.store_result(
+                    effective, self._settings, result, record.content_hash
+                )
         # Which fleet worker delivered (remote only); fetched before the
         # service lock — worker_of takes the backend's own lock.
         worker = (

@@ -61,6 +61,9 @@ class JobRecord:
     #: On the remote tier: the fleet worker id that completed the job
     #: (``None`` elsewhere, and until a worker delivers).
     worker: Optional[str] = None
+    #: The effective job's content hash, computed once: at submit when a
+    #: store is attached, else where the result cache first needs it.
+    content_hash: Optional[str] = None
     done: threading.Event = field(
         default_factory=threading.Event, repr=False, compare=False
     )

@@ -55,8 +55,11 @@ class ResultCache:
     def key(self, job, settings) -> str:
         return job_content_hash(job, settings)
 
-    def lookup(self, job, settings):
+    def lookup(self, job, settings, key: Optional[str] = None):
         """The cached :class:`BatchJobResult` for ``job``, or ``None``.
+
+        ``key`` is the job's content hash where the caller already holds
+        it (:meth:`key` computes it otherwise).
 
         The returned result is rebuilt from the stored payload —
         bit-identical to the original run except for ``cache_hit``,
@@ -73,7 +76,9 @@ class ResultCache:
         # to a miss: the service then runs the job, as for any miss.
         try:
             with spans.aggregate("cache_lookup"):
-                payload = self._store.load_result(self.key(job, settings))
+                payload = self._store.load_result(
+                    self.key(job, settings) if key is None else key
+                )
                 if payload is None:
                     _LOOKUPS.inc(outcome="miss")
                     return None
@@ -87,8 +92,11 @@ class ResultCache:
         result.trace = None
         return result
 
-    def store_result(self, job, settings, result) -> Optional[str]:
+    def store_result(
+        self, job, settings, result, key: Optional[str] = None
+    ) -> Optional[str]:
         """Persist a fresh result; returns its hash, or ``None`` if skipped.
+        ``key`` is the job's content hash, as for :meth:`lookup`.
 
         Skipped: errored results, results that were themselves cache
         hits (already stored — rewriting would bump ``created_at`` and
@@ -102,7 +110,8 @@ class ResultCache:
             return None
         if result.stats.stopped_by_wall_clock:
             return None
-        key = self.key(job, settings)
+        if key is None:
+            key = self.key(job, settings)
         # The trace is the storing run's, not the result's: a traced
         # and an untraced job share the entry.
         payload = dict(result.to_payload(), trace=None)

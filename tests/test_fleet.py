@@ -403,12 +403,17 @@ class TestFleetEndToEnd:
                              "cache_hit")
             }
             # Likewise the stats that just count cache warmth: a job's
-            # row-option hits/misses depend on whether its session was
-            # already warm on the worker it landed on, not on the answer.
+            # row-option hits/misses, and the candidates it scored and
+            # the rows it built beyond what its session's lattice held,
+            # depend on whether its session was already warm on the
+            # worker it landed on, not on the answer.
             clean["stats"] = {
                 k: v for k, v in payload["stats"].items()
                 if k not in ("elapsed_seconds", "row_option_cache_hits",
-                             "row_option_cache_misses")
+                             "row_option_cache_misses", "delta_evaluations",
+                             "functions_materialized",
+                             "contribution_cache_hits",
+                             "contribution_cache_misses")
             }
             return clean
 

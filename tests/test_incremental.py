@@ -9,15 +9,21 @@ and pin the frontier's order and the privacy check's inputs to the
 formulas they replace.
 """
 
+import gc
 import heapq
 import itertools
 import math
 import random
+import sys
+import threading
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.abstraction.builders import balanced_tree, tree_from_categories
-from repro.core.privacy import PrivacyComputer, PrivacySession
+from repro.core.privacy import PrivacyComputer, PrivacyConfig, PrivacySession
 from repro.core.loi import (
     ExplicitDistribution,
     LeafWeightDistribution,
@@ -26,6 +32,7 @@ from repro.core.loi import (
 )
 from repro.core.optimizer import (
     IncrementalEvaluator,
+    Lattice,
     OptimizerConfig,
     _function_for_levels,
     _occurrence_counts,
@@ -102,21 +109,19 @@ def _search_inputs(example, tree):
     return search_space(example, tree)
 
 
-def _candidate_sample(example, tree, variables, chains, rng, limit=80):
+def _candidate_sample(lattice, rng, limit=80):
     """Sorted-order candidates plus random level vectors."""
-    frontier = _SortedFrontier(
-        variables, chains, tree, _occurrence_counts(example, variables)
-    )
+    frontier = _SortedFrontier(lattice)
     candidates = []
     while len(candidates) < limit:
-        levels = frontier.pop()
-        if levels is None:
+        code = frontier.pop()
+        if code is None:
             break
-        candidates.append(levels)
-        frontier.expand(levels)
+        candidates.append(lattice.levels(code))
+        frontier.expand(code)
     for _ in range(20):
         candidates.append(tuple(
-            rng.randrange(len(chains[v])) for v in variables
+            rng.randrange(len(chain)) for chain in lattice.chains
         ))
     return candidates
 
@@ -128,8 +133,9 @@ class TestPerCandidateEquivalence:
         variables, chains = _search_inputs(example, tree)
         rng = random.Random(seed + 1000)
         dist = UniformDistribution()
-        evaluator = IncrementalEvaluator(example, tree, variables, chains, dist)
-        for levels in _candidate_sample(example, tree, variables, chains, rng):
+        lattice = Lattice(example, tree)
+        evaluator = IncrementalEvaluator(lattice, dist)
+        for levels in _candidate_sample(lattice, rng):
             function = _function_for_levels(tree, example, variables, chains, levels)
             full = loss_of_information(function.apply(example), tree, dist)
             assert evaluator.loi(levels) == full  # bitwise, not isclose
@@ -141,31 +147,33 @@ class TestPerCandidateEquivalence:
         rng = random.Random(seed + 2000)
         weights = {leaf: rng.uniform(0.25, 4.0) for leaf in tree.leaves()}
         dist = LeafWeightDistribution(weights)
-        evaluator = IncrementalEvaluator(example, tree, variables, chains, dist)
-        for levels in _candidate_sample(example, tree, variables, chains, rng):
+        lattice = Lattice(example, tree)
+        evaluator = IncrementalEvaluator(lattice, dist)
+        for levels in _candidate_sample(lattice, rng):
             function = _function_for_levels(tree, example, variables, chains, levels)
             full = loss_of_information(function.apply(example), tree, dist)
             assert evaluator.loi(levels) == full
 
     @pytest.mark.parametrize("seed", range(4))
     def test_materialize_matches_apply(self, seed):
-        """The memoized abstracted example equals ``function.apply``'s,
-        and a row is built once per levels of its own variables."""
+        """The memoized abstracted rows and the lattice's mapping equal
+        ``function.apply``'s, and a row is built once per levels of its
+        own variables."""
         _, example, tree = _random_instance(seed)
         variables, chains = _search_inputs(example, tree)
         rng = random.Random(seed + 3000)
-        evaluator = IncrementalEvaluator(
-            example, tree, variables, chains, UniformDistribution()
-        )
-        for levels in _candidate_sample(example, tree, variables, chains, rng, 40):
+        lattice = Lattice(example, tree)
+        evaluator = IncrementalEvaluator(lattice, UniformDistribution())
+        for levels in _candidate_sample(lattice, rng, 40):
             reference = _function_for_levels(tree, example, variables, chains, levels)
             applied = reference.apply(example)
-            abstracted = evaluator.abstract(levels)
-            assert abstracted.rows == applied.rows
-            assert abstracted.mapping == applied.mapping == reference.assignment
-            assert abstracted.source is example
-            again = evaluator.abstract(levels)
-            assert all(a is b for a, b in zip(again.rows, abstracted.rows))
+            rows = evaluator.rows(levels)
+            assert rows == applied.rows
+            assert lattice.mapping(levels) == applied.mapping == (
+                reference.assignment
+            )
+            again = evaluator.rows(levels)
+            assert all(a is b for a, b in zip(again, rows))
 
 
 def _reference_pops(variables, chains, tree, occurrences, limit):
@@ -233,15 +241,71 @@ class TestFrontierOrder:
         occurrences = _occurrence_counts(example, variables)
         limit = 1500
         expected = _reference_pops(variables, chains, tree, occurrences, limit)
-        frontier = _SortedFrontier(variables, chains, tree, occurrences)
+        lattice = Lattice(example, tree)
+        frontier = _SortedFrontier(lattice)
         popped = []
         while len(popped) < limit:
-            levels = frontier.pop()
-            if levels is None:
+            code = frontier.pop()
+            if code is None:
                 break
-            popped.append(levels)
-            frontier.expand(levels)
+            popped.append(lattice.levels(code))
+            frontier.expand(code)
         assert popped == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_pruned_scan_pops_alike_over_a_warm_lattice(self, seed):
+        """A state's first expansion stores no estimate for a successor
+        another state pushed first.  A later scan that leaves that other
+        state unexpanded (as pruning does) computes the estimate where
+        it first pushes the successor, and pops what it pops over a new
+        lattice."""
+        example, tree = _wide_instance(seed)
+
+        def scan(lattice, prune):
+            frontier = _SortedFrontier(lattice)
+            popped = []
+            while len(popped) < 800:
+                code = frontier.pop()
+                if code is None:
+                    break
+                popped.append(code)
+                if not (prune and len(popped) % 3 == 0):
+                    frontier.expand(code)
+            return popped
+
+        lattice = Lattice(example, tree)
+        scan(lattice, prune=False)
+        expanded = list(lattice.successors)
+
+        def unestimated():
+            return sum(math.isnan(estimate) for code in expanded
+                       for estimate in lattice.successors[code])
+
+        before = unestimated()
+        assert scan(lattice, prune=True) == scan(
+            Lattice(example, tree), prune=True
+        )
+        assert unestimated() < before
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_warm_lattice_pops_alike(self, seed):
+        """A second frontier over the lattice, reading the successor
+        estimates the first one stored, pops the same order."""
+        example, tree = _wide_instance(seed)
+        lattice = Lattice(example, tree)
+        orders = []
+        for _ in range(2):
+            frontier = _SortedFrontier(lattice)
+            popped = []
+            while len(popped) < 800:
+                code = frontier.pop()
+                if code is None:
+                    break
+                popped.append(code)
+                frontier.expand(code)
+            orders.append(popped)
+        assert orders[0] == orders[1]
+        assert len(lattice.successors) == len(orders[0])
 
 
 class TestPrivacyInputs:
@@ -251,16 +315,17 @@ class TestPrivacyInputs:
         self, seed, dual, monkeypatch
     ):
         """Every candidate whose privacy is computed hands Algorithm 1 the
-        rows and mapping of ``function.apply(example)``."""
+        rows of ``function.apply(example)``, and the incumbent carries its
+        rows, mapping and source."""
         _, example, tree = _joined_instance(seed)
         variables, chains = search_space(example, tree)
         popped, received = [], []
         pop, compute = _SortedFrontier.pop, PrivacyComputer.compute
 
         def recording_pop(self):
-            levels = pop(self)
-            popped.append(levels)
-            return levels
+            code = pop(self)
+            popped.append(None if code is None else self._lattice.levels(code))
+            return code
 
         def recording_compute(self, abstracted, threshold):
             received.append((popped[-1], abstracted))
@@ -281,8 +346,11 @@ class TestPrivacyInputs:
                 tree, example, variables, chains, levels
             ).apply(example)
             assert abstracted.rows == applied.rows
-            assert abstracted.mapping == applied.mapping
-            assert abstracted.source is example
+        if result.found:
+            applied = result.function.apply(example)
+            assert result.abstracted.rows == applied.rows
+            assert result.abstracted.mapping == applied.mapping
+            assert result.abstracted.source is example
 
 
 def _assert_same_result(incremental, full):
@@ -415,6 +483,34 @@ class TestEvaluatorBookkeeping:
         assert stats.contribution_cache_misses > 0
         assert stats.contribution_cache_hits > stats.contribution_cache_misses
 
+    def test_a_repeat_scores_and_builds_nothing(
+        self, paper_example, paper_tree
+    ):
+        """A repeat on the session reads every candidate's LOI and rows
+        from the session's lattice: it scores no row and builds no
+        abstracted rows, while it scans and checks what the first search
+        did and returns its answer."""
+        session = PrivacySession(paper_tree, paper_example.registry)
+        first = find_optimal_abstraction(
+            paper_example, paper_tree, 2, session=session
+        )
+        sizes = session.cache_sizes()
+        assert sizes["candidate_lois"] == first.stats.delta_evaluations
+        assert sizes["candidate_rows"] == first.stats.functions_materialized
+        repeat = find_optimal_abstraction(
+            paper_example, paper_tree, 2, session=session
+        )
+        assert session.cache_sizes() == sizes
+        stats = repeat.stats
+        assert stats.candidates_scanned == first.stats.candidates_scanned
+        assert stats.privacy_computations == first.stats.privacy_computations
+        assert stats.delta_evaluations == stats.functions_materialized == 0
+        assert stats.contribution_cache_hits == 0
+        assert stats.contribution_cache_misses == 0
+        assert repeat.loi == first.loi
+        assert repeat.function.assignment == first.function.assignment
+        assert repeat.abstracted.mapping == first.abstracted.mapping
+
     def test_disabled_uses_full_path(self, paper_example, paper_tree):
         result = find_optimal_abstraction(
             paper_example, paper_tree, 2, distribution=FromScratchUniform()
@@ -433,11 +529,9 @@ class TestEvaluatorBookkeeping:
         """The contribution cache is the per-row memo: the first pass
         computes each row's contributions, the second scores every row
         from the memo."""
-        variables, chains = _search_inputs(paper_example, paper_tree)
-        evaluator = IncrementalEvaluator(
-            paper_example, paper_tree, variables, chains, UniformDistribution()
-        )
-        levels = tuple(1 if len(chains[v]) > 1 else 0 for v in variables)
+        lattice = Lattice(paper_example, paper_tree)
+        evaluator = IncrementalEvaluator(lattice, UniformDistribution())
+        levels = tuple(1 if len(chain) > 1 else 0 for chain in lattice.chains)
         first = evaluator.loi(levels)
         misses = evaluator.cache_misses
         assert misses == len(paper_example.rows)
@@ -460,3 +554,152 @@ class TestTreeMemoization:
         # Second call is served from the memo and yields the same labels.
         assert sorted(tree.leaves_under("A")) == ["x", "y"]
         assert list(tree.leaves_under("z")) == ["z"]
+
+
+def _answer(result):
+    """What a search over a shared session must repeat of the same search
+    over a fresh one: its answer (LOI to the bit) and its own effort."""
+    abstracted = result.abstracted
+    stats = result.stats
+    return (
+        result.function,
+        None if abstracted is None else (abstracted.rows, abstracted.mapping),
+        result.privacy,
+        result.loi.hex(),
+        result.edges_used,
+        stats.candidates_scanned,
+        stats.privacy_computations,
+        stats.privacy_budget_exhausted,
+    )
+
+
+def _run(example, tree, search, privacy=PrivacyConfig(), session=None):
+    """One search: ``(objective, bound, arm, weighted)``, where the
+    objective is ``"primal"`` (bound = threshold) or ``"dual"`` (bound =
+    LOI cap) and ``arm`` is ``(sort_abstractions, loi_first)``."""
+    objective, bound, (sort, gate), weighted = search
+    config = OptimizerConfig(
+        sort_abstractions=sort, loi_first=gate,
+        max_candidates=120 if gate else 40, privacy=privacy,
+    )
+    distribution = None
+    if weighted:
+        rng = random.Random(7)
+        distribution = LeafWeightDistribution(
+            {leaf: rng.uniform(0.5, 2.0) for leaf in sorted(tree.leaves())}
+        )
+    find = (find_optimal_abstraction if objective == "primal"
+            else find_dual_optimal_abstraction)
+    return find(example, tree, bound, config=config,
+                distribution=distribution, session=session)
+
+
+_SEARCHES = st.tuples(
+    st.sampled_from(["primal", "dual"]),
+    st.sampled_from([1, 2, 3, 4]),
+    st.sampled_from([(True, True), (True, False), (False, True),
+                     (False, False)]),
+    st.booleans(),
+).map(lambda s: s if s[0] == "primal" else (s[0], s[1] * 1.5) + s[2:])
+
+
+class TestSessionLattice:
+    """The session's lattice keeps each candidate's LOI, abstracted rows
+    and successor estimates: searches over one session, in any order and
+    mix, answer as searches over fresh sessions do."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=30),
+        searches=st.lists(_SEARCHES, min_size=2, max_size=5),
+        privacy=st.sampled_from([
+            PrivacyConfig(), PrivacyConfig(row_by_row=False),
+            PrivacyConfig(cache_queries=False),
+            PrivacyConfig(connectivity_filter=False),
+        ]),
+    )
+    def test_a_shared_session_answers_as_fresh_ones(
+        self, seed, searches, privacy
+    ):
+        _, example, tree = _joined_instance(seed)
+        session = PrivacySession(tree, example.registry, privacy)
+        for search in searches:
+            shared = _run(example, tree, search, privacy, session)
+            fresh = _run(example, tree, search, privacy)
+            assert _answer(shared) == _answer(fresh), search
+            assert fresh.stats.delta_evaluations + (
+                fresh.stats.full_evaluations
+            ) == fresh.stats.candidates_scanned
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_threads_sweeping_one_session_match_the_serial_sweep(self, seed):
+        """Four threads sweep thresholds and caps over one session at once,
+        each from another point of the sweep; each search answers as it
+        does alone on a fresh session."""
+        _, example, tree = _joined_instance(seed)
+        sweep = [("primal", k, (True, True), False) for k in (1, 2, 3, 4)]
+        sweep += [("dual", cap, (True, True), False) for cap in (1.5, 4.5)]
+        expected = [_answer(_run(example, tree, search)) for search in sweep]
+
+        def worker(index, session, start, answers):
+            start.wait()
+            order = sweep[index:] + sweep[:index]
+            answers[index] = [
+                _answer(_run(example, tree, search, session=session))
+                for search in order
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                session = PrivacySession(tree, example.registry)
+                start, answers = threading.Barrier(4), {}
+                threads = [
+                    threading.Thread(
+                        target=worker, args=(i, session, start, answers)
+                    )
+                    for i in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                for index in range(4):
+                    assert answers[index] == (
+                        expected[index:] + expected[:index]
+                    )
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_dropped_session_dies_without_a_collection(
+        self, paper_example, paper_tree
+    ):
+        """A session holds no reference to itself, so one dropped after a
+        search is freed at once, lattice and all."""
+        gc.disable()
+        try:
+            session = PrivacySession(paper_tree, paper_example.registry)
+            assert find_optimal_abstraction(
+                paper_example, paper_tree, 2, session=session
+            ).found
+            assert session.lattices
+            ref = weakref.ref(session)
+            del session
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_equal_distributions_share_a_memo(self, paper_example, paper_tree):
+        session = PrivacySession(paper_tree, paper_example.registry)
+        weights = {leaf: 2.0 for leaf in paper_tree.leaves()}
+        for distribution in (None, UniformDistribution(),
+                             LeafWeightDistribution(weights),
+                             LeafWeightDistribution(dict(weights))):
+            find_optimal_abstraction(
+                paper_example, paper_tree, 2, session=session,
+                distribution=distribution,
+            )
+        (lattice,) = session.lattices.values()
+        assert len(lattice.lois) == 2
+

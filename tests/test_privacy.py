@@ -325,14 +325,14 @@ class TestMechanics:
     ):
         """Traced, a computer accumulates its row options, generations
         and minimality scans into one aggregate record each, one count per
-        call; untraced, it calls its bound methods."""
+        call; untraced, it calls the class's functions themselves."""
         from repro.obs import spans
 
         abstracted = _abstract(paper_tree, paper_example, {"i1": "WikiLeaks"})
         untraced = PrivacyComputer(paper_tree, paper_db.registry)
         for name in ("_row_options", "_generate", "_minimal_keys"):
-            bound = getattr(untraced, name)
-            assert bound.__func__ is getattr(PrivacyComputer, name)
+            timed = getattr(untraced, "_timed" + name)
+            assert timed is getattr(PrivacyComputer, name)
         tracer = spans.Tracer()
         with spans.activate(tracer):
             computer = PrivacyComputer(paper_tree, paper_db.registry)
@@ -812,6 +812,29 @@ class TestPrivacySession:
                     paper_tree, paper_db.registry, config, session=session,
                 )
         assert session.computers_attached == 0
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_a_dropped_computer_dies_without_a_collection(
+        self, traced, paper_tree, paper_db, paper_example
+    ):
+        """A computer holds no reference to itself, traced or not, so
+        dropping it frees it and the private session it held at once."""
+        import gc
+        import weakref
+
+        from repro.obs import spans
+
+        abstracted = _abstract(paper_tree, paper_example, {"h1": "Facebook"})
+        gc.disable()
+        try:
+            with spans.activate(spans.Tracer() if traced else None):
+                computer = PrivacyComputer(paper_tree, paper_db.registry)
+                assert computer.privacy(abstracted) > 0
+            refs = (weakref.ref(computer), weakref.ref(computer.session))
+            del computer
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_cache_sizes_grow(self, paper_tree, paper_db, paper_example):
         session = PrivacySession(paper_tree, paper_db.registry)

@@ -339,6 +339,60 @@ def wait_or_fail(service, job_id, timeout=60.0):
     return box["record"]
 
 
+class TestContentHash:
+    """The service hashes each job once: at submit when a store keeps
+    its row, else where the result cache first needs the key."""
+
+    @pytest.fixture
+    def hash_calls(self, monkeypatch):
+        from repro.service import server as server_module
+        from repro.store import cache as cache_module
+
+        calls = []
+        original = server_module.job_content_hash
+
+        def counting(job, settings):
+            calls.append(job)
+            return original(job, settings)
+
+        monkeypatch.setattr(server_module, "job_content_hash", counting)
+        monkeypatch.setattr(cache_module, "job_content_hash", counting)
+        return calls
+
+    @pytest.mark.parametrize("durable", [True, False])
+    def test_each_job_is_hashed_once_on_a_miss_and_a_hit(
+        self, durable, hash_calls, tmp_path
+    ):
+        from repro.store import job_content_hash
+
+        path = str(tmp_path / "jobs.db")
+        store = JobStore(path) if durable else None
+        service = JobService(
+            worker_threads=0, store=store,
+            cache_path=None if durable else path,
+        )
+        try:
+            ids = []
+            for hit in (False, True):
+                ids.append(service.submit_specs([inline_spec()])[0])
+                assert service.run_next()
+                record = service.record(ids[-1])
+                assert record.result.cache_hit is hit
+                assert len(hash_calls) == len(ids)
+            job = service.record(ids[0]).job
+            assert {service.record(i).content_hash for i in ids} == {
+                job_content_hash(job, service._settings)
+            }
+            if durable:
+                assert {stored.content_hash for stored in store.list_jobs()} == {
+                    service.record(ids[0]).content_hash
+                }
+        finally:
+            service.shutdown()
+            if store is not None:
+                store.close()
+
+
 class TestWait:
     """``JobService.wait`` returns once the terminal state is persisted."""
 
